@@ -41,12 +41,12 @@ from .machine.costs import FUSED_STITCHER, StitcherCosts
 from .machine.vm import VM, VMError
 from .opt.pipeline import OptOptions, OptStats
 from .runtime.engine import (
-    Program, RunResult, compile_ir_module, compile_program,
+    EntryEvent, Program, RunResult, compile_ir_module, compile_program,
 )
 from .runtime.guards import BreakerConfig, StitchBudget, seeded_jitter
 from .runtime.interp import Interpreter, InterpError, run_source
-from .runtime.stitchqueue import QueuedEntry, QueueStats, StitchQueueConfig
-from .runtime.tiering import ColdEntry, TierPolicy
+from .runtime.stitchqueue import QueueStats, StitchQueueConfig
+from .runtime.tiering import TierPolicy
 from .dynamic.stitcher import StitchError, StitchReport
 
 __version__ = "1.0.0"
@@ -60,8 +60,8 @@ __all__ = [
     "CacheStats",
     "CachedEntry",
     "CodeCache",
-    "ColdEntry",
     "CompileError",
+    "EntryEvent",
     "FAULT_SITES",
     "FUSED_STITCHER",
     "FaultPlan",
@@ -72,7 +72,6 @@ __all__ = [
     "OptStats",
     "ParseError",
     "Program",
-    "QueuedEntry",
     "QueueStats",
     "ReproError",
     "RunResult",

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 from typing import List
 
 from . import FUSED_STITCHER, CompileError, compile_program
@@ -259,7 +260,8 @@ def _run(args, source: str) -> int:
                  stats.live_entries, stats.live_code_words))
 
     if result.tier_stats:
-        cold = len(result.cold_entries)
+        colds = Counter((event.func_name, event.region_id)
+                        for event in result.cold_entries)
         promotions = sum(s["promotions"]
                          for s in result.tier_stats.values())
         speculative = sum(s["speculative_promotions"]
@@ -268,13 +270,13 @@ def _run(args, source: str) -> int:
                         for s in result.tier_stats.values())
         print("tier[%s]: %d cold entries, %d promotions "
               "(%d speculative), %d demotions"
-              % (tier.describe(), cold, promotions, speculative,
-                 demotions))
+              % (tier.describe(), sum(colds.values()), promotions,
+                 speculative, demotions))
         for key, snap in sorted(result.tier_stats.items()):
             predicted = snap.get("predicted_breakeven")
             print("  %s:%d: %d keys, %d promoted, %d cold%s"
                   % (key[0], key[1], snap["keys"], snap["keys_promoted"],
-                     snap["cold_entries"],
+                     colds[key],
                      (", predicted breakeven %d" % predicted)
                      if predicted is not None else ""))
 
@@ -293,14 +295,13 @@ def _run(args, source: str) -> int:
         for reason, count in sorted(qs.cancelled.items()):
             print("  cancelled[%s]: %d" % (reason, count))
 
-    if result.fallbacks or result.fault_counts:
-        by_reason = {}
-        for event in result.fallbacks:
-            by_reason[event.reason] = by_reason.get(event.reason, 0) + 1
+    fallbacks = result.fallbacks
+    if fallbacks or result.fault_counts:
+        by_reason = Counter(event.reason for event in fallbacks)
         detail = ", ".join("%d %s" % (count, reason)
                            for reason, count in sorted(by_reason.items()))
         print("degraded: %d fallback entries (%s); faults injected: %s"
-              % (len(result.fallbacks), detail or "none",
+              % (len(fallbacks), detail or "none",
                  ", ".join("%s x%d" % (site, count) for site, count
                            in sorted(result.fault_counts.items()))
                  or "none"))

@@ -142,11 +142,9 @@ def measure(workload: Workload,
         "complete_loop_unrolling": False,
         "strength_reduction": False,
     }
-    instrs_stitched = 0
-    for report in dynamic_result.stitch_reports:
-        if report.func_name != func or report.region_id != rid:
-            continue
-        instrs_stitched += report.instrs_emitted
+    reports = [report for report in dynamic_result.stitch_reports
+               if (report.func_name, report.region_id) == (func, rid)]
+    for report in reports:
         for key, value in report.optimizations_applied().items():
             optimizations[key] = optimizations.get(key, False) or value
     # Load elimination is a static property: constant loads moved into
@@ -166,9 +164,8 @@ def measure(workload: Workload,
         dynamic_dispatch_cycles=dynamic_region.get("dispatch", 0),
         setup_cycles=dynamic_region.get("setup", 0),
         stitcher_cycles=dynamic_region.get("stitcher", 0),
-        instrs_stitched=instrs_stitched,
-        stitches=len([r for r in dynamic_result.stitch_reports
-                      if r.func_name == func and r.region_id == rid]),
+        instrs_stitched=sum(report.instrs_emitted for report in reports),
+        stitches=len(reports),
         optimizations=optimizations,
         static_result=static_result,
         dynamic_result=dynamic_result,

@@ -41,14 +41,11 @@ class CacheConfig:
             self.max_entries is not None or self.max_words is not None)
 
     def describe(self) -> str:
-        if not self.bounded:
-            return self.policy
-        parts = [self.policy]
-        if self.max_entries is not None:
-            parts.append("entries=%d" % self.max_entries)
+        """The spec string :meth:`parse` reads back to this config."""
+        entries = "" if self.max_entries is None else str(self.max_entries)
         if self.max_words is not None:
-            parts.append("words=%d" % self.max_words)
-        return " ".join(parts)
+            return "%s:%s:%d" % (self.policy, entries, self.max_words)
+        return "%s:%s" % (self.policy, entries) if entries else self.policy
 
     @classmethod
     def parse(cls, spec: str) -> "CacheConfig":

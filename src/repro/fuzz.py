@@ -24,9 +24,10 @@ from __future__ import annotations
 import argparse
 import os
 import random
+import re
 import sys
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from .backends import get_backend
 from .codecache import CacheConfig
@@ -201,6 +202,48 @@ def fuzz_one(seed: int, iteration: int, max_stmts: int = 14,
     return program, None, rejected
 
 
+def reproducer_config(text: str) -> Tuple[List[int], Dict[str, object]]:
+    """A reproducer's ``// args:`` values, and the :func:`run_oracle`
+    keyword arguments its ``// tier:``, ``// stitch:``,
+    ``// backend:``, ``// faults:`` and ``// cache:`` headers record
+    (None where a header is absent)."""
+    match = re.search(r"^// args:\s*(.*)$", text, re.MULTILINE)
+    args = [int(tok) for tok in match.group(1).split()] if match else []
+    recorded: Dict[str, object] = {}
+    for name in ("tier", "stitch", "backend", "faults", "cache"):
+        match = re.search(r"^// %s:\s*(\S+)" % name, text, re.MULTILINE)
+        recorded[name] = match.group(1) if match else None
+    cache = recorded.pop("cache")
+    recorded["cache_config"] = CacheConfig.parse(cache) if cache else None
+    return args or [0], recorded
+
+
+def _save_unshrunk(corpus_dir: str, name: str, program, report,
+                   headers: Dict[str, object]) -> None:
+    """Write a configuration-specific divergence unshrunk (ablation and
+    shrinking rerun under the default configuration), with one header
+    per configuration it ran under, so it replays the same way."""
+    os.makedirs(corpus_dir, exist_ok=True)
+    path = os.path.join(corpus_dir, name)
+    with open(path, "w") as handle:
+        for header, spec in headers.items():
+            if isinstance(spec, CacheConfig):
+                spec = spec.describe()
+            if spec:
+                handle.write("// %s: %s\n" % (header, spec))
+        handle.write(format_reproducer(program, report, None))
+    print("  wrote %s" % path)
+
+
+def _describe_config(config: Dict[str, object]) -> str:
+    cache = config["cache_config"]
+    return " ".join(
+        ["cache=%s" % (cache.describe() if cache else "unbounded")]
+        + ["%s=%s" % (name, config[name])
+           for name in ("faults", "tier", "stitch", "backend")
+           if config[name]])
+
+
 def _replay_corpus(directory: str, cache_config: Optional[CacheConfig],
                    max_cycles: int, faults: Optional[str] = None,
                    tier: Optional[str] = None,
@@ -212,54 +255,37 @@ def _replay_corpus(directory: str, cache_config: Optional[CacheConfig],
     the CI proof that neither eviction nor graceful degradation nor
     tiering nor async stitch queueing nor the backend seam ever
     changes program results on known-tricky programs.  A reproducer
-    saved with a ``// tier:``, ``// stitch:`` or ``// backend:``
-    header replays under that recorded configuration (it overrides
-    ``tier`` / ``stitch`` / ``backend``)."""
+    saved with a ``// tier:``, ``// stitch:``, ``// backend:``,
+    ``// faults:`` or ``// cache:`` header replays under that recorded
+    configuration (it overrides the matching argument)."""
     import glob
-    import re
 
+    defaults = {"tier": tier, "stitch": stitch, "backend": backend,
+                "faults": faults, "cache_config": cache_config}
     paths = sorted(glob.glob(os.path.join(directory, "*.c")))
     if not paths:
         print("no *.c reproducers under %s" % directory, file=sys.stderr)
         return 1
-    label = cache_config.describe() if cache_config else "unbounded"
-    if faults:
-        label += " faults=%s" % faults
-    if tier:
-        label += " tier=%s" % tier
-    if stitch:
-        label += " stitch=%s" % stitch
-    if backend:
-        label += " backend=%s" % backend
     failures = 0
     for path in paths:
         with open(path) as handle:
             text = handle.read()
-        match = re.search(r"^// args:\s*(.*)$", text, re.MULTILINE)
-        arg_list = ([int(tok) for tok in match.group(1).split()]
-                    if match else []) or [0]
-        tier_match = re.search(r"^// tier:\s*(\S+)", text, re.MULTILINE)
-        file_tier = tier_match.group(1) if tier_match else tier
-        stitch_match = re.search(r"^// stitch:\s*(\S+)", text,
-                                 re.MULTILINE)
-        file_stitch = stitch_match.group(1) if stitch_match else stitch
-        backend_match = re.search(r"^// backend:\s*(\S+)", text,
-                                  re.MULTILINE)
-        file_backend = (backend_match.group(1) if backend_match
-                        else backend)
+        arg_list, recorded = reproducer_config(text)
+        config = {name: default if recorded[name] is None
+                  else recorded[name]
+                  for name, default in defaults.items()}
         for arg in arg_list:
             report = run_oracle(text, [arg], max_cycles=max_cycles,
-                                cache_config=cache_config, faults=faults,
-                                tier=file_tier, stitch=file_stitch,
-                                backend=file_backend)
+                                **config)
             if report.annotation_reject or report.ok:
                 continue
             failures += 1
-            print("%s (arg %d, cache=%s):" % (path, arg, label))
+            print("%s (arg %d, %s):"
+                  % (path, arg, _describe_config(config)))
             for divergence in report.divergences:
                 print("  " + str(divergence))
-    print("replay: %d reproducers under cache=%s, %d failures"
-          % (len(paths), label, failures))
+    print("replay: %d reproducers under %s, %d failures"
+          % (len(paths), _describe_config(defaults), failures))
     return 1 if failures else 0
 
 
@@ -457,22 +483,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             if recheck.ok:
                 print("  divergence requires stitch=%s (vanishes sync); "
                       "writing unshrunk reproducer" % stitch_spec)
-                os.makedirs(corpus_dir, exist_ok=True)
-                name = "seed%d_iter%03d_stitch.c" % (args.seed, i)
-                path = os.path.join(corpus_dir, name)
-                with open(path, "w") as handle:
-                    handle.write("// stitch: %s\n" % stitch_spec)
-                    if tier_spec:
-                        handle.write("// tier: %s\n" % tier_spec)
-                    if backend_spec:
-                        handle.write("// backend: %s\n" % backend_spec)
-                    if args.faults:
-                        handle.write("// faults: %s\n" % args.faults)
-                    if cache_config is not None:
-                        handle.write("// cache: %s\n"
-                                     % cache_config.describe())
-                    handle.write(format_reproducer(program, bad, None))
-                print("  wrote %s" % path)
+                _save_unshrunk(
+                    corpus_dir, "seed%d_iter%03d_stitch.c" % (args.seed, i),
+                    program, bad, {"stitch": stitch_spec, "tier": tier_spec,
+                                   "backend": backend_spec,
+                                   "faults": args.faults,
+                                   "cache": cache_config})
                 continue
         if tier_spec is not None:
             # Is the bug tiering-specific?  Ablation/shrink reruns run
@@ -486,20 +502,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             if recheck.ok:
                 print("  divergence requires tier=%s (vanishes eager); "
                       "writing unshrunk reproducer" % tier_spec)
-                os.makedirs(corpus_dir, exist_ok=True)
-                name = "seed%d_iter%03d_tier.c" % (args.seed, i)
-                path = os.path.join(corpus_dir, name)
-                with open(path, "w") as handle:
-                    handle.write("// tier: %s\n" % tier_spec)
-                    if backend_spec:
-                        handle.write("// backend: %s\n" % backend_spec)
-                    if args.faults:
-                        handle.write("// faults: %s\n" % args.faults)
-                    if cache_config is not None:
-                        handle.write("// cache: %s\n"
-                                     % cache_config.describe())
-                    handle.write(format_reproducer(program, bad, None))
-                print("  wrote %s" % path)
+                _save_unshrunk(
+                    corpus_dir, "seed%d_iter%03d_tier.c" % (args.seed, i),
+                    program, bad, {"tier": tier_spec,
+                                   "backend": backend_spec,
+                                   "faults": args.faults,
+                                   "cache": cache_config})
                 continue
         if args.faults:
             # Is the bug fault-specific?  Ablation/shrink reruns run
@@ -513,18 +521,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                 print("  divergence requires faults=%s (vanishes "
                       "fault-free); writing unshrunk reproducer"
                       % args.faults)
-                os.makedirs(corpus_dir, exist_ok=True)
-                name = "seed%d_iter%03d_faults.c" % (args.seed, i)
-                path = os.path.join(corpus_dir, name)
-                with open(path, "w") as handle:
-                    handle.write("// faults: %s\n" % args.faults)
-                    if backend_spec:
-                        handle.write("// backend: %s\n" % backend_spec)
-                    if cache_config is not None:
-                        handle.write("// cache: %s\n"
-                                     % cache_config.describe())
-                    handle.write(format_reproducer(program, bad, None))
-                print("  wrote %s" % path)
+                _save_unshrunk(
+                    corpus_dir, "seed%d_iter%03d_faults.c" % (args.seed, i),
+                    program, bad, {"faults": args.faults,
+                                   "backend": backend_spec,
+                                   "cache": cache_config})
                 continue
         if cache_config is not None and cache_config.bounded:
             # Is the bug cache-specific?  The ablation/shrink tooling
@@ -537,15 +538,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                 print("  divergence requires cache=%s (vanishes "
                       "unbounded); writing unshrunk reproducer"
                       % cache_config.describe())
-                os.makedirs(corpus_dir, exist_ok=True)
-                name = "seed%d_iter%03d_cache.c" % (args.seed, i)
-                path = os.path.join(corpus_dir, name)
-                with open(path, "w") as handle:
-                    handle.write("// cache: %s\n" % cache_config.describe())
-                    if backend_spec:
-                        handle.write("// backend: %s\n" % backend_spec)
-                    handle.write(format_reproducer(program, bad, None))
-                print("  wrote %s" % path)
+                _save_unshrunk(
+                    corpus_dir, "seed%d_iter%03d_cache.c" % (args.seed, i),
+                    program, bad, {"cache": cache_config,
+                                   "backend": backend_spec})
                 continue
         if args.no_shrink:
             continue

@@ -29,12 +29,11 @@ columns), ``speedup == static_per_exec / dynamic_per_exec``
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 Number = float
-
-RegionKey = Tuple[str, int]
 
 
 @dataclass
@@ -150,40 +149,37 @@ class BreakEvenRow:
 def rows_from_results(static_result, dynamic_result) -> List[BreakEvenRow]:
     """Per-region break-even rows from one static + one dynamic run of
     the same program on the same inputs."""
-    entries: Dict[RegionKey, int] = dict(
-        getattr(dynamic_result, "region_entries", {}) or {})
-    # Regions can also be discovered from stitch reports (defensive:
-    # a region stitched but never counted would still get a row).
-    keys = set(entries)
-    for report in dynamic_result.stitch_reports:
-        keys.add((report.func_name, report.region_id))
+    entries = dynamic_result.region_entries
+    # (region, entry kind) -> entries, and region -> instructions
+    # stitched, both read off the dynamic run's entry log.
+    kinds: Counter = Counter()
+    instrs: Counter = Counter()
+    for event in dynamic_result.entries:
+        region = (event.func_name, event.region_id)
+        kinds[region, event.kind] += 1
+        if event.report is not None:
+            instrs[region] += event.report.instrs_emitted
     rows: List[BreakEvenRow] = []
-    hits = getattr(dynamic_result, "cache_hits", []) or []
-    tier_stats = getattr(dynamic_result, "tier_stats", {}) or {}
-    colds = getattr(dynamic_result, "cold_entries", []) or []
-    for func_name, region_id in sorted(keys):
-        key = (func_name, region_id)
+    tier_stats = dynamic_result.tier_stats
+    for key in sorted(set(entries) | {region for region, _ in kinds}):
+        func_name, region_id = key
         suffix = "%s:%d" % key
         dyn = dynamic_result.cycles_by_owner
-        reports = [r for r in dynamic_result.stitch_reports
-                   if (r.func_name, r.region_id) == key]
         region_tier = tier_stats.get(key, {})
         rows.append(BreakEvenRow(
             func_name=func_name,
             region_id=region_id,
             executions=entries.get(key, 0),
-            stitches=len(reports),
-            cache_hits=sum(1 for h in hits
-                           if (h.func_name, h.region_id) == key),
+            stitches=kinds[key, "stitch"],
+            cache_hits=kinds[key, "hit"],
             static_cycles=static_result.cycles_by_owner.get(
                 "region:" + suffix, 0),
             stitched_cycles=dyn.get("stitched:" + suffix, 0),
             dispatch_cycles=dyn.get("dispatch:" + suffix, 0),
             setup_cycles=dyn.get("setup:" + suffix, 0),
             stitcher_cycles=dyn.get("stitcher:" + suffix, 0),
-            instrs_stitched=sum(r.instrs_emitted for r in reports),
-            cold_entries=sum(1 for c in colds
-                             if (c.func_name, c.region_id) == key),
+            instrs_stitched=instrs[key],
+            cold_entries=kinds[key, "cold"],
             predicted_breakeven=region_tier.get("predicted_breakeven"),
         ))
     return rows

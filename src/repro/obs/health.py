@@ -27,6 +27,7 @@ and CI.
 from __future__ import annotations
 
 import operator
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -185,11 +186,12 @@ def flatten_snapshot(snap: Dict[str, Dict[str, object]]
 def values_from_result(result) -> Dict[str, Number]:
     """Pseudo-metric values for a :class:`RunResult`, matching the
     registry metric names so one rule set serves both sources."""
+    kinds = Counter(event.kind for event in result.entries)
     values: Dict[str, Number] = {
         "vm.cycles": result.cycles,
         "region.entries": sum(result.region_entries.values()),
-        "cache.hits": len(result.cache_hits),
-        "fallback.count": len(result.fallbacks),
+        "cache.hits": kinds["hit"],
+        "fallback.count": kinds["fallback"],
         "fault.injected": sum(result.fault_counts.values()),
         "breaker.trips": sum(s.get("trips", 0)
                              for s in result.breaker_stats.values()),
@@ -197,7 +199,7 @@ def values_from_result(result) -> Dict[str, Number]:
                                for s in result.tier_stats.values()),
         "tier.demotions": sum(s.get("demotions", 0)
                               for s in result.tier_stats.values()),
-        "tier.cold": len(result.cold_entries),
+        "tier.cold": kinds["cold"],
     }
     stats = result.cache_stats
     if stats is not None:

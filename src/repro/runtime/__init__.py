@@ -1,15 +1,15 @@
 """Execution: the engine (compile + run + measure) and the reference
 interpreter used as the semantic oracle."""
 
-from .engine import Program, RunResult, compile_ir_module, compile_program
-from .interp import Interpreter, InterpError, run_source
-from .stitchqueue import (
-    QueuedEntry, QueueStats, StitchJob, StitchQueue, StitchQueueConfig,
+from .engine import (
+    EntryEvent, Program, RunResult, compile_ir_module, compile_program,
 )
-from .tiering import ColdEntry, TierController, TierPolicy
+from .interp import Interpreter, InterpError, run_source
+from .stitchqueue import QueueStats, StitchJob, StitchQueue, StitchQueueConfig
+from .tiering import TierController, TierPolicy
 
 __all__ = [
-    "ColdEntry", "Interpreter", "InterpError", "Program", "QueuedEntry",
+    "EntryEvent", "Interpreter", "InterpError", "Program",
     "QueueStats", "RunResult", "StitchJob", "StitchQueue",
     "StitchQueueConfig", "TierController", "TierPolicy",
     "compile_ir_module", "compile_program", "run_source",

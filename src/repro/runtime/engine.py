@@ -48,46 +48,49 @@ from ..obs.metrics import registry as obs_metrics
 from ..opt.pipeline import OptOptions, OptStats, optimize
 from .fallback import FallbackCode, build_fallback
 from .guards import BreakerConfig, RegionBreaker, StitchBudget
-from .stitchqueue import (
-    QueuedEntry, QueueStats, StitchJob, StitchQueue, StitchQueueConfig,
-)
-from .tiering import ColdEntry, TierController, TierPolicy
+from .stitchqueue import QueueStats, StitchJob, StitchQueue, StitchQueueConfig
+from .tiering import TierController, TierPolicy
 
 Number = Union[int, float]
 
 
-class CacheHit(NamedTuple):
-    """A region entry served from the keyed code cache.
+class EntryEvent(NamedTuple):
+    """One region entry, as the region runtime served it.
 
-    Recorded by the region runtime so post-run accounting sees *every*
-    region execution, not just the ones that stitched: region entries
-    == cache hits + stitch reports (the oracle checks this invariant).
+    ``kind`` is one of:
+
+    * ``hit`` -- stitched code reused from the keyed code cache;
+    * ``stitch`` -- stitched now (``report`` is the
+      :class:`StitchReport`);
+    * ``fallback`` -- degraded to the static fallback tier.  ``reason``
+      names the rung of the degradation ladder: ``fault`` (an injected
+      failure), ``budget`` (a resource guard tripped), ``error`` (a
+      genuine stitch/arena failure) or ``breaker`` (the region's
+      circuit breaker was open -- no stitch was attempted).
+      ``injected`` is True only for faults raised by the
+      :mod:`repro.faults` harness;
+    * ``cold`` -- kept on the fallback tier by an adaptive tiering
+      policy: the policy working as intended, not a degradation;
+    * ``queued`` -- served from fallback because of the async stitch
+      queue.  ``reason`` is the job's phase: ``enqueued`` (this entry
+      created the job), ``waiting`` (pending or backing off), ``hung``
+      (wedged by a ``stitch.hang`` fault), ``shed`` (refused by
+      admission control) or ``dropped`` (eaten by a ``queue.drop``
+      fault).
     """
 
+    kind: str
     func_name: str
     region_id: int
     key: Tuple[Number, ...]
+    #: the pc the dispatch glue jumped to.
     entry: int
-
-
-class FallbackEvent(NamedTuple):
-    """A region entry served by the static fallback tier.
-
-    ``reason`` names the rung of the degradation ladder that was hit:
-    ``"fault"`` (an injected failure), ``"budget"`` (a resource guard
-    tripped), ``"error"`` (a genuine stitch/arena failure), or
-    ``"breaker"`` (the region's circuit breaker was open -- no stitch
-    was even attempted).  ``injected`` is True only for faults raised
-    by the :mod:`repro.faults` harness; the oracle uses it to prove
-    every injected fault is accounted for.
-    """
-
-    func_name: str
-    region_id: int
-    key: Tuple[Number, ...]
-    reason: str
-    injected: bool
-    entry: int
+    reason: str = ""
+    injected: bool = False
+    #: the key's 1-based entry count, for fallback-served entries of
+    #: an adaptive run (0 otherwise).
+    count: int = 0
+    report: Optional[StitchReport] = None
 
 
 @dataclass
@@ -100,20 +103,19 @@ class RunResult:
     cycles: int
     cycles_by_owner: Dict[str, int]
     instrs_by_owner: Dict[str, int]
-    stitch_reports: List[StitchReport] = field(default_factory=list)
+    #: every region entry in execution order, logged exactly once.
+    entries: List[EntryEvent] = field(default_factory=list)
     #: executed-instruction histogram by opcode.
     op_counts: Dict[str, int] = field(default_factory=dict)
-    #: (func, region_id) -> region entries (cache hits + misses).
+    #: (func, region_id) -> region entries, counted by the lookup
+    #: service itself: the witness the oracle checks ``entries``
+    #: against.
     region_entries: Dict[Tuple[str, int], int] = field(
         default_factory=dict)
-    #: cache-hit events, one per entry that reused stitched code.
-    cache_hits: List[CacheHit] = field(default_factory=list)
     #: code-cache accounting: policy, hits/misses, evictions,
     #: compactions, invalidations, re-stitches, and the live code
     #: ranges (the only run-time ranges invariant checks may scan).
     cache_stats: Optional[CacheStats] = None
-    #: region entries served by the static fallback tier.
-    fallbacks: List[FallbackEvent] = field(default_factory=list)
     #: installed fallback code ranges as (base, words, entry_pc) -- the
     #: run-time ranges the oracle's reachability scan must also cover.
     fallback_blocks: List[Tuple[int, int, int]] = field(
@@ -124,21 +126,39 @@ class RunResult:
     #: breaker saw at least one failure.
     breaker_stats: Dict[Tuple[str, int], Dict[str, int]] = field(
         default_factory=dict)
-    #: region entries the tiering policy kept on the fallback tier
-    #: (always empty for eager runs -- cold-by-policy is distinct from
-    #: the degradation ``fallbacks`` above).
-    cold_entries: List[ColdEntry] = field(default_factory=list)
-    #: (func, region_id) -> adaptive-tiering stats (promotions, cold
-    #: entries, per-key counters...); empty for eager runs.
+    #: (func, region_id) -> adaptive-tiering stats (promotions,
+    #: demotions, per-key counters...); empty for eager runs.
     tier_stats: Dict[Tuple[str, int], Dict[str, object]] = field(
         default_factory=dict)
-    #: region entries served from fallback because their stitch was
-    #: queued (async mode only -- the oracle's fifth entry class).
-    queued_entries: List[QueuedEntry] = field(default_factory=list)
     #: async stitch-queue accounting; None for sync runs.
     queue_stats: Optional[QueueStats] = None
     #: registry name of the execution backend that produced this run.
     backend: str = "rvm"
+
+    # Views of ``entries`` by kind, in execution order.
+
+    def _of_kind(self, kind: str) -> List[EntryEvent]:
+        return [event for event in self.entries if event.kind == kind]
+
+    @property
+    def cache_hits(self) -> List[EntryEvent]:
+        return self._of_kind("hit")
+
+    @property
+    def stitch_reports(self) -> List[StitchReport]:
+        return [event.report for event in self._of_kind("stitch")]
+
+    @property
+    def fallbacks(self) -> List[EntryEvent]:
+        return self._of_kind("fallback")
+
+    @property
+    def cold_entries(self) -> List[EntryEvent]:
+        return self._of_kind("cold")
+
+    @property
+    def queued_entries(self) -> List[EntryEvent]:
+        return self._of_kind("queued")
 
     def owner_cycles(self, prefix: str) -> int:
         """Total cycles across owners starting with ``prefix``."""
@@ -307,8 +327,9 @@ class Program:
             if span is not None:
                 span["cycles"] = vm.cycles
                 span["value"] = int_result
-                span["stitches"] = len(runtime.reports)
-                span["cache_hits"] = len(runtime.cache_hits)
+                kinds = [event.kind for event in runtime.log]
+                span["stitches"] = kinds.count("stitch")
+                span["cache_hits"] = kinds.count("hit")
         sampler = obs_ts._current
         if sampler is not None:
             # Force a final sample so short runs (fewer entries than
@@ -334,12 +355,10 @@ class Program:
             cycles=vm.cycles,
             cycles_by_owner=dict(vm.cycles_by_owner),
             instrs_by_owner=dict(vm.instrs_by_owner),
-            stitch_reports=runtime.reports,
+            entries=runtime.log,
             op_counts=dict(vm.op_counts),
-            region_entries=dict(runtime.entries),
-            cache_hits=runtime.cache_hits,
+            region_entries=dict(runtime.region_entries),
             cache_stats=runtime.cache.snapshot(),
-            fallbacks=list(runtime.fallbacks),
             fallback_blocks=[(fb.base, fb.words, fb.entry)
                              for fb in runtime.fallback_codes.values()],
             fault_counts=fault_counts,
@@ -348,10 +367,8 @@ class Program:
                 for region, breaker in runtime.breakers.items()
                 if breaker.trips or breaker.resets or breaker.consecutive
             },
-            cold_entries=list(runtime.cold_entries),
             tier_stats=(runtime.tier.snapshot()
                         if runtime.tier is not None else {}),
-            queued_entries=list(runtime.queued_entries),
             queue_stats=(runtime.queue.snapshot()
                          if runtime.queue is not None else None),
             backend=self.backend.name,
@@ -375,16 +392,12 @@ class _RegionRuntime:
         #: get their host artifact whichever path placed them.
         self.cache: CodeCache = CodeCache(vm, cache_config, faults=faults,
                                           backend=program.backend)
-        self.reports: List[StitchReport] = []
+        #: every region entry, in order (written only by :meth:`_record`).
+        self.log: List[EntryEvent] = []
         #: (func, region_id) -> entries (every lookup, hit or miss).
-        self.entries: Dict[Tuple[str, int], int] = {}
-        self.cache_hits: List[CacheHit] = []
-        #: region entries served by the static fallback tier.
-        self.fallbacks: List[FallbackEvent] = []
-        #: region entries kept cold by the tiering policy.
-        self.cold_entries: List[ColdEntry] = []
-        #: lazily built generic code per region (first failure only,
-        #: or first cold entry under an adaptive tier).
+        self.region_entries: Dict[Tuple[str, int], int] = {}
+        #: lazily built generic code per region (first entry served
+        #: from fallback).
         self.fallback_codes: Dict[Tuple[str, int], FallbackCode] = {}
         #: per-region circuit breakers (created on first stitch).
         self.breakers: Dict[Tuple[str, int], RegionBreaker] = {}
@@ -404,9 +417,6 @@ class _RegionRuntime:
             self.tier = TierController(tier, vm, self._regions,
                                        program.stitcher_costs,
                                        faults=faults)
-        #: region entries served from fallback because their stitch
-        #: was queued (async mode only).
-        self.queued_entries: List[QueuedEntry] = []
         #: the async stitch queue; None for sync runs, which therefore
         #: take exactly the historical inline-stitch code path.
         self.queue: Optional[StitchQueue] = None
@@ -429,7 +439,7 @@ class _RegionRuntime:
         region = self._regions[(func, region_id)]
         key = CacheKey(func, region_id,
                        region_key(vm.regs, region.key_count))
-        entries = self.entries
+        entries = self.region_entries
         entries[key.region] = entries.get(key.region, 0) + 1
         sampler = obs_ts._current
         if sampler is not None:
@@ -452,15 +462,13 @@ class _RegionRuntime:
         cached = self.cache.lookup(key)
         if cached is None:
             # Miss: the dispatch glue falls through to region_stitch,
-            # which records the StitchReport (so misses == stitches)
-            # -- or, under an adaptive tier, decides to stay cold.
+            # which logs this entry however it serves it.
             return 0
         if tier is not None:
             tier.on_hit(func, region_id, key.key, cached)
-        self.cache_hits.append(
-            CacheHit(func, region_id, key.key, cached.entry_pc))
         vm.regs[CPOOL] = cached.pool_base
-        return cached.entry_pc
+        return self._record(
+            EntryEvent("hit", func, region_id, key.key, cached.entry_pc))
 
     def stitch(self, vm: VM, instr: MInstr) -> int:
         func, region_id = instr.extra  # type: ignore[misc]
@@ -478,11 +486,12 @@ class _RegionRuntime:
             # This outranks tiering -- a tripped region never promotes
             # mid-cooldown, however hot its keys run.
             breaker.on_entry_while_open()
-            return self._fallback(func, region_id, key, table_addr,
-                                  reason="breaker", injected=False)
+            return self._serve_fallback("fallback", func, region_id, key,
+                                        table_addr, "breaker")
         tier = self.tier
         if tier is not None and not tier.decide(func, region_id, key):
-            return self._cold(func, region_id, key, table_addr)
+            return self._serve_fallback("cold", func, region_id, key,
+                                        table_addr)
         queue = self.queue
         job: Optional[StitchJob] = None
         if queue is not None:
@@ -499,17 +508,17 @@ class _RegionRuntime:
                     if tier is not None \
                     else queue.key_count(func, region_id, key)
                 phase = queue.enqueue(func, region_id, key, priority)
-                return self._queued(func, region_id, key, table_addr,
-                                    phase)
+                return self._serve_fallback("queued", func, region_id,
+                                            key, table_addr, phase)
             if job.state != "ready":
                 phase = "hung" if job.state == "hung" else "waiting"
-                return self._queued(func, region_id, key, table_addr,
-                                    phase)
+                return self._serve_fallback("queued", func, region_id,
+                                            key, table_addr, phase)
             if self.faults is not None and self.faults.should_fire(
                     "stitch.hang", region=(func, region_id)):
                 queue.mark_hung(job)
-                return self._queued(func, region_id, key, table_addr,
-                                    "hung")
+                return self._serve_fallback("queued", func, region_id,
+                                            key, table_addr, "hung")
             queue.landing = job
         host_start = time.perf_counter()
         try:
@@ -541,35 +550,28 @@ class _RegionRuntime:
                 reason = "fault"
             else:
                 reason = "error"
-            return self._fallback(func, region_id, key, table_addr,
-                                  reason=reason, injected=injected)
+            return self._serve_fallback("fallback", func, region_id, key,
+                                        table_addr, reason, injected)
         breaker.on_success()
         if queue is not None and job is not None:
             queue.landing = None
-            queue.land(job)
+            queue.finish(job, "landed")
         if tier is not None:
             tier.on_promote(func, region_id, key, entry)
         report = entry.report
-        self.reports.append(report)
-        if obs_metrics._enabled:
-            region_label = "%s:%d" % (func, region_id)
-            obs_metrics.counter("stitch.count").labels(
-                region=region_label).inc()
-            obs_metrics.counter("stitch.instrs_emitted").inc(
-                report.instrs_emitted)
-            obs_metrics.counter("stitch.holes_patched").inc(
-                report.holes_patched)
-            obs_metrics.counter("stitch.pool_entries").inc(
-                report.pool_entries)
-            obs_metrics.histogram("stitch.cycles").labels(
-                region=region_label).observe(report.cycles)
-            obs_metrics.histogram("stitch.host_seconds").observe(
-                time.perf_counter() - host_start)
         vm.regs[CPOOL] = report.pool_base
-        return report.entry
+        return self._record(
+            EntryEvent("stitch", func, region_id, key, report.entry,
+                       report=report), host_start)
 
-    def _fallback_code(self, func: str, region_id: int) -> FallbackCode:
-        """The region's generic fallback code, built on first use."""
+    def _serve_fallback(self, kind: str, func: str, region_id: int,
+                        key: Tuple[Number, ...], table_addr: int,
+                        reason: str = "", injected: bool = False) -> int:
+        """Serve this region entry from the region's generic fallback
+        code -- ``cold`` by tiering policy, ``queued`` behind an async
+        stitch job, or degraded (``fallback``) -- pointing its table
+        cell at the freshly filled constants table.  The code is built
+        on the region's first such entry."""
         fb = self.fallback_codes.get((func, region_id))
         if fb is None:
             fb = build_fallback(self.vm, self.program.compiled[func],
@@ -580,39 +582,62 @@ class _RegionRuntime:
             # The block lives inside the code arena's address range but
             # must survive compaction and stay out of cache capacity.
             self.cache.reserve(fb.base, fb.words)
-        return fb
-
-    def _cold(self, func: str, region_id: int,
-              key: Tuple[Number, ...], table_addr: int) -> int:
-        """Serve a region entry cold: the tiering policy decided this
-        (region, key) is not yet worth a stitch, so it executes the
-        generic fallback code against the freshly filled table."""
-        fb = self._fallback_code(func, region_id)
         self.vm.store(fb.table_cell, table_addr)
+        count = 0
         tier = self.tier
-        assert tier is not None
-        self.cold_entries.append(
-            ColdEntry(func, region_id, key,
-                      tier.count(func, region_id, key), fb.entry))
-        tier.on_cold(func, region_id, key)
-        return fb.entry
+        if tier is not None:
+            count = tier.count(func, region_id, key)
+            tier.on_fallback(func, region_id, key,
+                             degraded=kind == "fallback")
+        return self._record(EntryEvent(kind, func, region_id, key,
+                                       fb.entry, reason, injected, count))
 
-    def _queued(self, func: str, region_id: int,
-                key: Tuple[Number, ...], table_addr: int,
-                phase: str) -> int:
-        """Serve a region entry from fallback because its stitch is
-        queued (or was shed): the async tier's steady state while the
-        background compiler catches up."""
-        fb = self._fallback_code(func, region_id)
-        self.vm.store(fb.table_cell, table_addr)
-        if self.tier is not None:
-            self.tier.on_queued(func, region_id, key)
-        self.queued_entries.append(
-            QueuedEntry(func, region_id, key, phase, fb.entry))
+    def _record(self, event: EntryEvent, host_start: float = 0.0) -> int:
+        """Log one region entry -- the only writer of the entry log --
+        and emit its metrics and trace instant.  Returns the pc the
+        dispatch glue jumps to.  ``host_start`` is when a ``stitch``
+        entry's stitch began (for ``stitch.host_seconds``)."""
+        self.log.append(event)
+        kind = event.kind
+        if kind == "hit" or not (obs_metrics._enabled
+                                 or obs_trace._current is not None):
+            return event.entry
+        region = "%s:%d" % (event.func_name, event.region_id)
         if obs_metrics._enabled:
-            obs_metrics.counter("stitchq.entries").labels(
-                phase=phase).inc()
-        return fb.entry
+            if kind == "stitch":
+                report = event.report
+                obs_metrics.counter("stitch.count").labels(
+                    region=region).inc()
+                obs_metrics.counter("stitch.instrs_emitted").inc(
+                    report.instrs_emitted)
+                obs_metrics.counter("stitch.holes_patched").inc(
+                    report.holes_patched)
+                obs_metrics.counter("stitch.pool_entries").inc(
+                    report.pool_entries)
+                obs_metrics.histogram("stitch.cycles").labels(
+                    region=region).observe(report.cycles)
+                obs_metrics.histogram("stitch.host_seconds").observe(
+                    time.perf_counter() - host_start)
+            elif kind == "fallback":
+                obs_metrics.counter("fallback.count").labels(
+                    region=region, reason=event.reason).inc()
+                obs_metrics.counter("fallback.%s" % event.reason).inc()
+            elif kind == "cold":
+                obs_metrics.counter("tier.cold").labels(
+                    region=region, tier=self.tier.policy.mode).inc()
+            else:
+                obs_metrics.counter("stitchq.entries").labels(
+                    phase=event.reason).inc()
+        if obs_trace._current is not None:
+            if kind == "fallback":
+                obs_trace.instant("region.fallback", "runtime",
+                                  region=region, reason=event.reason,
+                                  injected=event.injected,
+                                  entry=event.entry)
+            elif kind == "cold":
+                obs_trace.instant("tier.cold", "runtime", region=region,
+                                  key=list(event.key), count=event.count)
+        return event.entry
 
     def _on_job_deadline(self, job: StitchJob) -> None:
         """Watchdog: a queued job blew its simulated-cycle deadline.
@@ -628,30 +653,6 @@ class _RegionRuntime:
         if not breaker.should_attempt() and self.queue is not None:
             self.queue.cancel_region(job.func_name, job.region_id,
                                      "breaker")
-
-    def _fallback(self, func: str, region_id: int,
-                  key: Tuple[Number, ...], table_addr: int,
-                  reason: str, injected: bool) -> int:
-        """Transfer this region entry to the static fallback tier:
-        build (once) and target the region's generic code, pointing
-        its table cell at the freshly filled constants table."""
-        fb = self._fallback_code(func, region_id)
-        self.vm.store(fb.table_cell, table_addr)
-        if self.tier is not None:
-            self.tier.on_degraded(func, region_id, key)
-        self.fallbacks.append(
-            FallbackEvent(func, region_id, key, reason, injected,
-                          fb.entry))
-        if obs_metrics._enabled:
-            obs_metrics.counter("fallback.count").labels(
-                region="%s:%d" % (func, region_id), reason=reason).inc()
-            obs_metrics.counter("fallback.%s" % reason).inc()
-        if obs_trace._current is not None:
-            obs_trace.instant("region.fallback", "runtime",
-                              region="%s:%d" % (func, region_id),
-                              reason=reason, injected=injected,
-                              entry=fb.entry)
-        return fb.entry
 
 
 def compile_program(source: str, mode: str = "dynamic",

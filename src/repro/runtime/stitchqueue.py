@@ -10,9 +10,10 @@ module simulates that pipeline on the VM's logical clocks only
 schedule is deterministic, replayable, and fuzzable:
 
 * ``enqueue`` admits a job per (region, key) at a priority equal to
-  the key's observed hotness; when the queue is full the
-  lowest-priority pending job is shed (admission control), counted
-  and surfaced on ``RunResult.queue_stats``.
+  the key's observed hotness; when the queue is full, a colder
+  pending job is cancelled as ``shed`` to make room, or else the
+  newcomer is refused (admission control, counted in
+  ``QueueStats.shed``).
 * a drain tick runs every ``drain_entries`` region entries (and/or
   every ``drain_cycles`` simulated cycles).  Each tick first runs the
   **watchdog** -- jobs older than ``deadline_cycles`` simulated cycles
@@ -24,13 +25,16 @@ schedule is deterministic, replayable, and fuzzable:
   actual entry (the same reason tiering promotions land one entry
   late).  The stitch charges the normal ``stitcher:`` owner at
   completion time; entries served from fallback while the job waited
-  are recorded as :class:`QueuedEntry` events -- the oracle's fifth
-  entry class.
+  are logged as ``queued`` entry events.
 * a failed landing retries with seeded jittered exponential backoff
   (``backoff_entries * 2**(attempt-1) + jitter`` region entries,
   via :func:`repro.runtime.guards.seeded_jitter`) until ``retries``
   attempts are spent; jobs are cancelled when their region's table is
   invalidated, its cached code evicted, or its breaker trips.
+* every admitted job leaves the queue through :meth:`StitchQueue.finish`
+  with exactly one outcome -- ``landed``, ``expired`` or ``cancelled``
+  -- and ``QueueStats`` counts its buckets from those outcomes, so job
+  conservation holds by construction.
 * two fault sites drive the chaos story: ``queue.drop`` (an enqueue
   silently dropped -- an injected shed) and ``stitch.hang`` (a ready
   job wedges and never lands; only the watchdog can clear it).  Both
@@ -45,8 +49,8 @@ stitching").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Tuple, Union
+from dataclasses import dataclass, field, replace
+from typing import Dict, List, Optional, Tuple, Union
 
 from ..obs import trace as obs_trace
 from ..obs.metrics import registry as obs_metrics
@@ -61,44 +65,30 @@ QUEUE_ENQUEUE_CYCLES = 3
 QUEUE_DRAIN_CYCLES = 2
 
 
-class QueuedEntry(NamedTuple):
-    """A region entry served by fallback *because of the queue* --
-    the miss was admitted (or already waiting) instead of stitched
-    inline.  ``phase`` names where in the job lifecycle the entry
-    landed: ``enqueued`` (this entry created the job), ``waiting``
-    (job pending or backing off), ``hung`` (job wedged by a
-    ``stitch.hang`` fault), ``shed`` (admission control refused the
-    job), or ``dropped`` (a ``queue.drop`` fault ate the enqueue).
-    """
-
-    func_name: str
-    region_id: int
-    key: Key
-    phase: str
-    entry: int
-
-
 @dataclass
 class QueueStats:
     """End-of-run queue accounting, surfaced on ``RunResult``.
 
-    Conservation: ``enqueued == landed + expired + sum(cancelled) +
-    pending`` -- every admitted job ends in exactly one bucket (the
-    oracle checks this).  ``shed`` and ``dropped`` count enqueue
-    attempts that never became jobs.
+    The job buckets -- ``landed``, ``expired``, ``cancelled`` and
+    ``pending`` -- are counted from the admitted jobs' outcomes, so
+    ``enqueued == landed + expired + sum(cancelled) + pending`` holds
+    by construction.  ``shed`` and ``dropped`` count enqueue attempts
+    that never became jobs.
     """
 
     config: str = "sync"
     enqueued: int = 0
     landed: int = 0
-    #: jobs (or enqueue attempts) refused by admission control.
+    #: enqueue attempts refused by admission control (injected drops
+    #: included).
     shed: int = 0
     #: enqueue attempts eaten by an injected ``queue.drop`` fault.
     dropped: int = 0
     #: jobs expired by the watchdog (deadline exceeded).
     expired: int = 0
     #: cancellation reason -> jobs cancelled (breaker / invalidate /
-    #: evict / failed).
+    #: evict / failed / shed -- a colder job evicted to admit a hotter
+    #: one).
     cancelled: Dict[str, int] = field(default_factory=dict)
     #: failed landings that were re-queued with backoff.
     retries: int = 0
@@ -233,13 +223,20 @@ class StitchJob:
     enqueue_cycles: int
     #: admission order; the deterministic tie-break everywhere.
     seq: int
-    #: ``pending`` -> ``ready`` -> landed; ``hung`` is terminal until
-    #: the watchdog expires it.
+    #: ``pending`` -> ``ready`` while queued; ``hung`` waits for the
+    #: watchdog to expire it.
     state: str = "pending"
     #: landing attempts so far (bumped by each failed stitch).
     attempts: int = 0
     #: entry clock before which a backing-off job may not go ready.
     not_before: int = 0
+    #: terminal outcome, set once when the job leaves the queue:
+    #: ``landed``, ``expired`` or ``cancelled``.
+    outcome: str = ""
+    #: why a cancelled job was cancelled.
+    reason: str = ""
+    #: region entries between enqueue and leaving the queue.
+    latency: int = 0
 
     @property
     def region(self) -> RegionId:
@@ -255,6 +252,10 @@ class StitchQueue:
         self.vm = vm
         self.faults = faults
         self.jobs: Dict[Tuple[str, int, Key], StitchJob] = {}
+        #: admitted jobs that left the queue, in order, each with its
+        #: outcome (see :meth:`finish`).
+        self.done: List[StitchJob] = []
+        #: event counters; :meth:`snapshot` adds the job buckets.
         self.stats = QueueStats(config=config.describe())
         #: region-entry clock (every lookup of any region ticks it).
         self.entry_clock = 0
@@ -291,7 +292,11 @@ class StitchQueue:
         if deadline:
             for job in [j for j in self.jobs.values()
                         if self.vm.cycles - j.enqueue_cycles > deadline]:
-                self._expire(job)
+                # The engine turns each expiry into a breaker failure,
+                # which may cancel the rest of the region's jobs.
+                if self.finish(job, "expired") \
+                        and self.on_deadline is not None:
+                    self.on_deadline(job)
         ready_slots = self.config.batch
         if not ready_slots:
             return
@@ -319,8 +324,8 @@ class StitchQueue:
 
     def enqueue(self, func: str, region_id: int, key: Key,
                 priority: int) -> str:
-        """Admit a job; returns the phase for the QueuedEntry record
-        (``enqueued``, ``shed``, or ``dropped``)."""
+        """Admit a job; returns the reason for the ``queued`` entry
+        event (``enqueued``, ``shed``, or ``dropped``)."""
         self.vm.charge("stitchq:%s:%d" % (func, region_id),
                        QUEUE_ENQUEUE_CYCLES)
         if self.faults is not None and self.faults.should_fire(
@@ -341,37 +346,55 @@ class StitchQueue:
                 self._instant("stitch.shed", func, region_id, key,
                               injected=False)
                 return "shed"
-            del self.jobs[(victim.func_name, victim.region_id,
-                           victim.key)]
-            self.stats.shed += 1
-            self._instant("stitch.shed", victim.func_name,
-                          victim.region_id, victim.key, injected=False)
+            self.cancel(victim, "shed")
         job = StitchJob(func, region_id, key, priority,
                         enqueue_entries=self.entry_clock,
                         enqueue_cycles=self.vm.cycles, seq=self._seq)
         self._seq += 1
         self.jobs[(func, region_id, key)] = job
-        self.stats.enqueued += 1
         self.stats.max_depth = max(self.stats.max_depth, len(self.jobs))
         self._instant("stitch.enqueue", func, region_id, key,
                       priority=priority)
         self._gauge()
         return "enqueued"
 
-    # -- landing -----------------------------------------------------------
+    # -- leaving the queue -------------------------------------------------
 
-    def land(self, job: StitchJob) -> None:
-        """A ready job's stitch completed at a region entry."""
-        del self.jobs[(job.func_name, job.region_id, job.key)]
-        latency = self.entry_clock - job.enqueue_entries
-        self.stats.landed += 1
-        self.stats.land_latencies.append(latency)
-        self._instant("stitch.land", job.func_name, job.region_id,
-                      job.key, latency=latency, attempts=job.attempts)
-        if obs_metrics._enabled:
-            obs_metrics.counter("stitchq.landed").inc()
-            obs_metrics.counter("stitchq.latency_entries").inc(latency)
+    def finish(self, job: StitchJob, outcome: str,
+               reason: str = "") -> bool:
+        """Take ``job`` out of the queue with its terminal ``outcome``:
+        ``landed`` (its stitch completed at a region entry),
+        ``expired`` (the watchdog's deadline passed) or ``cancelled``
+        (for ``reason``).  This is the only way a job leaves ``jobs``,
+        so every admitted job ends with exactly one outcome.  Returns
+        False when the job had already left."""
+        if self.jobs.pop((job.func_name, job.region_id, job.key),
+                         None) is None:
+            return False
+        job.outcome = outcome
+        job.reason = reason
+        job.latency = self.entry_clock - job.enqueue_entries
+        self.done.append(job)
+        if outcome == "landed":
+            self._instant("stitch.land", job.func_name, job.region_id,
+                          job.key, latency=job.latency,
+                          attempts=job.attempts)
+            if obs_metrics._enabled:
+                obs_metrics.counter("stitchq.landed").inc()
+                obs_metrics.counter("stitchq.latency_entries").inc(
+                    job.latency)
+        elif outcome == "expired":
+            self._instant("stitch.deadline", job.func_name,
+                          job.region_id, job.key,
+                          age=self.vm.cycles - job.enqueue_cycles,
+                          hung=job.state == "hung")
+            if obs_metrics._enabled:
+                obs_metrics.counter("stitchq.expired").inc()
+        else:
+            self._instant("stitch.cancel", job.func_name, job.region_id,
+                          job.key, reason=reason)
         self._gauge()
+        return True
 
     def on_land_failure(self, job: StitchJob) -> bool:
         """A landing attempt raised; back off and retry, or cancel.
@@ -405,26 +428,17 @@ class StitchQueue:
     # -- cancellation ------------------------------------------------------
 
     def cancel(self, job: StitchJob, reason: str) -> None:
-        if job is self.landing:
-            return
-        if self.jobs.pop((job.func_name, job.region_id, job.key),
-                         None) is None:
-            return
-        self.stats.cancelled[reason] = \
-            self.stats.cancelled.get(reason, 0) + 1
-        self._instant("stitch.cancel", job.func_name, job.region_id,
-                      job.key, reason=reason)
-        self._gauge()
+        """Cancel a queued job -- unless its stitch is landing now."""
+        if job is not self.landing:
+            self.finish(job, "cancelled", reason)
 
     def cancel_region(self, func: str, region_id: int,
-                      reason: str) -> int:
+                      reason: str) -> None:
         """Cancel every job of a region (breaker trip, table
-        invalidation); returns how many were cancelled."""
-        doomed = [job for job in self.jobs.values()
-                  if job.region == (func, region_id)]
-        for job in doomed:
+        invalidation)."""
+        for job in [job for job in self.jobs.values()
+                    if job.region == (func, region_id)]:
             self.cancel(job, reason)
-        return len(doomed)
 
     def cancel_key(self, func: str, region_id: int, key: Key,
                    reason: str) -> None:
@@ -438,27 +452,22 @@ class StitchQueue:
         compilation is in flight."""
         return any(job.region == region for job in self.jobs.values())
 
-    # -- watchdog ----------------------------------------------------------
-
-    def _expire(self, job: StitchJob) -> None:
-        if self.jobs.pop((job.func_name, job.region_id, job.key),
-                         None) is None:
-            return  # already cancelled by a sibling's breaker trip
-        self.stats.expired += 1
-        self._instant("stitch.deadline", job.func_name, job.region_id,
-                      job.key, age=self.vm.cycles - job.enqueue_cycles,
-                      hung=job.state == "hung")
-        if obs_metrics._enabled:
-            obs_metrics.counter("stitchq.expired").inc()
-        if self.on_deadline is not None:
-            self.on_deadline(job)
-        self._gauge()
-
     # -- reporting ---------------------------------------------------------
 
     def snapshot(self) -> QueueStats:
-        self.stats.pending = len(self.jobs)
-        return self.stats
+        """The event counters plus the job buckets, counted from the
+        outcomes of every admitted job."""
+        cancelled: Dict[str, int] = {}
+        for job in self.done:
+            if job.outcome == "cancelled":
+                cancelled[job.reason] = cancelled.get(job.reason, 0) + 1
+        latencies = [job.latency for job in self.done
+                     if job.outcome == "landed"]
+        return replace(
+            self.stats, enqueued=len(self.done) + len(self.jobs),
+            landed=len(latencies), land_latencies=latencies,
+            expired=sum(job.outcome == "expired" for job in self.done),
+            cancelled=cancelled, pending=len(self.jobs))
 
     def _gauge(self) -> None:
         if obs_metrics._enabled:

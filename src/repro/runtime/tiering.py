@@ -73,7 +73,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, NamedTuple, Optional, Set, Tuple, Union
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from ..machine.costs import StitcherCosts
 from ..obs import trace as obs_trace
@@ -94,24 +94,6 @@ TIER_COUNTER_CYCLES = 4
 TIER_DECIDE_CYCLES = 6
 
 TIER_MODES = ("eager", "threshold", "breakeven")
-
-
-class ColdEntry(NamedTuple):
-    """A region entry served cold (fallback tier, by tiering policy).
-
-    Distinct from :class:`~repro.runtime.engine.FallbackEvent`: a cold
-    entry is the *policy working as intended*, not a degradation.  The
-    oracle's adaptive invariant counts both: ``entries == cache hits +
-    stitches + fallbacks + cold entries``.
-    """
-
-    func_name: str
-    region_id: int
-    key: Key
-    #: the key's entry count when this entry ran cold (1-based).
-    count: int
-    #: fallback entry pc the dispatch glue jumped to.
-    entry: int
 
 
 @dataclass(frozen=True)
@@ -226,9 +208,10 @@ class TierPolicy:
         else:
             text = "breakeven:%d" % self.horizon
         if self.speculate:
-            text += ",spec=%d,versions=%d" % (self.speculate,
-                                              self.max_versions)
-        if self.mode == "breakeven" and self.assumed_speedup != 2.0:
+            text += ",spec=%d" % self.speculate
+        if self.speculate or self.max_versions != TierPolicy.max_versions:
+            text += ",versions=%d" % self.max_versions
+        if self.assumed_speedup != TierPolicy.assumed_speedup:
             text += ",speedup=%g" % self.assumed_speedup
         return text
 
@@ -256,9 +239,6 @@ class _RegionState:
     last_fallback_cycles: int = 0
     #: key -> predicted break-even entry count at decision time.
     predicted: Dict[Key, int] = field(default_factory=dict)
-    cold_entries: int = 0
-    #: entries served from fallback while an async stitch job waited.
-    queued_entries: int = 0
     promotions: int = 0
     speculative_promotions: int = 0
     demotions: int = 0
@@ -392,38 +372,18 @@ class TierController:
             return False
         return count > breakeven
 
-    def on_cold(self, func: str, region_id: int, key: Key) -> None:
-        """A region entry the policy kept on the fallback tier."""
-        region = (func, region_id)
-        state = self._state(region)
-        state.cold_entries += 1
-        state.pending = key
-        if obs_metrics._enabled:
-            obs_metrics.counter("tier.cold").labels(
-                region="%s:%d" % region, tier=self.policy.mode).inc()
-        if obs_trace._current is not None:
-            obs_trace.instant("tier.cold", "runtime",
-                              region="%s:%d" % region, key=list(key),
-                              count=state.counts.get(key, 0))
-
-    def on_queued(self, func: str, region_id: int, key: Key) -> None:
-        """An async-stitching entry served from fallback while its job
-        waits in the queue: not a demotion and not cold-by-policy, but
-        the fallback cycles it accrues must still settle against this
-        key so break-even measurements stay honest."""
-        region = (func, region_id)
-        state = self._state(region)
-        state.queued_entries += 1
-        state.pending = key
-
-    def on_degraded(self, func: str, region_id: int, key: Key) -> None:
-        """A degradation fallback (fault/budget/error/breaker) in an
-        adaptive run: keep the cycle attribution honest and count a
-        demotion when the entry was promotion-eligible."""
+    def on_fallback(self, func: str, region_id: int, key: Key,
+                    degraded: bool) -> None:
+        """A region entry served from the fallback tier -- cold by
+        policy, queued behind an async stitch job, or ``degraded``
+        (fault/budget/error/breaker).  Its fallback cycles settle
+        against this key at the region's next entry, so break-even
+        measurements stay honest; a degraded entry that was
+        promotion-eligible counts as a demotion."""
         region = (func, region_id)
         state = self._state(region)
         state.pending = key
-        if key in state.promoted or key in state.marks:
+        if degraded and (key in state.promoted or key in state.marks):
             state.demotions += 1
             if obs_metrics._enabled:
                 obs_metrics.counter("tier.demotions").labels(
@@ -431,10 +391,6 @@ class TierController:
             if obs_trace._current is not None:
                 obs_trace.instant("tier.demote", "runtime",
                                   region="%s:%d" % region, key=list(key))
-
-    def on_stitch_failed(self, func: str, region_id: int,
-                         key: Key) -> None:
-        self.on_degraded(func, region_id, key)
 
     def on_promote(self, func: str, region_id: int, key: Key,
                    entry) -> None:
@@ -509,8 +465,6 @@ class TierController:
                 "keys_promoted": len(state.promoted),
                 "promoted_keys": [repr(list(k))
                                   for k in sorted(state.promoted)],
-                "cold_entries": state.cold_entries,
-                "queued_entries": state.queued_entries,
                 "promotions": state.promotions,
                 "speculative_promotions": state.speculative_promotions,
                 "demotions": state.demotions,

@@ -38,6 +38,7 @@ two legs that disagree -- the input to the ablation bisector.
 from __future__ import annotations
 
 import copy
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -315,51 +316,17 @@ def check_stitch_invariants(program: Program, result) -> List[str]:
         failures.append(
             "re-stitches not word-identical to original stitches: %s"
             % ", ".join(cache_stats.restitch_mismatches[:4]))
-    # Region-entry accounting: every lookup is a cache hit, a stitch
-    # (a landed one, in async mode), a fallback transfer, a cold entry
-    # (under an adaptive tier), or a queued-fallback entry (async
-    # mode), so per region entries == hits + stitches + fallbacks +
-    # cold_entries + queued_entries (the runtime records every event
-    # precisely so this five-way partition can be checked).
-    entries = getattr(result, "region_entries", None)
-    fallback_events = getattr(result, "fallbacks", []) or []
-    cold_events = getattr(result, "cold_entries", []) or []
-    queued_events = getattr(result, "queued_entries", []) or []
-    if entries is not None:
-        stitches: Dict[Tuple[str, int], int] = {}
-        for report in result.stitch_reports:
-            key = (report.func_name, report.region_id)
-            stitches[key] = stitches.get(key, 0) + 1
-        hits: Dict[Tuple[str, int], int] = {}
-        for hit in getattr(result, "cache_hits", []) or []:
-            key = (hit.func_name, hit.region_id)
-            hits[key] = hits.get(key, 0) + 1
-        falls: Dict[Tuple[str, int], int] = {}
-        for event in fallback_events:
-            key = (event.func_name, event.region_id)
-            falls[key] = falls.get(key, 0) + 1
-        colds: Dict[Tuple[str, int], int] = {}
-        for cold in cold_events:
-            key = (cold.func_name, cold.region_id)
-            colds[key] = colds.get(key, 0) + 1
-        queued: Dict[Tuple[str, int], int] = {}
-        for event in queued_events:
-            key = (event.func_name, event.region_id)
-            queued[key] = queued.get(key, 0) + 1
-        for key in (set(entries) | set(stitches) | set(hits)
-                    | set(falls) | set(colds) | set(queued)):
-            observed = entries.get(key, 0)
-            expected = (hits.get(key, 0) + stitches.get(key, 0)
-                        + falls.get(key, 0) + colds.get(key, 0)
-                        + queued.get(key, 0))
-            if observed != expected:
-                failures.append(
-                    "region %s:%d: %d entries != %d cache hits + %d "
-                    "stitches + %d fallbacks + %d cold entries + %d "
-                    "queued entries"
-                    % (key[0], key[1], observed, hits.get(key, 0),
-                       stitches.get(key, 0), falls.get(key, 0),
-                       colds.get(key, 0), queued.get(key, 0)))
+    # Region-entry accounting: the runtime logs every entry exactly
+    # once (hit, stitch, fallback, cold or queued), so per region the
+    # log must agree with the lookup service's own entry counter.
+    logged = Counter((event.func_name, event.region_id)
+                     for event in result.entries)
+    for region in sorted(set(logged) | set(result.region_entries)):
+        if logged[region] != result.region_entries.get(region, 0):
+            failures.append(
+                "region %s:%d: %d entries counted != %d entries logged"
+                % (region[0], region[1],
+                   result.region_entries.get(region, 0), logged[region]))
     failures.extend(_check_tier_invariants(result))
     failures.extend(_check_queue_invariants(result))
     # Fault accounting: every injected fault must be matched by an
@@ -372,7 +339,7 @@ def check_stitch_invariants(program: Program, result) -> List[str]:
     if fault_counts:
         raised = sum(count for site, count in fault_counts.items()
                      if site not in NON_RAISING_SITES)
-        injected_falls = sum(1 for event in fallback_events
+        injected_falls = sum(1 for event in result.fallbacks
                              if event.injected)
         if raised != injected_falls:
             failures.append(
@@ -404,18 +371,17 @@ def _check_queue_invariants(result) -> List[str]:
 
     * a sync run records no queued entries and no queue stats at all;
     * job conservation: every admitted job ends in exactly one bucket
-      -- enqueued == landed + expired + cancelled + pending;
-    * every landed job is a stitch report and its entries-to-land
-      latency is non-negative;
+      -- enqueued == landed + expired + cancelled + pending (the queue
+      counts the buckets from each job's one terminal outcome);
+    * every landed job has one non-negative entries-to-land latency;
     * shed accounting covers every injected drop.
     """
     failures: List[str] = []
-    queue_stats = getattr(result, "queue_stats", None)
-    queued_events = getattr(result, "queued_entries", []) or []
+    queue_stats = result.queue_stats
     if queue_stats is None:
-        if queued_events:
-            failures.append(
-                "sync run recorded %d queued entries" % len(queued_events))
+        queued = len(result.queued_entries)
+        if queued:
+            failures.append("sync run recorded %d queued entries" % queued)
         return failures
     accounted = (queue_stats.landed + queue_stats.expired
                  + queue_stats.total_cancelled + queue_stats.pending)
@@ -448,31 +414,17 @@ def _check_tier_invariants(result) -> List[str]:
       promotion point demands (``threshold`` for threshold mode, 2 for
       breakeven -- the first entry is always the cold measurement),
       unless speculation or an injected ``tier.flip`` legitimately
-      promoted it early;
-    * per-region cold-entry counts agree between the event list and
-      the controller's own stats.
+      promoted it early.
     """
     failures: List[str] = []
-    tier_stats = getattr(result, "tier_stats", None) or {}
-    cold_events = getattr(result, "cold_entries", []) or []
+    tier_stats = result.tier_stats
     if not tier_stats:
-        if cold_events:
-            failures.append(
-                "eager run recorded %d cold entries" % len(cold_events))
+        cold = len(result.cold_entries)
+        if cold:
+            failures.append("eager run recorded %d cold entries" % cold)
         return failures
-    colds: Dict[Tuple[str, int], int] = {}
-    for cold in cold_events:
-        key = (cold.func_name, cold.region_id)
-        colds[key] = colds.get(key, 0) + 1
-    fault_counts = getattr(result, "fault_counts", None) or {}
-    flipped = fault_counts.get("tier.flip", 0) > 0
+    flipped = result.fault_counts.get("tier.flip", 0) > 0
     for region, stats in tier_stats.items():
-        observed_cold = colds.get(region, 0)
-        if observed_cold != stats.get("cold_entries", 0):
-            failures.append(
-                "tier %s:%d: %d cold entry events != %d controller "
-                "cold entries" % (region[0], region[1], observed_cold,
-                                  stats.get("cold_entries", 0)))
         policy = TierPolicy.parse(stats.get("mode"))
         if flipped or stats.get("speculative_promotions") \
                 or policy.speculate:
@@ -581,13 +533,13 @@ def run_oracle(source: str, args: List[int],
     fourth execution leg -- the same dynamic program under the
     adaptive tiering policy -- proving interp/static/stitched/tiered
     all observe bit-identical results and that the tiering invariant
-    set (entries == hits + stitches + fallbacks + cold entries, no
-    under-threshold promotions) holds whatever the policy decides.
+    set (every entry logged once, no under-threshold promotions) holds
+    whatever the policy decides.
     ``stitch`` (a :meth:`StitchQueueConfig.parse` spec) applies to
     the same dynamic legs: under ``async`` queueing, entries are
     served from fallback until their background stitch lands, and the
-    five-way partition plus queue-conservation invariants must hold
-    while every observable still matches the interpreter bit-for-bit.
+    entry-log plus queue-conservation invariants must hold while every
+    observable still matches the interpreter bit-for-bit.
     ``backend`` names the execution backend for every VM leg (default
     ``rvm``); when ``backend_leg`` is true the oracle adds one more
     dynamic leg -- the same configuration under the *other* registered

@@ -69,7 +69,13 @@ def test_cache_config_bounded_and_describe():
     assert CacheConfig("lru", 2).bounded
     assert CacheConfig("lru", max_words=64).bounded
     assert CacheConfig().describe() == "unbounded"
-    assert CacheConfig("lru", 2, 64).describe() == "lru entries=2 words=64"
+    assert CacheConfig("lru", 2, 64).describe() == "lru:2:64"
+    # describe() emits the spec form, so it round-trips through parse().
+    for config in (CacheConfig(), CacheConfig("lru", 2),
+                   CacheConfig("cost-aware", 8, 4096),
+                   CacheConfig("lru", max_words=2048),
+                   CacheConfig(max_entries=4)):
+        assert CacheConfig.parse(config.describe()) == config
 
 
 # -- arenas -------------------------------------------------------------------

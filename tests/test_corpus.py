@@ -3,8 +3,10 @@
 Every ``tests/corpus/*.c`` file is a minimized reproducer committed
 when the differential fuzzer (``python -m repro.fuzz``) found a
 divergence that was then fixed.  Replaying them through the three-way
-oracle keeps the fixes honest; a short deterministic fuzz run guards
-the generator/oracle plumbing itself.
+oracle, under the configuration their ``// tier:`` / ``// stitch:`` /
+``// backend:`` / ``// faults:`` / ``// cache:`` headers record, keeps
+the fixes honest; a short deterministic fuzz run guards the
+generator/oracle plumbing itself.
 """
 
 from __future__ import annotations
@@ -14,51 +16,39 @@ from pathlib import Path
 
 import pytest
 
-from repro.fuzz import fuzz_one
+from repro.codecache import CacheConfig
+from repro.fuzz import fuzz_one, reproducer_config
 from repro.testing.oracle import run_oracle
 
 CORPUS_DIR = Path(__file__).parent / "corpus"
 CORPUS_FILES = sorted(CORPUS_DIR.glob("*.c")) if CORPUS_DIR.is_dir() else []
 
 
-def corpus_args(text: str) -> list:
-    """Argument values from a reproducer's ``// args:`` header line."""
-    match = re.search(r"^// args:\s*(.*)$", text, re.MULTILINE)
-    if match is None:
-        return [0]
-    return [int(tok) for tok in match.group(1).split()] or [0]
-
-
-def corpus_tier(text: str):
-    """Tier spec from a reproducer's ``// tier:`` header, if any --
-    written by the fuzzer for tiering-specific divergences."""
-    match = re.search(r"^// tier:\s*(\S+)", text, re.MULTILINE)
-    return match.group(1) if match else None
-
-
-def corpus_backend(text: str):
-    """Backend name from a reproducer's ``// backend:`` header, if any
-    -- written by the fuzzer when the divergence was found with a
-    non-default primary backend."""
-    match = re.search(r"^// backend:\s*(\S+)", text, re.MULTILINE)
-    return match.group(1) if match else None
-
-
-def corpus_stitch(text: str):
-    """Stitch-queue spec from a reproducer's ``// stitch:`` header, if
-    any -- written by the fuzzer for queue-specific divergences."""
-    match = re.search(r"^// stitch:\s*(\S+)", text, re.MULTILINE)
-    return match.group(1) if match else None
+def test_reproducer_headers_round_trip() -> None:
+    """Every header the fuzzer writes reads back as the oracle
+    configuration it records; ``// cache:`` carries the spec form
+    :meth:`CacheConfig.describe` writes."""
+    cache = CacheConfig("lru", 2, 64)
+    text = ("// stitch: async:drain=2,depth=1\n// tier: threshold:3\n"
+            "// backend: pycode\n// faults: stitch.table:0.5@7\n"
+            "// cache: %s\n// args: 3 4\nint main() { return 0; }\n"
+            % cache.describe())
+    assert reproducer_config(text) == ([3, 4], {
+        "stitch": "async:drain=2,depth=1", "tier": "threshold:3",
+        "backend": "pycode", "faults": "stitch.table:0.5@7",
+        "cache_config": cache})
+    assert reproducer_config("int main() { return 0; }\n") == ([0], {
+        "stitch": None, "tier": None, "backend": None, "faults": None,
+        "cache_config": None})
 
 
 @pytest.mark.parametrize(
     "path", CORPUS_FILES, ids=[p.stem for p in CORPUS_FILES])
 def test_corpus_reproducer_stays_fixed(path: Path) -> None:
     text = path.read_text()
-    for arg in corpus_args(text):
-        report = run_oracle(text, [arg], tier=corpus_tier(text),
-                            stitch=corpus_stitch(text),
-                            backend=corpus_backend(text))
+    args, recorded = reproducer_config(text)
+    for arg in args:
+        report = run_oracle(text, [arg], **recorded)
         assert not report.annotation_reject, \
             "%s (arg %d): dynamic leg rejected: %s" \
             % (path.name, arg,
@@ -75,10 +65,10 @@ def test_corpus_reproducer_stays_fixed_under_pycode(path: Path) -> None:
     leg then re-runs rvm, so both directions of the seam are proven
     on the corpus)."""
     text = path.read_text()
-    for arg in corpus_args(text):
-        report = run_oracle(text, [arg], tier=corpus_tier(text),
-                            stitch=corpus_stitch(text),
-                            backend="pycode")
+    args, recorded = reproducer_config(text)
+    for arg in args:
+        report = run_oracle(text, [arg], **dict(recorded,
+                                                backend="pycode"))
         assert not report.divergences, \
             "%s (arg %d): %s" % (path.name, arg, report.divergences)
 
@@ -94,11 +84,12 @@ def test_corpus_reproducer_replays_under_async_stitching(
     pinned to a specific queue config by a ``// stitch:`` header keep
     their recorded spec."""
     text = path.read_text()
-    stitch = corpus_stitch(text) or "async:drain=2,depth=2"
-    for arg in corpus_args(text):
-        report = run_oracle(text, [arg], tier=corpus_tier(text),
-                            stitch=stitch,
-                            backend=corpus_backend(text) or backend)
+    args, recorded = reproducer_config(text)
+    stitch = recorded["stitch"] or "async:drain=2,depth=2"
+    for arg in args:
+        report = run_oracle(text, [arg], **dict(
+            recorded, stitch=stitch,
+            backend=recorded["backend"] or backend))
         assert not report.annotation_reject or report.ok
         assert not report.divergences, \
             "%s (arg %d, stitch=%s): %s" \

@@ -23,7 +23,7 @@ so two compiled programs (one per backend) serve every example.
 """
 
 import hypothesis.strategies as st
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from repro import compile_program
 from repro.faults import FaultPlan
@@ -59,6 +59,9 @@ BACKENDS = st.sampled_from(sorted(PROGRAMS))
 STITCH_SPECS = st.sampled_from([
     "async",
     "async:drain=1",
+    # depth=1 without a fast drain: a hotter miss evicts a colder
+    # pending job before any tick marks it ready.
+    "async:depth=1",
     "async:drain=2,depth=1",
     "async:drain=2,depth=2,batch=2",
     "async:drain=4,deadline=500",
@@ -104,6 +107,13 @@ def run(backend, keys, **kwargs):
 @settings(max_examples=60, deadline=None)
 @given(KEY_SEQUENCES, BACKENDS, STITCH_SPECS, FAULT_SPECS,
        TIER_SPECS, CACHE_SPECS)
+# Shed victims: a full queue evicts an admitted colder job to admit a
+# hotter one; the victim must land in a conservation bucket.
+@example(keys=[0, 1, 1], backend="rvm", stitch="async:depth=1",
+         faults=None, tier=None, cache=None)
+@example(keys=[1, 0, 1, 0], backend="pycode",
+         stitch="async:drain=2,depth=1", faults="stitch.table:0.5@7",
+         tier=None, cache=None)
 def test_partition_and_conservation_under_chaos(keys, backend, stitch,
                                                 faults, tier, cache):
     """The five-way partition, cycle conservation, and queue-job

@@ -125,8 +125,18 @@ def test_admission_control_sheds_at_depth():
     qs = run.queue_stats
     assert run.value == sync.value
     assert qs.shed > 0 and qs.max_depth <= 1 and queue_conserves(qs)
-    phases = {entry.phase for entry in run.queued_entries}
+    phases = {entry.reason for entry in run.queued_entries}
     assert "shed" in phases
+    # Keys 0-2 fill the queue and key 3 is refused; at its next entry
+    # key 3 is hotter than the waiting jobs, so the coldest pending
+    # job is evicted to admit it.  The victim was admitted, so it is
+    # cancelled as "shed"; ``shed`` counts only the refused admission.
+    run = program.run("main", [8], stitch="async:depth=3,drain=8")
+    qs = run.queue_stats
+    assert run.value == program.run("main", [8]).value
+    assert qs.cancelled == {"shed": 1} and queue_conserves(qs)
+    reasons = [entry.reason for entry in run.queued_entries]
+    assert qs.shed == reasons.count("shed") == 1
 
 
 def test_failed_landing_retries_with_backoff_then_lands():
@@ -209,10 +219,6 @@ def test_async_composes_with_tiering():
     assert entries == (run.cache_stats.hits + len(run.stitch_reports)
                        + len(run.fallbacks) + len(run.cold_entries)
                        + len(run.queued_entries))
-    # Tier snapshots count the queued entries they deferred to.
-    queued = sum(s.get("queued_entries", 0)
-                 for s in run.tier_stats.values())
-    assert queued == len(run.queued_entries)
 
 
 # -- shared guard-rail helpers ----------------------------------------------

