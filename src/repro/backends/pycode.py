@@ -91,7 +91,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import VMError
 from ..ir.semantics import EvalTrap, binop_impl
-from ..machine.isa import ALU_OPS, FALU_OPS, MInstr, RA, RD_WRITING_OPS, SP, ZERO
+from ..machine.isa import ALU_OPS, FALU_OPS, MInstr, RA, RD_WRITING_OPS, ZERO
 from .base import ExecutionBackend
 
 Handler = Callable[[int], int]
@@ -322,23 +322,18 @@ class _SegmentCodegen:
             out.append("    raise VMError(\"load from wild address %%#x"
                        " at pc %%d\" %% (%s, pc + %d))" % (a, k))
             name = self._write(rd, None)
-            out.append("%s = memory[%s]" % (name, a))
+            out.append("try:")
+            out.append("    %s = memory[%s]" % (name, a))
+            out.append("except KeyError:")  # never written: reads 0
+            out.append("    %s = 0" % name)
         elif op == "stq" or op == "stt":
-            self.needs.update(("memory", "store"))
+            self.needs.add("memory")
             a = self._addr(ra, imm)
             val = self._rread(rb)
             out.append("if not 0 <= %s < memlen:" % a)
             out.append("    raise VMError(\"store to wild address %%#x"
                        " at pc %%d\" %% (%s, pc + %d))" % (a, k))
             out.append("memory[%s] = %s" % (a, val))
-            out.append("if %s >= heap_base:" % a)
-            out.append("    if %s >= heap[0] and %s < min_sp[0]:" % (a, a))
-            out.append("        strays.add(%s >> 8)" % a)
-            out.append("else:")
-            out.append("    if %s < dirty_low[0]:" % a)
-            out.append("        dirty_low[0] = %s" % a)
-            out.append("    if %s > dirty_low[1]:" % a)
-            out.append("        dirty_low[1] = %s" % a)
         elif op == "lda":
             if ra == ZERO:
                 kind = "int" if isinstance(imm, int) else None
@@ -381,15 +376,9 @@ class _SegmentCodegen:
             pass
         else:  # pragma: no cover - guarded by _STRAIGHT_OPS
             raise ValueError("uncompilable op %r" % op)
-        if rd is not None and op in RD_WRITING_OPS:
-            if rd == ZERO:
-                name = self._write(ZERO, "int")
-                out.append("%s = 0" % name)
-            elif rd == SP:
-                self.needs.add("min_sp")
-                spv = self._iread(SP)
-                out.append("if %s < min_sp[0]:" % spv)
-                out.append("    min_sp[0] = %s" % spv)
+        if rd == ZERO and op in RD_WRITING_OPS:
+            name = self._write(ZERO, "int")
+            out.append("%s = 0" % name)
 
     def _emit_alu(self, k: int, instr: MInstr) -> None:
         out = self.body
@@ -627,14 +616,7 @@ class _SegmentCodegen:
         lines.append("    maxc = vm._maxc")
         if "memory" in self.needs:
             lines.append("    memory = vm.memory")
-            lines.append("    memlen = len(memory)")
-        if "store" in self.needs:
-            lines.append("    heap = vm._heap")
-            lines.append("    dirty_low = vm._dirty_low")
-            lines.append("    strays = vm._stray_pages")
-            lines.append("    heap_base = vm.HEAP_BASE")
-        if "store" in self.needs or "min_sp" in self.needs:
-            lines.append("    min_sp = vm._min_sp")
+            lines.append("    memlen = vm.memory_words")
         if "call_rt" in self.needs:
             lines.append("    call_rt = vm._call_rt")
         for j in range(len(owner_cells)):

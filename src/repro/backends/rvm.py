@@ -36,7 +36,7 @@ from ..ir.semantics import EvalTrap, binop_impl  # noqa: F401 (exec ns)
 from ..ir.values import wrap_int  # noqa: F401 (exec namespace)
 from ..machine.isa import (
     ALU_OPS, FALU_OPS, FRV, MInstr, RA, RD_WRITING_OPS, RETURN_SENTINEL,
-    RV, SP, ZERO,
+    RV, ZERO,
 )
 from .base import ExecutionBackend
 
@@ -57,7 +57,7 @@ _FACTORY_TEMPLATE = """\
 def _factory(vm, instr, cyc, maxc, ocell, opcell):
     regs = vm.regs
     memory = vm.memory
-    memlen = len(memory)
+    memlen = vm.memory_words
     cost = instr.cost
     rd = instr.rd
     ra = instr.ra
@@ -82,28 +82,17 @@ _HANDLER_TABLE: Dict[str, Tuple[str, str]] = {
 addr = int(regs[ra]) + imm
 if not 0 <= addr < memlen:
     raise VMError("load from wild address %#x at pc %d" % (addr, pc))
-regs[rd] = memory[addr]
+try:
+    regs[rd] = memory[addr]
+except KeyError:  # never written: reads 0
+    regs[rd] = 0
 return pc + 1
 """),
-    "store": ("""\
-heap = vm._heap
-min_sp = vm._min_sp
-dirty_low = vm._dirty_low
-strays = vm._stray_pages
-heap_base = vm.HEAP_BASE
-""", """\
+    "store": ("", """\
 addr = int(regs[ra]) + imm
 if not 0 <= addr < memlen:
     raise VMError("store to wild address %#x at pc %d" % (addr, pc))
 memory[addr] = regs[rb]
-if addr >= heap_base:
-    if addr >= heap[0] and addr < min_sp[0]:
-        strays.add(addr >> 8)
-else:
-    if addr < dirty_low[0]:
-        dirty_low[0] = addr
-    if addr > dirty_low[1]:
-        dirty_low[1] = addr
 return pc + 1
 """),
     # Constant materialization: the immediate always fits.
@@ -285,17 +274,6 @@ def _wrap_rd_zero(regs, inner: Handler) -> Handler:
     return handler
 
 
-def _wrap_rd_sp(regs, min_sp, inner: Handler) -> Handler:
-    """Track the stack low-water mark for ``reset_for_rerun``."""
-    def handler(pc: int) -> int:
-        next_pc = inner(pc)
-        value = int(regs[SP])
-        if value < min_sp[0]:
-            min_sp[0] = value
-        return next_pc
-    return handler
-
-
 def predecode(vm, instr: MInstr) -> Handler:
     """Specialize one installed instruction into a threaded handler.
 
@@ -315,12 +293,8 @@ def predecode(vm, instr: MInstr) -> Handler:
     handler = _FACTORIES[spec](vm, instr, vm._cyc, vm._maxc,
                                vm._owner_cell(instr.owner),
                                vm._op_cell(op))
-    rd = instr.rd
-    if rd is not None and op in RD_WRITING_OPS:
-        if rd == ZERO:
-            handler = _wrap_rd_zero(vm.regs, handler)
-        elif rd == SP:
-            handler = _wrap_rd_sp(vm.regs, vm._min_sp, handler)
+    if instr.rd == ZERO and op in RD_WRITING_OPS:
+        handler = _wrap_rd_zero(vm.regs, handler)
     return handler
 
 
@@ -357,22 +331,16 @@ class RVMBackend(ExecutionBackend):
         is retained deliberately, as the oracle for the fast path: each
         step charges the same pre-assigned cost to the same owner and
         opcode cells, checks the same budget, raises the same faults
-        with the same messages, and applies the same architectural
-        special cases (r31 discards results, SP writes update the
-        stack low-water mark, stores update the dirty tracking), so
-        both dispatchers must produce bit-identical accounting.
+        with the same messages, reads never-written memory as 0 and
+        discards results written to r31, so both dispatchers must
+        produce bit-identical accounting.
         """
         regs = vm.regs
         memory = vm.memory
-        memlen = len(memory)
+        memlen = vm.memory_words
         cyc = vm._cyc
         maxc = vm._maxc
         code = vm.code
-        min_sp = vm._min_sp
-        dirty_low = vm._dirty_low
-        strays = vm._stray_pages
-        heap = vm._heap
-        heap_base = vm.HEAP_BASE
         while pc != RETURN_SENTINEL:
             if not 0 <= pc < len(code):
                 raise VMError("pc out of range: %d" % pc)
@@ -398,21 +366,16 @@ class RVMBackend(ExecutionBackend):
                 if not 0 <= addr < memlen:
                     raise VMError("load from wild address %#x at pc %d"
                                   % (addr, pc))
-                regs[rd] = memory[addr]
+                try:
+                    regs[rd] = memory[addr]
+                except KeyError:  # never written: reads 0
+                    regs[rd] = 0
             elif op == "stq" or op == "stt":
                 addr = int(regs[ra]) + imm
                 if not 0 <= addr < memlen:
                     raise VMError("store to wild address %#x at pc %d"
                                   % (addr, pc))
                 memory[addr] = regs[rb]
-                if addr >= heap_base:
-                    if addr >= heap[0] and addr < min_sp[0]:
-                        strays.add(addr >> 8)
-                else:
-                    if addr < dirty_low[0]:
-                        dirty_low[0] = addr
-                    if addr > dirty_low[1]:
-                        dirty_low[1] = addr
             elif op == "lda":
                 if ra == ZERO:
                     regs[rd] = imm
@@ -493,12 +456,7 @@ class RVMBackend(ExecutionBackend):
                 pass
             else:
                 raise VMError("unknown opcode %r at pc %d" % (op, pc))
-            if rd is not None and op in RD_WRITING_OPS:
-                if rd == ZERO:
-                    regs[ZERO] = 0
-                elif rd == SP:
-                    value = int(regs[SP])
-                    if value < min_sp[0]:
-                        min_sp[0] = value
+            if rd == ZERO and op in RD_WRITING_OPS:
+                regs[ZERO] = 0
             pc = next_pc
         return int(regs[RV]), float(regs[FRV])

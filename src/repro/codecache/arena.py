@@ -16,8 +16,8 @@ same underlying growth mechanisms:
 
 * :class:`PoolArena` manages heap words for constant pools, falling
   back to ``vm.alloc`` when the free list cannot serve a request.
-  Freed pool words are zeroed through ``vm.store`` so the VM's
-  dirty-state tracking (and reset-for-rerun) stays exact.
+  Freed pool words are zeroed through ``vm.store``, so a reused block
+  starts out reading 0 like a freshly bump-allocated one.
 
 With empty free lists both arenas degenerate to the historical
 bump-allocators, byte-for-byte: that is what keeps the default

@@ -68,17 +68,27 @@ Handler = Callable[[int], int]
 #: change *which handlers* the threaded loop finds installed).
 _RVM = RVMBackend()
 
-_ZERO_PAGE = [0] * 256
-
 
 class VM:
-    """A complete machine: code memory, data memory, registers."""
+    """A complete machine: code memory, data memory, registers.
+
+    Data memory is sparse: ``memory`` maps address to word and holds
+    only the words that have been written, and a never-written word
+    reads 0.  ``memory_words`` is the size of the address space (every
+    access checks ``0 <= addr < memory_words``; the stack starts just
+    below its top), so a large address space costs nothing until it is
+    written.  Ints and floats are not tracked by the cyclic GC, and
+    neither is a plain dict holding only them, so no collection walks
+    data memory.  Predecoded handlers capture the dict object: it is
+    cleared in place, never rebound.
+    """
 
     HEAP_BASE = 0x40000
 
     def __init__(self, memory_words: int = 1 << 22,
                  max_cycles: int = 4_000_000_000):
-        self.memory: List[Number] = [0] * memory_words
+        self.memory_words = memory_words
+        self.memory: Dict[int, Number] = {}
         self.code: List[MInstr] = []
         #: predecoded handlers, parallel to ``code``.
         self.handlers: List[Handler] = []
@@ -94,17 +104,10 @@ class VM:
         #: opcode -> [executed count].
         self._op_cells: Dict[str, List[int]] = {}
         self.output: List[Number] = []
-        self._heap = [self.HEAP_BASE]
+        #: the heap frontier: ``alloc`` bumps it.
+        self.heap_next = self.HEAP_BASE
         #: name -> handler(vm, instr) -> int result for r0.
         self.rt_handlers: Dict[str, Callable[["VM", MInstr], int]] = {}
-        # Dirty-state tracking so a VM can be reset for re-runs without
-        # rebuilding the (multi-megaword) memory list: min/max store
-        # address below the heap, the low-water mark of the stack
-        # pointer, and 256-word pages of stores that fall between the
-        # heap frontier and the stack (out-of-bounds writes).
-        self._dirty_low = [memory_words, -1]
-        self._min_sp = [memory_words - 8]
-        self._stray_pages: set = set()
 
     # -- accounting views --------------------------------------------------
 
@@ -119,14 +122,6 @@ class VM:
     @max_cycles.setter
     def max_cycles(self, value: int) -> None:
         self._maxc[0] = value
-
-    @property
-    def heap_next(self) -> int:
-        return self._heap[0]
-
-    @heap_next.setter
-    def heap_next(self, value: int) -> None:
-        self._heap[0] = value
 
     @property
     def cycles_by_owner(self) -> Dict[str, int]:
@@ -223,36 +218,27 @@ class VM:
             handlers[base + i] = _predecode(self, filler)
 
     def alloc(self, words: int) -> int:
-        addr = self._heap[0]
-        limit = len(self.memory) - (1 << 16)
-        self._heap[0] = addr + max(1, words)
-        if self._heap[0] >= limit:
-            raise ArenaExhausted("heap exhausted", requested=max(1, words),
+        """Bump-allocate ``max(1, words)`` heap words below the top 64K
+        words of the address space; a refused request leaves the heap
+        frontier where it was."""
+        need = max(1, words)
+        addr = self.heap_next
+        limit = self.memory_words - (1 << 16)
+        if addr + need > limit:
+            raise ArenaExhausted("heap exhausted", requested=need,
                                  free=max(0, limit - addr))
+        self.heap_next = addr + need
         return addr
 
     def load(self, addr: int) -> Number:
-        if not 0 <= addr < len(self.memory):
+        if not 0 <= addr < self.memory_words:
             raise VMError("load from wild address %#x" % addr)
-        return self.memory[addr]
+        return self.memory.get(addr, 0)
 
     def store(self, addr: int, value: Number) -> None:
-        if not 0 <= addr < len(self.memory):
+        if not 0 <= addr < self.memory_words:
             raise VMError("store to wild address %#x" % addr)
         self.memory[addr] = value
-        self._note_store(addr)
-
-    def _note_store(self, addr: int) -> None:
-        """Track a store for reset_for_rerun (mirrors the handlers)."""
-        if addr >= self.HEAP_BASE:
-            if addr >= self._heap[0] and addr < self._min_sp[0]:
-                self._stray_pages.add(addr >> 8)
-        else:
-            low = self._dirty_low
-            if addr < low[0]:
-                low[0] = addr
-            if addr > low[1]:
-                low[1] = addr
 
     def charge(self, owner: str, cycles: int, instrs: int = 0) -> None:
         """Attribute synthetic work (e.g. the stitcher's) to ``owner``."""
@@ -266,14 +252,13 @@ class VM:
     # -- re-run support ----------------------------------------------------
 
     def reset_for_rerun(self, code_len: int) -> None:
-        """Restore pristine post-install state without rebuilding memory.
+        """Restore pristine post-install state, keeping the installed
+        static code and its predecoded handlers.
 
         Truncates run-time-installed code (stitched regions) back to
-        ``code_len``, zeroes registers and accounting, and zeroes
-        exactly the memory previous runs touched: the heap up to its
-        high-water mark, the stack below its low-water mark, tracked
-        low-memory stores, and any stray out-of-range store pages.
-        The caller re-applies its initial data image afterwards.
+        ``code_len``, zeroes registers and accounting, empties data
+        memory in place and rewinds the heap.  The caller re-applies
+        its initial data image afterwards.
         """
         del self.code[code_len:]
         del self.handlers[code_len:]
@@ -288,26 +273,8 @@ class VM:
         for op_cell in self._op_cells.values():
             op_cell[0] = 0
         self.output = []
-        memory = self.memory
-        words = len(memory)
-        low = self._dirty_low
-        if low[1] >= low[0]:
-            memory[low[0]:low[1] + 1] = [0] * (low[1] + 1 - low[0])
-            low[0] = words
-            low[1] = -1
-        heap_top = self._heap[0]
-        if heap_top > self.HEAP_BASE:
-            memory[self.HEAP_BASE:heap_top] = \
-                [0] * (heap_top - self.HEAP_BASE)
-        self._heap[0] = self.HEAP_BASE
-        stack_low = self._min_sp[0]
-        if stack_low < words:
-            memory[stack_low:] = [0] * (words - stack_low)
-            self._min_sp[0] = words - 8
-        for page in self._stray_pages:
-            start = page << 8
-            memory[start:start + 256] = _ZERO_PAGE
-        self._stray_pages.clear()
+        self.memory.clear()
+        self.heap_next = self.HEAP_BASE
 
     # -- execution ------------------------------------------------------------
 
@@ -332,7 +299,7 @@ class VM:
         regs = self.regs
         for reg, value in int_args or []:
             regs[reg] = value
-        regs[SP] = len(self.memory) - 8
+        regs[SP] = self.memory_words - 8
         regs[RA] = _RETURN_SENTINEL
         regs[ZERO] = 0
         pc = entry

@@ -228,13 +228,12 @@ class Program:
         #: default ``rvm``): owns host execution and per-install
         #: artifact compilation for every run of this program.
         self.backend = get_backend(backend)
-        # Cached VM for repeated runs: building a multi-megaword memory
-        # image and re-installing/re-resolving the code dominates the
-        # host cost of short executions.  The cache holds the VM plus
-        # the static code length so run-time-stitched code can be
-        # truncated away before the next run.
+        # Cached VM for repeated runs: re-installing, re-resolving and
+        # re-predecoding the static code (and the backend's prepare_vm)
+        # would dominate the host cost of short executions.  The cache
+        # holds the VM plus the static code length so run-time-stitched
+        # code can be truncated away before the next run.
         self._vm: Optional[VM] = None
-        self._vm_words = 0
         self._vm_code_len = 0
 
     # -- introspection ------------------------------------------------------
@@ -256,22 +255,21 @@ class Program:
     def _acquire_vm(self, memory_words: int, max_cycles: int) -> VM:
         """A loaded VM: the cached one reset in place, or a fresh one.
 
-        A reset VM keeps its memory list, installed static code and
-        predecoded handlers; only state the previous run dirtied is
-        restored (and ``write_into`` re-applies the initial data
-        image), so repeated ``run`` calls skip the dominant set-up
+        A reset VM keeps its installed static code, its predecoded
+        handlers and the backend's prepared artifacts; its data memory
+        is emptied in place and ``write_into`` re-applies the initial
+        data image, so repeated ``run`` calls skip the dominant set-up
         cost.  Function bases are unchanged across reuse, so symbol
         resolution is skipped too.
         """
         vm = self._vm
-        if vm is not None and self._vm_words == memory_words:
+        if vm is not None and vm.memory_words == memory_words:
             vm.reset_for_rerun(self._vm_code_len)
             vm.max_cycles = max_cycles
         else:
             vm = VM(memory_words=memory_words, max_cycles=max_cycles)
             load_program(vm, self.compiled)
             self._vm = vm
-            self._vm_words = memory_words
             self._vm_code_len = len(vm.code)
             # Static image in place, labels resolved: let the backend
             # compile it once (survives reset_for_rerun, amortizing
@@ -300,7 +298,10 @@ class Program:
         ``stitch`` the stitch-queue mode (a
         :class:`StitchQueueConfig` or spec string; default: the
         program's config, usually ``sync`` -- the historical inline
-        stitch)."""
+        stitch).  ``memory_words`` is the size of the VM's address
+        space (the stack starts just below its top, the heap ends 64K
+        words below it); data memory is sparse, so a large address
+        space costs nothing until it is written."""
         vm = self._acquire_vm(memory_words, max_cycles)
         faults = fault_plan if fault_plan is not None else self.fault_plan
         fault_baseline = dict(faults.counts) if faults is not None else {}

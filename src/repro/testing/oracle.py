@@ -160,7 +160,7 @@ def _vm_globals(program: Program) -> Dict[str, List[Number]]:
     vm = program._vm
     assert vm is not None, "program has not run yet"
     layout = program.layout
-    return {name: [vm.memory[layout.addr_of(name) + i]
+    return {name: [vm.load(layout.addr_of(name) + i)
                    for i in range(max(1, len(values)))]
             for name, values in layout.global_values.items()}
 

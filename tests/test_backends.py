@@ -11,6 +11,7 @@ at a budget trap.
 
 from __future__ import annotations
 
+import gc
 from typing import Dict
 
 import pytest
@@ -26,7 +27,8 @@ from repro.bench.workloads import (
 )
 from repro.codecache import CacheConfig
 from repro.faults import FaultPlan
-from repro.machine.vm import VMError
+from repro.machine.isa import ARG_BASE, MInstr, RV, ZERO
+from repro.machine.vm import VM, VMError
 from repro.runtime.engine import compile_program
 
 #: small configs keep runs fast while still covering unrolled loops,
@@ -272,3 +274,51 @@ def test_pycode_trap_messages_match_rvm() -> None:
             pytest.fail("division by zero did not trap (%s)" % backend)
     assert outcomes[0] == outcomes[1]
     assert "arithmetic trap" in outcomes[0]
+
+
+# -- data memory ------------------------------------------------------
+
+
+@pytest.mark.parametrize("backend", ("rvm", "pycode"))
+def test_data_memory_is_not_gc_tracked(backend: str) -> None:
+    """Data memory holds only ints and floats, so the cyclic GC never
+    tracks it (and no collection walks it), whatever a run stores."""
+    source = """
+    int count;
+    float total;
+    int main(int x) {
+        count = x + 1;
+        total = x * 0.5;
+        return count;
+    }
+    """
+    program = compile_program(source, mode="static", backend=backend)
+    assert program.run("main", [5]).value == 6
+    vm, layout = program._vm, program.layout
+    assert vm.load(layout.addr_of("count")) == 6
+    assert vm.load(layout.addr_of("total")) == 2.5
+    assert not gc.is_tracked(vm.memory)
+
+
+def test_unwritten_heap_word_reads_zero_on_every_path() -> None:
+    """A never-written heap word reads 0 through the rvm threaded
+    handlers, the naive loop and a compiled pycode segment."""
+    outcomes = []
+    for path in ("threaded", "naive", "pycode"):
+        vm = VM()
+        entry = vm.install_code([
+            MInstr("lda", rd=ARG_BASE, ra=ZERO, imm=4),
+            MInstr("call_rt", name="alloc"),
+            MInstr("ldq", rd=1, ra=RV, imm=2),  # never written
+            MInstr("addq", rd=RV, ra=1, imm=7),
+            MInstr("ret"),
+        ])
+        if path == "pycode":
+            PycodeBackend().prepare_vm(vm, len(vm.code))
+            assert getattr(vm.handlers[entry + 2], "_pycode_segment",
+                           False)
+        dispatch = "naive" if path == "naive" else "threaded"
+        outcomes.append((vm.run(entry, dispatch=dispatch), vm.cycles))
+        assert VM.HEAP_BASE + 2 not in vm.memory
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+    assert outcomes[0][0] == (7, 0.0)

@@ -95,6 +95,22 @@ def test_arena_exhausted_is_typed_with_capacity_detail():
     assert isinstance(exc, VMError)
 
 
+def test_refused_alloc_leaves_the_heap_in_place():
+    # 16 words free below the heap limit: a refused request must not
+    # move the frontier, and a request that fits exactly is served.
+    vm = VM(memory_words=VM.HEAP_BASE + (1 << 16) + 16)
+    with pytest.raises(ArenaExhausted) as info:
+        vm.alloc(32)
+    assert info.value.requested == 32 and info.value.free == 16
+    assert vm.heap_next == VM.HEAP_BASE
+    assert vm.alloc(16) == VM.HEAP_BASE
+    assert vm.heap_next == VM.HEAP_BASE + 16
+    with pytest.raises(ArenaExhausted) as info:
+        vm.alloc(1)
+    assert info.value.free == 0
+    assert vm.heap_next == VM.HEAP_BASE + 16
+
+
 def test_template_size_raises_region_not_found():
     program = compile_program(KEYED, mode="dynamic")
     with pytest.raises(RegionNotFound):

@@ -1,5 +1,7 @@
 """RVM virtual-machine unit tests (hand-assembled code)."""
 
+import tracemalloc
+
 import pytest
 
 from repro.machine.isa import (
@@ -185,6 +187,25 @@ def test_wild_load_faults():
         ])
 
 
+@pytest.mark.parametrize("dispatch", ("threaded", "naive"))
+def test_wild_store_faults(dispatch):
+    """The address space ends at ``memory_words``: a store to the last
+    word lands, a store one past it faults and leaves memory alone."""
+    vm = VM(memory_words=1 << 16)
+    entry = vm.install_code([
+        MInstr("lda", rd=1, ra=ZERO, imm=5),
+        MInstr("stq", rb=1, ra=ARG_BASE, imm=0),
+        MInstr("ret"),
+    ])
+    vm.run(entry, [(ARG_BASE, vm.memory_words - 1)], dispatch=dispatch)
+    assert vm.load(vm.memory_words - 1) == 5
+    with pytest.raises(VMError, match="store to wild address 0x10000"):
+        vm.run(entry, [(ARG_BASE, vm.memory_words)], dispatch=dispatch)
+    with pytest.raises(VMError, match="store to wild address"):
+        vm.store(vm.memory_words, 1)
+    assert vm.memory_words not in vm.memory
+
+
 def test_cycle_budget_enforced():
     vm = VM(max_cycles=100)
     entry = vm.install_code([
@@ -224,8 +245,10 @@ def test_reset_for_rerun_restores_pristine_state():
         MInstr("lda", rd=ARG_BASE, ra=ZERO, imm=4),
         MInstr("call_rt", name="alloc"),
         MInstr("stq", rb=1, ra=RV, imm=0),            # heap store
+        MInstr("stq", rb=1, ra=RV, imm=0x1000),       # past the heap frontier
         MInstr("lda", rd=SP, ra=SP, imm=-8),
         MInstr("stq", rb=1, ra=SP, imm=0),            # stack store
+        MInstr("stq", rb=1, ra=SP, imm=15),           # last word of memory
         MInstr("call_rt", name="print_int"),
         MInstr("mov", rd=RV, ra=1),
         MInstr("ret"),
@@ -234,26 +257,37 @@ def test_reset_for_rerun_restores_pristine_state():
     first = vm.run(entry)
     first_cycles = vm.cycles
     first_owners = dict(vm.cycles_by_owner)
-    heap_addr = VM.HEAP_BASE
-    stack_addr = len(vm.memory) - 16  # sp after the frame push
-    assert vm.memory[0x2000] == 99
-    assert vm.memory[heap_addr] == 99
-    assert vm.memory[stack_addr] == 99
+    stack_addr = vm.memory_words - 16  # sp after the frame push
+    written = (0x2000, VM.HEAP_BASE, VM.HEAP_BASE + 0x1000, stack_addr,
+               vm.memory_words - 1)
+    assert [vm.load(addr) for addr in written] == [99] * len(written)
 
     vm.reset_for_rerun(code_len)
     assert vm.cycles == 0
     assert vm.cycles_by_owner == {}
     assert vm.op_counts == {}
     assert vm.output == []
-    assert vm.memory[0x2000] == 0
-    assert vm.memory[heap_addr] == 0
-    assert vm.memory[stack_addr] == 0
+    assert [vm.load(addr) for addr in written] == [0] * len(written)
     assert all(r == 0 for r in vm.regs)
     assert vm.heap_next == VM.HEAP_BASE
 
     assert vm.run(entry) == first
     assert vm.cycles == first_cycles
     assert dict(vm.cycles_by_owner) == first_owners
+    assert [vm.load(addr) for addr in written] == [99] * len(written)
+
+
+def test_default_vm_is_cheap_to_build():
+    """Data memory is sparse: a default VM's 4M-word address space
+    allocates nothing until it is written."""
+    tracemalloc.start()
+    try:
+        vm = VM()
+        _size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert vm.memory_words == 1 << 22
+    assert peak < 1 << 20
 
 
 def test_runtime_alloc():
