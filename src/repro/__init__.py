@@ -40,6 +40,7 @@ from .frontend.errors import (
 from .machine.costs import FUSED_STITCHER, StitcherCosts
 from .machine.vm import VM, VMError
 from .opt.pipeline import OptOptions, OptStats
+from .runtime.config import RunConfig
 from .runtime.engine import (
     EntryEvent, Program, RunResult, compile_ir_module, compile_program,
 )
@@ -74,6 +75,7 @@ __all__ = [
     "Program",
     "QueueStats",
     "ReproError",
+    "RunConfig",
     "RunResult",
     "StitchBudget",
     "StitchBudgetExceeded",

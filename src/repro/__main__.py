@@ -11,9 +11,10 @@ Usage::
     python -m repro program.c --dump-templates      # region templates
     python -m repro program.c --register-actions
     python -m repro program.c --fused-stitcher
-    python -m repro program.c --faults all:0.1       # chaos run
-    python -m repro program.c --tier breakeven       # adaptive tiering
-    python -m repro program.c --stitch-mode async    # queued stitching
+    python -m repro program.c --config faults=all:0.1    # chaos run
+    python -m repro program.c --config tier=breakeven    # adaptive tiering
+    python -m repro program.c --config stitch=async      # queued stitching
+    python -m repro program.c --config "backend=pycode cache=lru:2"
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import sys
 from collections import Counter
 from typing import List
 
-from . import FUSED_STITCHER, CompileError, compile_program
+from . import FUSED_STITCHER, CompileError, RunConfig, compile_program
 from .machine.vm import VMError
 
 
@@ -38,11 +39,17 @@ def _build_parser() -> argparse.ArgumentParser:
                         default="dynamic",
                         help="dynamic = the paper's system; static = "
                              "baseline with annotations ignored")
-    parser.add_argument("--backend", default=None, metavar="NAME",
-                        help="execution backend: rvm (default, the "
-                             "bit-exact oracle) or pycode (closure-"
-                             "composition host execution); simulated "
-                             "results are identical, host speed is not")
+    parser.add_argument("--config", default="", metavar="SPEC",
+                        help="run configuration: FIELD=SPEC tokens over "
+                             "backend (rvm | pycode), cache "
+                             "(POLICY[:ENTRIES[:WORDS]]), faults "
+                             "(SITE:P,... | all:P, optionally @SEED), "
+                             "tier (eager | threshold:N | "
+                             "breakeven[:H], options spec=K,...) and "
+                             "stitch (sync | async[:depth=N,...]); "
+                             "e.g. \"cache=lru:2 tier=threshold:3\" "
+                             "(default: the paper's engine; see "
+                             "README, 'Run configuration')")
     parser.add_argument("--entry", default="main",
                         help="function to run (default: main)")
     parser.add_argument("--args", nargs="*", type=int, default=[],
@@ -52,45 +59,9 @@ def _build_parser() -> argparse.ArgumentParser:
                              "extension")
     parser.add_argument("--fused-stitcher", action="store_true",
                         help="use the fused (cheap) stitcher cost model")
-    parser.add_argument("--cache-policy",
-                        choices=["unbounded", "lru", "cost-aware"],
-                        default="unbounded",
-                        help="code-cache eviction policy (default: "
-                             "unbounded, nothing ever evicted)")
-    parser.add_argument("--cache-entries", type=int, default=None,
-                        metavar="N",
-                        help="cap the code cache at N live stitched "
-                             "entries (requires a non-unbounded policy)")
-    parser.add_argument("--cache-words", type=int, default=None,
-                        metavar="W",
-                        help="cap the code cache at W live code words")
     parser.add_argument("--no-reachability", action="store_true",
                         help="disable the reachability analysis "
                              "(ablation)")
-    parser.add_argument("--faults", metavar="SPEC", default=None,
-                        help="inject deterministic stitch/cache faults "
-                             "(SITE:PROB[,SITE:PROB...] or all:PROB, "
-                             "optionally @SEED; e.g. all:0.1@7) -- "
-                             "failed stitches degrade to the static "
-                             "fallback tier")
-    parser.add_argument("--tier", metavar="SPEC", default="eager",
-                        help="adaptive tiering policy: eager (default, "
-                             "stitch on first entry), threshold:N "
-                             "(promote a region key at its Nth entry), "
-                             "or breakeven[:HORIZON] (promote when the "
-                             "measured profile predicts the stitch "
-                             "amortizes); options spec=K, versions=V, "
-                             "speedup=F (see docs/TIERING.md)")
-    parser.add_argument("--stitch-mode", metavar="SPEC", default="sync",
-                        help="stitch scheduling: sync (default, stitch "
-                             "inline at region entry -- bit-identical "
-                             "to every committed golden) or "
-                             "async[:depth=N,drain=N,batch=N,"
-                             "deadline=C,retries=N,backoff=N,jitter=J,"
-                             "seed=S] -- queue stitch jobs and drain "
-                             "them on deterministic logical-clock "
-                             "ticks while entries run from the "
-                             "fallback tier (see docs/ROBUSTNESS.md)")
     parser.add_argument("--stats", action="store_true",
                         help="print the per-component cycle breakdown "
                              "and stitch reports")
@@ -119,6 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: List[str] = None) -> int:
     args = _build_parser().parse_args(argv)
+    config = RunConfig.from_cli(args.config)
     try:
         with open(args.source) as handle:
             source = handle.read()
@@ -134,7 +106,7 @@ def main(argv: List[str] = None) -> int:
     if args.metrics or args.metrics_out:
         obs_metrics.registry.enable()
     try:
-        return _run(args, source)
+        return _run(args, source, config)
     finally:
         if tracer is not None:
             obs_trace.install(None)
@@ -157,7 +129,7 @@ def main(argv: List[str] = None) -> int:
             obs_metrics.registry.disable()
 
 
-def _run(args, source: str) -> int:
+def _run(args, source: str, config: RunConfig) -> int:
 
     if args.dump_ir:
         from .frontend.parser import parse
@@ -177,34 +149,6 @@ def _run(args, source: str) -> int:
         print(format_module(module))
         print()
 
-    from .codecache import CacheConfig
-    from .faults import FaultPlan
-    cache_config = CacheConfig(policy=args.cache_policy,
-                               max_entries=args.cache_entries,
-                               max_words=args.cache_words)
-    try:
-        fault_plan = FaultPlan.parse(args.faults)
-    except ValueError as exc:
-        print("error: --faults %s" % exc, file=sys.stderr)
-        return 2
-    from .runtime.tiering import TierPolicy
-    try:
-        tier = TierPolicy.parse(args.tier)
-    except ValueError as exc:
-        print("error: --tier %s" % exc, file=sys.stderr)
-        return 2
-    from .runtime.stitchqueue import StitchQueueConfig
-    try:
-        stitch = StitchQueueConfig.parse(args.stitch_mode)
-    except ValueError as exc:
-        print("error: --stitch-mode %s" % exc, file=sys.stderr)
-        return 2
-    from .backends import get_backend
-    try:
-        backend = get_backend(args.backend)
-    except ValueError as exc:
-        print("error: --backend %s" % exc, file=sys.stderr)
-        return 2
     try:
         program = compile_program(
             source,
@@ -212,11 +156,7 @@ def _run(args, source: str) -> int:
             use_reachability=not args.no_reachability,
             stitcher_costs=FUSED_STITCHER if args.fused_stitcher else None,
             register_actions=args.register_actions,
-            cache_config=cache_config,
-            fault_plan=fault_plan,
-            tier=tier,
-            stitch=stitch,
-            backend=backend,
+            config=config,
         )
     except CompileError as exc:
         print("compile error: %s" % exc, file=sys.stderr)
@@ -270,8 +210,8 @@ def _run(args, source: str) -> int:
                         for s in result.tier_stats.values())
         print("tier[%s]: %d cold entries, %d promotions "
               "(%d speculative), %d demotions"
-              % (tier.describe(), sum(colds.values()), promotions,
-                 speculative, demotions))
+              % (config.tier.describe(), sum(colds.values()),
+                 promotions, speculative, demotions))
         for key, snap in sorted(result.tier_stats.items()):
             predicted = snap.get("predicted_breakeven")
             print("  %s:%d: %d keys, %d promoted, %d cold%s"

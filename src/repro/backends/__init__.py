@@ -16,8 +16,9 @@ backend-neutral.  Two backends ship:
     closures with holes bound as literals
     (:mod:`repro.backends.pycode`).
 
-Select one with ``--backend`` on the CLIs, or programmatically via
-``compile_program(..., backend="pycode")``.  :func:`get_backend`
+Select one with ``--config backend=pycode`` on the CLIs, or
+programmatically via ``compile_program(..., backend="pycode")`` (the
+``backend`` field of :class:`~repro.runtime.config.RunConfig`).  :func:`get_backend`
 resolves names, ``None`` (the default backend) and already-built
 instances; :func:`register_backend` lets external code add more.
 """

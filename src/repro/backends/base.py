@@ -52,8 +52,8 @@ class ExecutionBackend:
     behaves exactly like the historical single-backend engine.
     """
 
-    #: registry name; also what ``--backend`` selects and what the
-    #: post-run summary prints.
+    #: registry name; also what ``--config backend=NAME`` selects and
+    #: what the post-run summary prints.
     name = "abstract"
 
     # -- execution ---------------------------------------------------------

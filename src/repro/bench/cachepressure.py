@@ -79,12 +79,11 @@ def compile_pressure_program() -> Program:
 
 
 def run_cell(program: Program, executions: int, cardinality: int,
-             config: CacheConfig, seed: int = DEFAULT_SEED,
-             tier=None) -> Dict[str, object]:
-    """One sweep cell: run the key sequence under one cache config
-    (and optionally one tiering policy)."""
+             config: CacheConfig, seed: int = DEFAULT_SEED
+             ) -> Dict[str, object]:
+    """One sweep cell: run the key sequence under one cache config."""
     result = program.run("main", [executions, cardinality, seed],
-                         cache=config, tier=tier)
+                         cache=config)
     stats = result.cache_stats
     seen: set = set()
     restitch_cycles = 0

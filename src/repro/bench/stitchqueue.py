@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from ..faults import FaultPlan
 from ..runtime.engine import compile_program
 from .cachepressure import DEFAULT_SEED, compile_pressure_program
 
@@ -102,7 +101,7 @@ def hang_gate(deadline: int = 5_000,
     baseline = program.run("main", [executions])
     run = program.run(
         "main", [executions],
-        fault_plan=FaultPlan.parse("stitch.hang[rega]:1.0"),
+        faults="stitch.hang[rega]:1.0",
         stitch="async:drain=2,batch=2,deadline=%d" % deadline)
     qs = run.queue_stats
     assert qs is not None

@@ -16,7 +16,7 @@ oracle and for reproducible fuzzing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Union
 
 from .entry import CachedEntry
 
@@ -48,25 +48,29 @@ class CacheConfig:
         return "%s:%s" % (self.policy, entries) if entries else self.policy
 
     @classmethod
-    def parse(cls, spec: str) -> "CacheConfig":
+    def parse(cls, spec: Union[str, "CacheConfig", None]) -> "CacheConfig":
         """Parse a CLI spec: ``POLICY[:MAX_ENTRIES[:MAX_WORDS]]``.
 
         Examples: ``unbounded``, ``lru:4``, ``cost-aware:8:4096``,
-        ``lru::2048`` (word cap only).
+        ``lru::2048`` (word cap only).  None means the default; a
+        config passes through.
         """
+        if not isinstance(spec, str):
+            return spec or cls()
         parts = spec.split(":")
         policy = parts[0] or "unbounded"
         if policy not in POLICIES:
             raise ValueError("unknown cache policy %r (choose from %s)"
                              % (policy, ", ".join(sorted(POLICIES))))
-        max_entries = None
-        max_words = None
-        if len(parts) > 1 and parts[1]:
-            max_entries = int(parts[1])
-        if len(parts) > 2 and parts[2]:
-            max_words = int(parts[2])
         if len(parts) > 3:
             raise ValueError("bad cache spec %r" % spec)
+        parts += [""] * (3 - len(parts))
+        try:
+            max_entries = int(parts[1]) if parts[1] else None
+            max_words = int(parts[2]) if parts[2] else None
+        except ValueError:
+            raise ValueError("bad cache capacity in %r (want "
+                             "POLICY[:ENTRIES[:WORDS]])" % spec) from None
         return cls(policy=policy, max_entries=max_entries,
                    max_words=max_words)
 

@@ -39,8 +39,8 @@ tiering promotion decision (promote what would stay cold, or vice
 versa) -- an economically wrong but semantically neutral perturbation
 that the oracle uses to prove tiered execution is correct under any
 promotion schedule.  ``tier.flip`` is consulted only by adaptive runs
-(``--tier`` other than eager), and the two queue sites only by async
-runs (``--stitch-mode async``) -- ``queue.drop`` eats an enqueue (an
+(a ``tier`` other than eager), and the two queue sites only by async
+runs (``stitch=async``) -- ``queue.drop`` eats an enqueue (an
 injected shed) and ``stitch.hang`` wedges a ready job until the
 watchdog's deadline clears it -- so configuring them never perturbs
 other runs' seeded fault schedules.
@@ -112,8 +112,8 @@ class FaultPlan:
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def parse(cls, spec: Optional[str], seed: int = 0,
-              limit: Optional[int] = None) -> Optional["FaultPlan"]:
+    def parse(cls, spec: Optional[str],
+              seed: int = 0) -> Optional["FaultPlan"]:
         """``"all:P"`` or ``"site:p,site:p"``, optionally ``"...@SEED"``;
         a site may carry a region scope, ``"site[func.id]:p"``.
 
@@ -164,7 +164,7 @@ class FaultPlan:
                     scopes[site] = scope
                 else:
                     scopes.pop(site, None)
-        return cls(probabilities, seed=seed, limit=limit, scopes=scopes)
+        return cls(probabilities, seed=seed, scopes=scopes)
 
     def describe(self) -> str:
         """A spec string that parses back to this plan (site order,

@@ -5,14 +5,16 @@ Usage::
     python -m repro.fuzz --seed 0 --iters 200
     python -m repro.fuzz --seed 7 --iters 50 --max-stmts 20
     python -m repro.fuzz --seed 0 --iters 200 --corpus-dir tests/corpus
-    python -m repro.fuzz --iters 150 --faults all:0.1   # chaos mode
+    python -m repro.fuzz --iters 150 --config faults=all:0.1   # chaos
 
 Each iteration draws one whole program from
 :mod:`repro.testing.genprog` (deterministically from ``seed`` plus the
-iteration number), runs it through the three-way oracle
-(:mod:`repro.testing.oracle`), and on divergence localizes the culprit
-pass (:mod:`repro.testing.ablate`), shrinks the program to a minimal
-reproducer and writes it under ``--corpus-dir``.
+iteration number), draws a run configuration for it
+(:func:`random_config`; ``--config`` pins the fields it names), runs
+it through the three-way oracle (:mod:`repro.testing.oracle`), and on
+divergence localizes the culprit pass (:mod:`repro.testing.ablate`),
+shrinks the program to a minimal reproducer and writes it under
+``--corpus-dir``.
 
 Exit status is 0 when every iteration agreed, 1 when any divergence
 was found.  CI runs a bounded configuration of this command and
@@ -22,6 +24,7 @@ uploads whatever lands in the corpus directory as build artifacts.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import random
 import re
@@ -29,12 +32,9 @@ import sys
 import time
 from typing import Dict, List, Optional, Tuple
 
-from .backends import get_backend
 from .codecache import CacheConfig
-from .faults import FaultPlan
 from .obs import trace as obs_trace
-from .runtime.stitchqueue import StitchQueueConfig
-from .runtime.tiering import TierPolicy
+from .runtime.config import RunConfig
 from .testing.ablate import (
     format_reproducer, localize_divergence, shrink_program,
 )
@@ -63,9 +63,7 @@ def random_tier_policy(seed: int, iteration: int) -> Optional[str]:
     the default eager behavior), so the cold/warm/hot state space --
     threshold promotion, break-even prediction, speculative marks --
     gets exercised alongside the historical stitch-on-first-entry
-    path.  The draw is independent of :func:`random_cache_config` so
-    tier x cache combinations cover the full cross product over a
-    fuzz run."""
+    path."""
     rng = random.Random(seed * 104729 + iteration * 31 + 17)
     roll = rng.random()
     if roll < 0.40:
@@ -85,8 +83,7 @@ def random_stitch_config(seed: int, iteration: int) -> Optional[str]:
     None for the default synchronous stitching), so the async job
     lifecycle -- enqueue, deterministic drain, priority shed, retry
     backoff, deadline expiry, cancellation -- gets exercised alongside
-    the historical stitch-at-entry path.  Independent mixer so stitch
-    x tier x cache x backend combinations cover the cross product."""
+    the historical stitch-at-entry path."""
     rng = random.Random(seed * 15485863 + iteration * 37 + 11)
     roll = rng.random()
     if roll < 0.45:
@@ -123,6 +120,17 @@ def random_backend(seed: int, iteration: int) -> Optional[str]:
     return "pycode"
 
 
+def random_config(seed: int, iteration: int) -> RunConfig:
+    """The run configuration one fuzz iteration draws: backend, cache,
+    tier and stitch from four independent mixers, so their
+    combinations cover the cross product over a fuzz run.  Faults are
+    never drawn (``--config faults=...`` pins them)."""
+    return RunConfig(backend=random_backend(seed, iteration),
+                     cache=random_cache_config(seed, iteration),
+                     tier=random_tier_policy(seed, iteration),
+                     stitch=random_stitch_config(seed, iteration))
+
+
 def health_flags(report, faults_configured: bool) -> List[str]:
     """Cross-check one oracle report against the obs health rules.
 
@@ -157,11 +165,7 @@ def health_flags(report, faults_configured: bool) -> List[str]:
 
 def fuzz_one(seed: int, iteration: int, max_stmts: int = 14,
              max_cycles: int = 200_000_000,
-             cache_config: Optional[CacheConfig] = None,
-             faults: Optional[str] = None,
-             tier: Optional[str] = None,
-             stitch: Optional[str] = None,
-             backend: Optional[str] = None,
+             config: Optional[RunConfig] = None,
              health_log: Optional[List[str]] = None):
     """Generate and check one program.
 
@@ -170,29 +174,23 @@ def fuzz_one(seed: int, iteration: int, max_stmts: int = 14,
     report when every leg rejects the program -- a generator bug), or
     ``None`` when every argument agreed.  ``annotation_rejected`` is
     True when the dynamic path legitimately refused the region shape
-    for some argument (the splitter's AnnotationError).
-    ``cache_config``, ``faults`` (a fault-injection spec, see
-    :meth:`FaultPlan.parse`), ``tier`` (a tiering spec, see
-    :meth:`TierPolicy.parse`) and ``stitch`` (a stitch-queue spec,
-    see :meth:`StitchQueueConfig.parse`) apply to the oracle's
-    dynamic legs;
-    ``backend`` picks the primary execution backend (the oracle's
-    cross-backend leg covers the other one either way).
+    for some argument (the splitter's AnnotationError).  ``config``
+    is the oracle's run configuration (see :func:`run_oracle`).
     When ``health_log`` is given, every oracle report is additionally
     cross-checked via :func:`health_flags` and anomaly strings are
     appended to it.
     """
+    config = config or RunConfig()
     program = generate_program(seed * 1_000_003 + iteration,
                                max_stmts=max_stmts)
     source = program.source
     rejected = False
     for arg in program.args:
         report = run_oracle(source, [arg], max_cycles=max_cycles,
-                            cache_config=cache_config, faults=faults,
-                            tier=tier, stitch=stitch, backend=backend)
+                            config=config)
         rejected = rejected or report.annotation_reject
         if health_log is not None and not report.compile_error:
-            for flag in health_flags(report, bool(faults)):
+            for flag in health_flags(report, config.faults is not None):
                 health_log.append("iter %d arg %d: %s"
                                   % (iteration, arg, flag))
         if report.compile_error:
@@ -202,66 +200,41 @@ def fuzz_one(seed: int, iteration: int, max_stmts: int = 14,
     return program, None, rejected
 
 
-def reproducer_config(text: str) -> Tuple[List[int], Dict[str, object]]:
-    """A reproducer's ``// args:`` values, and the :func:`run_oracle`
-    keyword arguments its ``// tier:``, ``// stitch:``,
-    ``// backend:``, ``// faults:`` and ``// cache:`` headers record
-    (None where a header is absent)."""
+def reproducer_config(text: str, base: Optional[RunConfig] = None
+                      ) -> Tuple[List[int], RunConfig]:
+    """A reproducer's ``// args:`` values, and ``base`` (default: the
+    default config) with the fields its ``// config:`` header names
+    replaced."""
     match = re.search(r"^// args:\s*(.*)$", text, re.MULTILINE)
     args = [int(tok) for tok in match.group(1).split()] if match else []
-    recorded: Dict[str, object] = {}
-    for name in ("tier", "stitch", "backend", "faults", "cache"):
-        match = re.search(r"^// %s:\s*(\S+)" % name, text, re.MULTILINE)
-        recorded[name] = match.group(1) if match else None
-    cache = recorded.pop("cache")
-    recorded["cache_config"] = CacheConfig.parse(cache) if cache else None
-    return args or [0], recorded
+    match = re.search(r"^// config:(.*)$", text, re.MULTILINE)
+    return args or [0], RunConfig.parse(match and match.group(1), base)
 
 
 def _save_unshrunk(corpus_dir: str, name: str, program, report,
-                   headers: Dict[str, object]) -> None:
+                   config: RunConfig) -> None:
     """Write a configuration-specific divergence unshrunk (ablation and
-    shrinking rerun under the default configuration), with one header
-    per configuration it ran under, so it replays the same way."""
+    shrinking rerun under the default configuration), with a
+    ``// config:`` header recording the configuration it ran under, so
+    it replays the same way."""
     os.makedirs(corpus_dir, exist_ok=True)
     path = os.path.join(corpus_dir, name)
     with open(path, "w") as handle:
-        for header, spec in headers.items():
-            if isinstance(spec, CacheConfig):
-                spec = spec.describe()
-            if spec:
-                handle.write("// %s: %s\n" % (header, spec))
+        handle.write("// config: %s\n" % config.describe())
         handle.write(format_reproducer(program, report, None))
     print("  wrote %s" % path)
 
 
-def _describe_config(config: Dict[str, object]) -> str:
-    cache = config["cache_config"]
-    return " ".join(
-        ["cache=%s" % (cache.describe() if cache else "unbounded")]
-        + ["%s=%s" % (name, config[name])
-           for name in ("faults", "tier", "stitch", "backend")
-           if config[name]])
-
-
-def _replay_corpus(directory: str, cache_config: Optional[CacheConfig],
-                   max_cycles: int, faults: Optional[str] = None,
-                   tier: Optional[str] = None,
-                   stitch: Optional[str] = None,
-                   backend: Optional[str] = None) -> int:
+def _replay_corpus(directory: str, config: RunConfig,
+                   max_cycles: int) -> int:
     """Replay every ``*.c`` reproducer in ``directory`` through the
-    oracle, optionally under a bounded cache, injected faults, an
-    adaptive tiering policy and/or a non-default execution backend --
-    the CI proof that neither eviction nor graceful degradation nor
-    tiering nor async stitch queueing nor the backend seam ever
-    changes program results on known-tricky programs.  A reproducer
-    saved with a ``// tier:``, ``// stitch:``, ``// backend:``,
-    ``// faults:`` or ``// cache:`` header replays under that recorded
-    configuration (it overrides the matching argument)."""
+    oracle under ``config`` -- the CI proof that neither eviction nor
+    graceful degradation nor tiering nor async stitch queueing nor the
+    backend seam ever changes program results on known-tricky
+    programs.  A reproducer's ``// config:`` header overrides the
+    fields it names."""
     import glob
 
-    defaults = {"tier": tier, "stitch": stitch, "backend": backend,
-                "faults": faults, "cache_config": cache_config}
     paths = sorted(glob.glob(os.path.join(directory, "*.c")))
     if not paths:
         print("no *.c reproducers under %s" % directory, file=sys.stderr)
@@ -270,23 +243,48 @@ def _replay_corpus(directory: str, cache_config: Optional[CacheConfig],
     for path in paths:
         with open(path) as handle:
             text = handle.read()
-        arg_list, recorded = reproducer_config(text)
-        config = {name: default if recorded[name] is None
-                  else recorded[name]
-                  for name, default in defaults.items()}
+        arg_list, recorded = reproducer_config(text, config)
         for arg in arg_list:
             report = run_oracle(text, [arg], max_cycles=max_cycles,
-                                **config)
+                                config=recorded)
             if report.annotation_reject or report.ok:
                 continue
             failures += 1
-            print("%s (arg %d, %s):"
-                  % (path, arg, _describe_config(config)))
+            print("%s (arg %d, config %r):"
+                  % (path, arg, recorded.describe() or "default"))
             for divergence in report.divergences:
                 print("  " + str(divergence))
-    print("replay: %d reproducers under %s, %d failures"
-          % (len(paths), _describe_config(defaults), failures))
+    print("replay: %d reproducers under config %r, %d failures"
+          % (len(paths), config.describe() or "default", failures))
     return 1 if failures else 0
+
+
+def _save_if_config_specific(program, report, config: RunConfig,
+                             max_cycles: int, corpus_dir: str, seed: int,
+                             iteration: int) -> bool:
+    """Ablation and shrinking rerun under the default configuration,
+    so a divergence that needs a non-default setting must keep its
+    original program.  Reset stitch, tier, faults and cache to their
+    defaults in turn; when a reset makes the divergence vanish, save
+    the program unshrunk under the last config before that reset and
+    return True."""
+    default = RunConfig()
+    for name in ("stitch", "tier", "faults", "cache"):
+        reset = dataclasses.replace(config,
+                                    **{name: getattr(default, name)})
+        if reset == config:
+            continue
+        if run_oracle(program.source, report.args, max_cycles=max_cycles,
+                      config=reset).ok:
+            print("  divergence vanishes with %s at its default; "
+                  "writing unshrunk reproducer under config %r"
+                  % (name, config.describe()))
+            _save_unshrunk(corpus_dir, "seed%d_iter%03d_%s.c"
+                           % (seed, iteration, name), program, report,
+                           config)
+            return True
+        config = reset
+    return False
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -321,71 +319,24 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "events per iteration and dump them next "
                              "to the reproducer on divergence "
                              "(0 disables; default 2048)")
-    parser.add_argument("--cache", default=None, metavar="SPEC",
-                        help="fix the dynamic legs' code-cache config "
-                             "(POLICY[:ENTRIES[:WORDS]], e.g. lru:2) "
-                             "instead of fuzzing random capacities")
-    parser.add_argument("--no-cache-fuzz", action="store_true",
-                        help="always run the default unbounded cache "
-                             "(pre-codecache behavior)")
-    parser.add_argument("--faults", default=None, metavar="SPEC",
-                        help="inject deterministic faults into the "
-                             "dynamic legs (SITE:PROB[,SITE:PROB...] or "
-                             "all:PROB, optionally @SEED; e.g. "
-                             "all:0.1) -- the oracle then proves the "
-                             "degraded runs still match the interpreter")
-    parser.add_argument("--tier", default=None, metavar="SPEC",
-                        help="fix the tiering policy for the oracle's "
-                             "adaptive leg (eager | threshold:N | "
-                             "breakeven[:H], options spec=K/versions=V/"
-                             "speedup=F) instead of fuzzing a random "
-                             "policy per iteration")
-    parser.add_argument("--no-tier-fuzz", action="store_true",
-                        help="always run eager tiering (pre-tiering "
-                             "behavior: no adaptive oracle leg)")
-    parser.add_argument("--stitch", default=None, metavar="SPEC",
-                        help="fix the stitch-queue config for the "
-                             "oracle's dynamic legs (sync | "
-                             "async[:depth=N,drain=N,...], see "
-                             "StitchQueueConfig.parse) instead of "
-                             "fuzzing a random queue per iteration")
-    parser.add_argument("--no-stitch-fuzz", action="store_true",
-                        help="always stitch synchronously at region "
-                             "entry (pre-queue behavior)")
-    parser.add_argument("--backend", default=None, metavar="NAME",
-                        help="fix the primary execution backend (rvm or "
-                             "pycode) instead of randomizing it per "
-                             "iteration; the oracle's cross-backend leg "
-                             "always covers the other one")
-    parser.add_argument("--no-backend-fuzz", action="store_true",
-                        help="always run the default rvm backend as "
-                             "primary (the cross-backend leg still "
-                             "runs pycode)")
+    parser.add_argument("--config", default="", metavar="SPEC",
+                        help="pin the run-configuration fields SPEC "
+                             "names (FIELD=SPEC tokens over backend, "
+                             "cache, faults, tier, stitch; e.g. "
+                             "\"faults=all:0.1 tier=eager\"); every "
+                             "other field but faults is drawn per "
+                             "iteration.  With --replay: the config "
+                             "reproducers run under, where their "
+                             "// config: headers do not override it")
     parser.add_argument("--replay", default=None, metavar="DIR",
                         help="replay DIR/*.c reproducers through the "
-                             "oracle (honoring --cache) instead of "
-                             "generating programs")
+                             "oracle instead of generating programs")
     parser.add_argument("--quiet", action="store_true")
     args = parser.parse_args(argv)
 
-    fixed_cache = (CacheConfig.parse(args.cache)
-                   if args.cache is not None else None)
-    if args.faults is not None:
-        FaultPlan.parse(args.faults)  # fail fast on a bad spec
-    if args.tier is not None:
-        TierPolicy.parse(args.tier)  # fail fast on a bad spec
-    if args.stitch is not None:
-        StitchQueueConfig.parse(args.stitch)  # fail fast on a bad spec
-    if args.backend is not None:
-        try:
-            get_backend(args.backend)  # fail fast on an unknown name
-        except ValueError as exc:
-            print("error: --backend %s" % exc, file=sys.stderr)
-            return 2
+    pinned = RunConfig.from_cli(args.config)
     if args.replay is not None:
-        return _replay_corpus(args.replay, fixed_cache, args.max_cycles,
-                              faults=args.faults, tier=args.tier,
-                              stitch=args.stitch, backend=args.backend)
+        return _replay_corpus(args.replay, pinned, args.max_cycles)
 
     corpus_dir = args.corpus_dir
     if corpus_dir is None:
@@ -409,35 +360,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     for i in range(args.iters):
         if tracer is not None:
             tracer.clear()
-        if args.no_cache_fuzz:
-            cache_config: Optional[CacheConfig] = None
-        elif fixed_cache is not None:
-            cache_config = fixed_cache
-        else:
-            cache_config = random_cache_config(args.seed, i)
-        if args.no_tier_fuzz:
-            tier_spec: Optional[str] = None
-        elif args.tier is not None:
-            tier_spec = args.tier
-        else:
-            tier_spec = random_tier_policy(args.seed, i)
-        if args.no_stitch_fuzz:
-            stitch_spec: Optional[str] = None
-        elif args.stitch is not None:
-            stitch_spec = args.stitch
-        else:
-            stitch_spec = random_stitch_config(args.seed, i)
-        if args.no_backend_fuzz:
-            backend_spec: Optional[str] = None
-        elif args.backend is not None:
-            backend_spec = args.backend
-        else:
-            backend_spec = random_backend(args.seed, i)
+        config = RunConfig.parse(args.config,
+                                 random_config(args.seed, i))
         program, bad, rejected = fuzz_one(
             args.seed, i, max_stmts=args.max_stmts,
-            max_cycles=args.max_cycles, cache_config=cache_config,
-            faults=args.faults, tier=tier_spec, stitch=stitch_spec,
-            backend=backend_spec, health_log=health_log)
+            max_cycles=args.max_cycles, config=config,
+            health_log=health_log)
         # Snapshot the tail now, before ablation/shrinking reruns
         # overwrite the ring with events from other programs.
         trace_tail = list(tracer.events) if tracer is not None else []
@@ -462,87 +390,13 @@ def main(argv: Optional[List[str]] = None) -> int:
             continue
         divergences += 1
         print("=" * 70)
-        print("iter %d (seed %d): DIVERGENCE with args=%s cache=%s%s%s%s%s"
-              % (i, args.seed, bad.args,
-                 cache_config.describe() if cache_config else "unbounded",
-                 " faults=%s" % args.faults if args.faults else "",
-                 " tier=%s" % tier_spec if tier_spec else "",
-                 " stitch=%s" % stitch_spec if stitch_spec else "",
-                 " backend=%s" % backend_spec if backend_spec else ""))
+        print("iter %d (seed %d): DIVERGENCE with args=%s config %r"
+              % (i, args.seed, bad.args, config.describe() or "default"))
         for divergence in bad.divergences:
             print("  " + str(divergence))
-        if stitch_spec is not None:
-            # Is the bug queue-specific?  Ablation/shrink reruns stitch
-            # synchronously, so a divergence that needs async queueing
-            # must keep its original program and queue spec.
-            recheck = run_oracle(program.source, bad.args,
-                                 max_cycles=args.max_cycles,
-                                 cache_config=cache_config,
-                                 faults=args.faults, tier=tier_spec,
-                                 backend=backend_spec)
-            if recheck.ok:
-                print("  divergence requires stitch=%s (vanishes sync); "
-                      "writing unshrunk reproducer" % stitch_spec)
-                _save_unshrunk(
-                    corpus_dir, "seed%d_iter%03d_stitch.c" % (args.seed, i),
-                    program, bad, {"stitch": stitch_spec, "tier": tier_spec,
-                                   "backend": backend_spec,
-                                   "faults": args.faults,
-                                   "cache": cache_config})
-                continue
-        if tier_spec is not None:
-            # Is the bug tiering-specific?  Ablation/shrink reruns run
-            # eager, so a divergence that needs the adaptive leg must
-            # keep its original program and policy spec.
-            recheck = run_oracle(program.source, bad.args,
-                                 max_cycles=args.max_cycles,
-                                 cache_config=cache_config,
-                                 faults=args.faults,
-                                 backend=backend_spec)
-            if recheck.ok:
-                print("  divergence requires tier=%s (vanishes eager); "
-                      "writing unshrunk reproducer" % tier_spec)
-                _save_unshrunk(
-                    corpus_dir, "seed%d_iter%03d_tier.c" % (args.seed, i),
-                    program, bad, {"tier": tier_spec,
-                                   "backend": backend_spec,
-                                   "faults": args.faults,
-                                   "cache": cache_config})
-                continue
-        if args.faults:
-            # Is the bug fault-specific?  Ablation/shrink reruns run
-            # fault-free, so a divergence that needs injected faults
-            # must keep its original program and spec.
-            recheck = run_oracle(program.source, bad.args,
-                                 max_cycles=args.max_cycles,
-                                 cache_config=cache_config,
-                                 backend=backend_spec)
-            if recheck.ok:
-                print("  divergence requires faults=%s (vanishes "
-                      "fault-free); writing unshrunk reproducer"
-                      % args.faults)
-                _save_unshrunk(
-                    corpus_dir, "seed%d_iter%03d_faults.c" % (args.seed, i),
-                    program, bad, {"faults": args.faults,
-                                   "backend": backend_spec,
-                                   "cache": cache_config})
-                continue
-        if cache_config is not None and cache_config.bounded:
-            # Is the bug cache-specific?  The ablation/shrink tooling
-            # reruns under the default cache, so a bounded-cache-only
-            # divergence must keep its original program and config.
-            recheck = run_oracle(program.source, bad.args,
-                                 max_cycles=args.max_cycles,
-                                 backend=backend_spec)
-            if recheck.ok:
-                print("  divergence requires cache=%s (vanishes "
-                      "unbounded); writing unshrunk reproducer"
-                      % cache_config.describe())
-                _save_unshrunk(
-                    corpus_dir, "seed%d_iter%03d_cache.c" % (args.seed, i),
-                    program, bad, {"cache": cache_config,
-                                   "backend": backend_spec})
-                continue
+        if _save_if_config_specific(program, bad, config, args.max_cycles,
+                                    corpus_dir, args.seed, i):
+            continue
         if args.no_shrink:
             continue
         print("  localizing culprit pass ...")
@@ -578,7 +432,7 @@ def main(argv: Optional[List[str]] = None) -> int:
           "%d annotation-rejected, %d health flags, %.1fs (seed %d%s)"
           % (args.iters, divergences, compile_errors,
              annotation_rejects, len(health_log), elapsed, args.seed,
-             ", faults=%s" % args.faults if args.faults else ""))
+             ", config %r" % args.config if args.config else ""))
     if args.stats and feature_counts:
         print("feature coverage:")
         for feature in sorted(feature_counts,

@@ -10,7 +10,7 @@ Usage::
     python -m repro.obs validate trace.json        # schema check (CI)
     python -m repro.obs export --workload calculator \\
         --openmetrics metrics.prom --series series.json
-    python -m repro.obs health --workload calculator --faults all:0.1
+    python -m repro.obs health --workload calculator --config faults=all:0.1
     python -m repro.obs record cachepressure tiering
     python -m repro.obs compare --run cachepressure
 """
@@ -79,8 +79,11 @@ def _cmd_report(args) -> int:
 
 
 def _compile_and_run(args):
-    """(program, result) for either --workload NAME or a source file."""
+    """(program, result) for either --workload NAME or a source file,
+    run under the ``--config`` spec."""
+    from ..runtime.config import RunConfig
     from ..runtime.engine import compile_program
+    config = RunConfig.from_cli(args.config)
     if args.workload:
         selected = _selected_workloads([args.workload], 1.0, None)
         if not selected:
@@ -96,13 +99,7 @@ def _compile_and_run(args):
         with open(args.source) as handle:
             source = handle.read()
         run_args = args.args
-    fault_plan = None
-    if getattr(args, "faults", None):
-        from ..faults.plan import FaultPlan
-        fault_plan = FaultPlan.parse(args.faults)
-    program = compile_program(source, mode=args.mode,
-                              fault_plan=fault_plan,
-                              tier=getattr(args, "tier", None))
+    program = compile_program(source, mode=args.mode, config=config)
     result = program.run(args=run_args, max_cycles=args.max_cycles)
     return program, result
 
@@ -222,8 +219,9 @@ def _cmd_export(args) -> int:
 
 
 def _cmd_health(args) -> int:
-    """Run a program/workload (optionally under faults or a tiering
-    policy), evaluate the health rules, and print the report."""
+    """Run a program/workload (optionally under a ``--config`` such as
+    faults or a tiering policy), evaluate the health rules, and print
+    the report."""
     if args.rules:
         with open(args.rules) as handle:
             rules = health_mod.parse_rules(handle.read())
@@ -341,11 +339,10 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--args", nargs="*", type=int, default=[],
                         help="integer arguments for main()")
     parser.add_argument("--max-cycles", type=int, default=4_000_000_000)
-    parser.add_argument("--faults", default=None,
-                        help="fault-plan spec (SITE:PROB|all:PROB[@SEED])")
-    parser.add_argument("--tier", default=None,
-                        help="tiering policy spec (e.g. breakeven, "
-                             "threshold:3)")
+    parser.add_argument("--config", default="", metavar="SPEC",
+                        help="run configuration (FIELD=SPEC tokens over "
+                             "backend, cache, faults, tier, stitch; "
+                             "e.g. \"faults=all:0.1 tier=breakeven\")")
 
 
 def _add_sampler_arguments(parser: argparse.ArgumentParser) -> None:

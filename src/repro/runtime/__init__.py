@@ -1,6 +1,7 @@
 """Execution: the engine (compile + run + measure) and the reference
 interpreter used as the semantic oracle."""
 
+from .config import RunConfig
 from .engine import (
     EntryEvent, Program, RunResult, compile_ir_module, compile_program,
 )
@@ -10,7 +11,7 @@ from .tiering import TierController, TierPolicy
 
 __all__ = [
     "EntryEvent", "Interpreter", "InterpError", "Program",
-    "QueueStats", "RunResult", "StitchJob", "StitchQueue",
+    "QueueStats", "RunConfig", "RunResult", "StitchJob", "StitchQueue",
     "StitchQueueConfig", "TierController", "TierPolicy",
     "compile_ir_module", "compile_program", "run_source",
 ]

@@ -23,16 +23,13 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
-from ..backends import ExecutionBackend, get_backend
-from ..codecache import (
-    CacheConfig, CacheKey, CacheStats, CodeCache, region_key,
-)
+from ..backends import get_backend
+from ..codecache import CacheKey, CacheStats, CodeCache, region_key
 from ..codegen.lower import DataLayout, lower_module
 from ..codegen.objects import CompiledFunction, RegionCode
 from ..dynamic.splitter import RegionPlan, split_module
 from ..dynamic.stitcher import StitchReport, stitch_entry
 from ..errors import RegionNotFound, StitchBudgetExceeded, StitchError
-from ..faults import FaultPlan
 from ..frontend.parser import parse
 from ..frontend.typecheck import check
 from ..ir.builder import build_module
@@ -46,10 +43,11 @@ from ..obs import timeseries as obs_ts
 from ..obs import trace as obs_trace
 from ..obs.metrics import registry as obs_metrics
 from ..opt.pipeline import OptOptions, OptStats, optimize
+from .config import RunConfig
 from .fallback import FallbackCode, build_fallback
 from .guards import BreakerConfig, RegionBreaker, StitchBudget
-from .stitchqueue import QueueStats, StitchJob, StitchQueue, StitchQueueConfig
-from .tiering import TierController, TierPolicy
+from .stitchqueue import QueueStats, StitchJob, StitchQueue
+from .tiering import TierController
 
 Number = Union[int, float]
 
@@ -194,13 +192,9 @@ class Program:
                  stitcher_costs: StitcherCosts,
                  opt_stats: Optional[Dict[str, OptStats]] = None,
                  register_actions: bool = False,
-                 cache_config: Optional[CacheConfig] = None,
-                 fault_plan: Optional[FaultPlan] = None,
                  stitch_budget: Optional[StitchBudget] = None,
                  breaker_config: Optional[BreakerConfig] = None,
-                 tier: Optional[Union[TierPolicy, str]] = None,
-                 stitch: Optional[Union[StitchQueueConfig, str]] = None,
-                 backend: Optional[Union[ExecutionBackend, str]] = None):
+                 config: Optional[RunConfig] = None):
         self.compiled = compiled
         self.layout = layout
         self.mode = mode
@@ -208,26 +202,19 @@ class Program:
         self.stitcher_costs = stitcher_costs
         self.opt_stats = opt_stats or {}
         self.register_actions = register_actions
-        #: default code-cache configuration for runs (a ``run`` call
-        #: can override it per execution).
-        self.cache_config = cache_config or CacheConfig()
-        #: default fault-injection plan (a ``run`` call can override).
-        self.fault_plan = fault_plan
         #: per-stitch resource guard; None = unlimited.
         self.stitch_budget = stitch_budget
         #: circuit-breaker tuning (always on; a no-op without failures).
         self.breaker_config = breaker_config or BreakerConfig()
-        #: default tiering policy (``eager`` preserves the historical
-        #: stitch-on-first-entry behavior; a ``run`` call can override).
-        self.tier = TierPolicy.parse(tier)
-        #: default stitch-queue configuration (``sync`` -- the
-        #: historical inline stitch -- unless a run overrides it; see
-        #: :mod:`repro.runtime.stitchqueue`).
-        self.stitch = StitchQueueConfig.parse(stitch)
-        #: the execution backend (name, instance, or None for the
-        #: default ``rvm``): owns host execution and per-install
-        #: artifact compilation for every run of this program.
-        self.backend = get_backend(backend)
+        #: the run configuration every run starts from (a ``run`` call
+        #: can override its cache, faults, tier and stitch fields); the
+        #: default is the paper's engine: eager, inline stitching into
+        #: an unbounded cache on rvm, no faults.
+        self.config = config or RunConfig()
+        #: the execution backend the config names: owns host execution
+        #: and per-install artifact compilation for every run of this
+        #: program (its prepared code lives in the cached VM).
+        self.backend = get_backend(self.config.backend)
         # Cached VM for repeated runs: re-installing, re-resolving and
         # re-predecoding the static code (and the backend's prepare_vm)
         # would dominate the host cost of short executions.  The cache
@@ -282,36 +269,21 @@ class Program:
             max_cycles: int = 4_000_000_000,
             memory_words: int = 1 << 22,
             dispatch: str = "threaded",
-            cache: Optional[CacheConfig] = None,
-            fault_plan: Optional[FaultPlan] = None,
-            tier: Optional[Union[TierPolicy, str]] = None,
-            stitch: Optional[Union[StitchQueueConfig, str]] = None
+            cache=None, faults=None, tier=None, stitch=None
             ) -> RunResult:
         """Run ``func(*args)``; ``dispatch`` picks the VM execution
         engine ("threaded" predecoded fast path, or the retained
         "naive" decode loop -- equivalent by construction and by
-        test); ``cache`` overrides the program's code-cache
-        configuration for this execution, ``fault_plan`` the fault
-        schedule (default: the program's own plan, usually None),
-        ``tier`` the tiering policy (a :class:`TierPolicy` or spec
-        string; default: the program's policy, usually eager),
-        ``stitch`` the stitch-queue mode (a
-        :class:`StitchQueueConfig` or spec string; default: the
-        program's config, usually ``sync`` -- the historical inline
-        stitch).  ``memory_words`` is the size of the VM's address
+        test).  ``cache``, ``faults``, ``tier`` and ``stitch`` override
+        those fields of the program's :class:`RunConfig` for this
+        execution (an object or a spec string each; None keeps the
+        program's).  ``memory_words`` is the size of the VM's address
         space (the stack starts just below its top, the heap ends 64K
         words below it); data memory is sparse, so a large address
         space costs nothing until it is written."""
         vm = self._acquire_vm(memory_words, max_cycles)
-        faults = fault_plan if fault_plan is not None else self.fault_plan
-        fault_baseline = dict(faults.counts) if faults is not None else {}
-        tier_policy = TierPolicy.parse(tier) if tier is not None \
-            else self.tier
-        stitch_config = StitchQueueConfig.parse(stitch) \
-            if stitch is not None else self.stitch
-        runtime = _RegionRuntime(self, vm, cache or self.cache_config,
-                                 faults=faults, tier=tier_policy,
-                                 stitch=stitch_config)
+        runtime = _RegionRuntime(self, vm, self.config.replace(
+            cache=cache, faults=faults, tier=tier, stitch=stitch))
         vm.rt_handlers["region_lookup"] = runtime.lookup
         vm.rt_handlers["region_stitch"] = runtime.stitch
         entry_fn = self.compiled.get(func)
@@ -344,9 +316,9 @@ class Program:
                 owner_cycles.labels(
                     owner=owner.split(":", 1)[0]).inc(cycles)
         fault_counts: Dict[str, int] = {}
-        if faults is not None:
-            for site, count in faults.counts.items():
-                delta = count - fault_baseline.get(site, 0)
+        if runtime.faults is not None:
+            for site, count in runtime.faults.counts.items():
+                delta = count - runtime.fault_baseline.get(site, 0)
                 if delta:
                     fault_counts[site] = delta
         return RunResult(
@@ -378,20 +350,21 @@ class Program:
 
 class _RegionRuntime:
     """The ``region_lookup`` / ``region_stitch`` services for one VM
-    execution, backed by the :class:`~repro.codecache.CodeCache`."""
+    execution under one :class:`RunConfig` (default: the program's),
+    backed by the :class:`~repro.codecache.CodeCache`."""
 
     def __init__(self, program: Program, vm: VM,
-                 cache_config: Optional[CacheConfig] = None,
-                 faults: Optional[FaultPlan] = None,
-                 tier: Optional[TierPolicy] = None,
-                 stitch: Optional[StitchQueueConfig] = None):
+                 config: Optional[RunConfig] = None):
+        config = config or program.config
         self.program = program
         self.vm = vm
-        self.faults = faults
+        #: this run's fault plan, and its counts before the run.
+        self.faults = faults = config.fault_plan()
+        self.fault_baseline = dict(faults.counts) if faults else {}
         #: the code cache: keyed versions, eviction, compaction.  The
         #: program's backend hooks every install, so stitched entries
         #: get their host artifact whichever path placed them.
-        self.cache: CodeCache = CodeCache(vm, cache_config, faults=faults,
+        self.cache: CodeCache = CodeCache(vm, config.cache, faults=faults,
                                           backend=program.backend)
         #: every region entry, in order (written only by :meth:`_record`).
         self.log: List[EntryEvent] = []
@@ -414,15 +387,16 @@ class _RegionRuntime:
         #: adaptive-tiering controller; None for eager runs, which
         #: keeps the eager path bit-identical to the historical engine.
         self.tier: Optional[TierController] = None
-        if tier is not None and tier.adaptive:
-            self.tier = TierController(tier, vm, self._regions,
+        if config.tier.adaptive:
+            self.tier = TierController(config.tier, vm, self._regions,
                                        program.stitcher_costs,
                                        faults=faults)
         #: the async stitch queue; None for sync runs, which therefore
         #: take exactly the historical inline-stitch code path.
         self.queue: Optional[StitchQueue] = None
-        if stitch is not None and stitch.asynchronous:
-            queue = self.queue = StitchQueue(stitch, vm, faults=faults)
+        if config.stitch.asynchronous:
+            queue = self.queue = StitchQueue(config.stitch, vm,
+                                             faults=faults)
             queue.on_deadline = self._on_job_deadline
             # In-flight jobs pin their region's installed code: the
             # cache must not evict what a queued compilation is about
@@ -662,30 +636,24 @@ def compile_program(source: str, mode: str = "dynamic",
                     stitcher_costs: Optional[StitcherCosts] = None,
                     register_actions: bool = False,
                     module_name: str = "program",
-                    cache_config: Optional[CacheConfig] = None,
-                    fault_plan: Optional[FaultPlan] = None,
                     stitch_budget: Optional[StitchBudget] = None,
                     breaker_config: Optional[BreakerConfig] = None,
-                    tier: Optional[Union[TierPolicy, str]] = None,
-                    stitch: Optional[Union[StitchQueueConfig, str]] = None,
-                    backend: Optional[Union[ExecutionBackend, str]] = None
-                    ) -> Program:
+                    config: Union[RunConfig, str, None] = None,
+                    **settings) -> Program:
     """Compile MiniC source through the full static pipeline.
 
     ``mode`` is ``"dynamic"`` (regions split + stitched at run time) or
     ``"static"`` (annotations ignored -- the paper's baseline).
     ``register_actions`` enables the section 5 extension: the stitcher
     promotes constant-index frame-array elements to unused registers.
-    ``cache_config`` sets the default code-cache policy/capacity for
-    the program's runs (default: unbounded, the historical behavior).
-    ``fault_plan`` / ``stitch_budget`` / ``breaker_config`` tune the
-    graceful-degradation tier (see ``docs/ROBUSTNESS.md``).
-    ``tier`` sets the default tiering policy (see ``docs/TIERING.md``;
-    default eager, the historical stitch-on-first-entry behavior).
-    ``backend`` picks the execution backend (a registry name such as
-    ``"rvm"``/``"pycode"`` or an instance; see ``docs/BACKENDS.md``;
-    default rvm, the bit-exact oracle).
+    ``stitch_budget`` / ``breaker_config`` tune the graceful-degradation
+    tier (see ``docs/ROBUSTNESS.md``).  ``config`` (a
+    :class:`RunConfig` or its spec) is the program's run configuration
+    -- backend, cache, faults, tier and stitch; default the paper's
+    engine -- and keyword ``settings`` override single fields of it by
+    name, e.g. ``backend="pycode"`` or ``tier="threshold:2"``.
     """
+    config = RunConfig.parse(config).replace(**settings)
     if mode not in ("dynamic", "static"):
         raise ValueError("mode must be 'dynamic' or 'static'")
     with obs_trace.span("frontend.parse", "frontend",
@@ -703,11 +671,8 @@ def compile_program(source: str, mode: str = "dynamic",
                              use_reachability=use_reachability,
                              stitcher_costs=stitcher_costs,
                              register_actions=register_actions,
-                             cache_config=cache_config,
-                             fault_plan=fault_plan,
                              stitch_budget=stitch_budget,
-                             breaker_config=breaker_config,
-                             tier=tier, stitch=stitch, backend=backend)
+                             breaker_config=breaker_config, config=config)
 
 
 def _refresh_plan_membership(func, plans: List[RegionPlan],
@@ -744,14 +709,9 @@ def compile_ir_module(module: Module, mode: str = "dynamic",
                       use_reachability: bool = True,
                       stitcher_costs: Optional[StitcherCosts] = None,
                       register_actions: bool = False,
-                      cache_config: Optional[CacheConfig] = None,
-                      fault_plan: Optional[FaultPlan] = None,
                       stitch_budget: Optional[StitchBudget] = None,
                       breaker_config: Optional[BreakerConfig] = None,
-                      tier: Optional[Union[TierPolicy, str]] = None,
-                      stitch: Optional[Union[StitchQueueConfig, str]] = None,
-                      backend: Optional[Union[ExecutionBackend, str]] = None
-                      ) -> Program:
+                      config: Optional[RunConfig] = None) -> Program:
     """Compile an already-built IR module (for IR-level tests)."""
     opt_options = opt_options or OptOptions()
     stats: Dict[str, OptStats] = {}
@@ -786,8 +746,5 @@ def compile_ir_module(module: Module, mode: str = "dynamic",
     return Program(compiled, layout, mode, plans,
                    stitcher_costs or StitcherCosts(), stats,
                    register_actions=register_actions,
-                   cache_config=cache_config,
-                   fault_plan=fault_plan,
                    stitch_budget=stitch_budget,
-                   breaker_config=breaker_config,
-                   tier=tier, stitch=stitch, backend=backend)
+                   breaker_config=breaker_config, config=config)

@@ -82,11 +82,13 @@ def localize_divergence(source: str, args: List[int],
     costs.enable_peepholes = False
     # Peepholes only affect the dynamic leg; reuse the oracle with the
     # alternate cost model by compiling the dynamic leg directly.
+    from ..runtime.config import RunConfig
     from .oracle import _vm_leg, _interp_leg, _compare
     interp = _interp_leg(source, args)
     dynamic, _, invariants = _vm_leg(
-        "dynamic", source, args, "dynamic", stitcher_costs=costs,
-        runs=1, check_invariants=False, max_cycles=max_cycles)
+        "dynamic", source, args, "dynamic", RunConfig(),
+        stitcher_costs=costs, runs=1, check_invariants=False,
+        max_cycles=max_cycles)
     divergences: list = []
     _compare(interp, dynamic, divergences)
     if not divergences and not invariants:

@@ -138,12 +138,16 @@ class _Scope:
 
     def __init__(self, consts: List[str], ivars: List[str],
                  fvars: List[str], tainted: bool = False,
-                 const_ctrl: bool = True):
+                 const_ctrl: bool = True, counters: List[str] = ()):
         #: run-time constant ints (region constants, derived constants,
         #: unrolled-loop induction variables).
         self.consts = list(consts)
         #: mutable int variables.
         self.ivars = list(ivars)
+        #: counters of the enclosing run-time loops: readable ivars (they
+        #: anchor tainted expressions) but never assignment targets, so
+        #: every generated loop terminates.
+        self.counters = list(counters)
         #: mutable float variables.
         self.fvars = list(fvars)
         self.tainted = tainted
@@ -153,7 +157,8 @@ class _Scope:
               const_ctrl: Optional[bool] = None) -> "_Scope":
         return _Scope(self.consts, self.ivars, self.fvars,
                       self.tainted if tainted is None else tainted,
-                      self.const_ctrl if const_ctrl is None else const_ctrl)
+                      self.const_ctrl if const_ctrl is None else const_ctrl,
+                      self.counters)
 
 
 class ProgramGenerator:
@@ -414,9 +419,10 @@ class ProgramGenerator:
     def _stmt_assign(self, scope: _Scope, depth: int,
                      in_unrolled: bool) -> Node:
         rng = self.rng
-        if not scope.ivars:
+        targets = [v for v in scope.ivars if v not in scope.counters]
+        if not targets:
             return self._stmt_decl_var(scope, depth, in_unrolled)
-        target = rng.choice(scope.ivars)
+        target = rng.choice(targets)
         if rng.random() < 0.4:
             op = rng.choice(["+=", "-=", "*=", "^=", "|=", "&="])
             return Node("%s %s %s;" % (target, op, self._var_expr(scope, 2)))
@@ -525,6 +531,7 @@ class ProgramGenerator:
                                      rng.randint(1, 3))
         inner = scope.child(tainted=True, const_ctrl=False)
         inner.ivars.append(ivar)
+        inner.counters.append(ivar)
         # Generate the continue guard *before* the body so it cannot
         # reference variables declared later in the loop.
         guard = (Node("if (%s) continue;" % self._cond(inner, 0))

@@ -43,8 +43,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
 from ..backends import get_backend
-from ..codecache import CacheConfig
-from ..faults import NON_RAISING_SITES, FaultPlan
+from ..faults import NON_RAISING_SITES
 from ..frontend.errors import AnnotationError, CompileError
 from ..frontend.parser import parse
 from ..frontend.typecheck import check
@@ -52,6 +51,7 @@ from ..ir.builder import build_module
 from ..machine.costs import StitcherCosts
 from ..machine.vm import VMError
 from ..opt.pipeline import OptOptions
+from ..runtime.config import RunConfig
 from ..runtime.engine import Program, compile_program
 from ..runtime.interp import Interpreter, InterpError
 from ..runtime.tiering import TierPolicy
@@ -166,6 +166,7 @@ def _vm_globals(program: Program) -> Dict[str, List[Number]]:
 
 
 def _vm_leg(leg: str, source: str, args: List[int], mode: str,
+            config: RunConfig,
             opt_options: Optional[OptOptions] = None,
             use_reachability: bool = True,
             stitcher_costs: Optional[StitcherCosts] = None,
@@ -173,20 +174,13 @@ def _vm_leg(leg: str, source: str, args: List[int], mode: str,
             runs: int = 1,
             check_invariants: bool = True,
             max_cycles: int = 200_000_000,
-            cache_config: Optional[CacheConfig] = None,
-            faults: Optional[str] = None,
-            tier: Optional[str] = None,
-            stitch: Optional[str] = None,
-            backend: Optional[str] = None,
             ) -> Tuple[OracleOutcome, Optional[Program], list]:
     try:
         program = compile_program(
             source, mode=mode, opt_options=opt_options,
             use_reachability=use_reachability,
             stitcher_costs=stitcher_costs,
-            register_actions=register_actions,
-            cache_config=cache_config, tier=tier, stitch=stitch,
-            backend=backend)
+            register_actions=register_actions, config=config)
     except AnnotationError as exc:
         return (OracleOutcome(leg, "annotation-reject",
                               error="%s: %s" % (type(exc).__name__, exc)),
@@ -201,9 +195,8 @@ def _vm_leg(leg: str, source: str, args: List[int], mode: str,
             # A fresh deterministic plan per run: repeated runs on the
             # cached VM exercise different fault schedules while the
             # whole leg stays reproducible from (spec, run index).
-            plan = FaultPlan.parse(faults, seed=run_index)
             result = program.run("main", list(args), max_cycles=max_cycles,
-                                 fault_plan=plan)
+                                 faults=config.fault_plan(seed=run_index))
     except VMError as exc:
         return OracleOutcome(leg, "trap", error=str(exc)), program, []
     except AnnotationError as exc:
@@ -510,56 +503,51 @@ def run_oracle(source: str, args: List[int],
                register_actions_leg: bool = True,
                check_invariants: bool = True,
                max_cycles: int = 200_000_000,
-               cache_config: Optional[CacheConfig] = None,
-               faults: Optional[str] = None,
-               tier: Optional[str] = None,
-               stitch: Optional[str] = None,
-               backend: Optional[str] = None,
+               config: Union[RunConfig, str, None] = None,
                backend_leg: bool = True) -> OracleReport:
     """Run all legs on ``main(args...)`` and compare.
 
     The interpreter is the semantic baseline; static and dynamic (and
     the optional register-actions dynamic leg) are each compared
     against it, and dynamic is also compared against static so the
-    divergence report names the closest pair.  ``cache_config``
-    applies to the dynamic legs: a bounded cache must never change
-    observables, only stitch counts -- so the comparison against the
-    interpreter and static legs doubles as an eviction-correctness
-    proof.  ``faults`` (a :meth:`FaultPlan.parse` spec) likewise
-    applies only to the dynamic legs: under injected faults the engine
-    must degrade to the static fallback tier, never to a wrong answer,
-    so the same comparisons double as a degradation-correctness proof.
-    ``tier`` (a :meth:`TierPolicy.parse` spec), when adaptive, adds a
-    fourth execution leg -- the same dynamic program under the
-    adaptive tiering policy -- proving interp/static/stitched/tiered
-    all observe bit-identical results and that the tiering invariant
-    set (every entry logged once, no under-threshold promotions) holds
-    whatever the policy decides.
-    ``stitch`` (a :meth:`StitchQueueConfig.parse` spec) applies to
-    the same dynamic legs: under ``async`` queueing, entries are
-    served from fallback until their background stitch lands, and the
-    entry-log plus queue-conservation invariants must hold while every
-    observable still matches the interpreter bit-for-bit.
-    ``backend`` names the execution backend for every VM leg (default
-    ``rvm``); when ``backend_leg`` is true the oracle adds one more
-    dynamic leg -- the same configuration under the *other* registered
-    backend (``pycode`` when the primary is ``rvm`` and vice versa) --
-    and compares it bit-for-bit against both the interpreter and the
-    primary dynamic leg, proving the backend seam never changes a
-    simulated observable.
+    divergence report names the closest pair.  ``config`` (a
+    :class:`RunConfig` or its spec) configures the legs:
+
+    * the static leg runs on the config's backend only;
+    * the dynamic, register-actions and cross-backend legs run the
+      config with its tier reset to eager.  A bounded cache must never
+      change observables, only stitch counts; under injected faults
+      the engine must degrade to the static fallback tier, never to a
+      wrong answer; under ``async`` stitching entries run from
+      fallback until their background stitch lands -- so the
+      comparisons against the interpreter and static legs double as
+      eviction-, degradation- and queue-correctness proofs;
+    * an adaptive tier adds a tiered leg running the config as given,
+      proving interp/static/stitched/tiered all observe bit-identical
+      results and that the tiering invariant set (every entry logged
+      once, no under-threshold promotions) holds whatever the policy
+      decides.
+
+    Each dynamic run draws a fresh fault plan from the config's
+    faults spec, seeded by the run index unless the spec names
+    ``@SEED``.  When ``backend_leg`` is true the cross-backend leg
+    runs the *other* registered backend (``pycode`` when the primary
+    is ``rvm`` and vice versa) and is compared bit-for-bit against
+    both the interpreter and the primary dynamic leg, proving the
+    backend seam never changes a simulated observable.
     """
+    config = RunConfig.parse(config)
+    eager = config.replace(tier="eager")
     divergences: List[Divergence] = []
-    primary = get_backend(backend).name
+    primary = get_backend(config.backend).name
     interp = _interp_leg(source, args)
     static, _, _ = _vm_leg("static", source, args, "static",
-                           opt_options=opt_options,
-                           max_cycles=max_cycles, backend=primary)
+                           RunConfig(backend=config.backend),
+                           opt_options=opt_options, max_cycles=max_cycles)
     dynamic, dyn_program, dyn_invariants = _vm_leg(
-        "dynamic", source, args, "dynamic", opt_options=opt_options,
+        "dynamic", source, args, "dynamic", eager, opt_options=opt_options,
         use_reachability=use_reachability, runs=2,
-        check_invariants=check_invariants, max_cycles=max_cycles,
-        cache_config=cache_config, faults=faults, stitch=stitch,
-        backend=primary)
+        check_invariants=check_invariants, max_cycles=max_cycles)
     outcomes = {"interp": interp, "static": static, "dynamic": dynamic}
 
     _compare(interp, static, divergences)
@@ -575,11 +563,10 @@ def run_oracle(source: str, args: List[int],
         other = "pycode" if primary != "pycode" else "rvm"
         leg_name = "dynamic+%s" % other
         cross, _, cross_invariants = _vm_leg(
-            leg_name, source, args, "dynamic", opt_options=opt_options,
-            use_reachability=use_reachability, runs=2,
-            check_invariants=check_invariants, max_cycles=max_cycles,
-            cache_config=cache_config, faults=faults, stitch=stitch,
-            backend=other)
+            leg_name, source, args, "dynamic", eager.replace(backend=other),
+            opt_options=opt_options, use_reachability=use_reachability,
+            runs=2, check_invariants=check_invariants,
+            max_cycles=max_cycles)
         outcomes[leg_name] = cross
         _compare(interp, cross, divergences)
         if not any(leg_name in (d.left, d.right) for d in divergences):
@@ -590,24 +577,22 @@ def run_oracle(source: str, args: List[int],
 
     if register_actions_leg:
         actions, _, action_invariants = _vm_leg(
-            "dynamic+regactions", source, args, "dynamic",
+            "dynamic+regactions", source, args, "dynamic", eager,
             opt_options=opt_options, use_reachability=use_reachability,
             register_actions=True, check_invariants=check_invariants,
-            max_cycles=max_cycles, cache_config=cache_config,
-            faults=faults, stitch=stitch, backend=primary)
+            max_cycles=max_cycles)
         outcomes["dynamic+regactions"] = actions
         _compare(interp, actions, divergences)
         for failure in action_invariants:
             divergences.append(Divergence(
                 "invariant", "dynamic+regactions", "stitcher", failure))
 
-    if tier is not None and TierPolicy.parse(tier).adaptive:
+    if config.tier.adaptive:
         tiered, _, tier_invariants = _vm_leg(
-            "dynamic+tiered", source, args, "dynamic",
+            "dynamic+tiered", source, args, "dynamic", config,
             opt_options=opt_options, use_reachability=use_reachability,
             runs=2, check_invariants=check_invariants,
-            max_cycles=max_cycles, cache_config=cache_config,
-            faults=faults, tier=tier, stitch=stitch, backend=primary)
+            max_cycles=max_cycles)
         outcomes["dynamic+tiered"] = tiered
         _compare(interp, tiered, divergences)
         if not any("dynamic+tiered" in (d.left, d.right)

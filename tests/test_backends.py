@@ -25,8 +25,6 @@ from repro.bench.workloads import (
     calculator_workload, event_dispatcher_workload, record_sorter_workload,
     scalar_matrix_workload, sparse_matvec_workload,
 )
-from repro.codecache import CacheConfig
-from repro.faults import FaultPlan
 from repro.machine.isa import ARG_BASE, MInstr, RV, ZERO
 from repro.machine.vm import VM, VMError
 from repro.runtime.engine import compile_program
@@ -177,11 +175,10 @@ def test_pycode_matches_rvm_under_cache_pressure(spec: str) -> None:
     not open any observable gap between backends (the pycode overlay
     artifacts die with their entries)."""
     workload = CASES["event_dispatcher"]()
-    config = CacheConfig.parse(spec)
     rvm = compile_program(workload.source, mode="dynamic",
-                          cache_config=config, backend="rvm")
+                          cache=spec, backend="rvm")
     pycode = compile_program(workload.source, mode="dynamic",
-                             cache_config=config, backend="pycode")
+                             cache=spec, backend="pycode")
     for _ in range(2):
         assert full_snapshot(rvm.run()) == full_snapshot(pycode.run())
 
@@ -194,7 +191,7 @@ def test_pycode_matches_rvm_under_faults() -> None:
     for backend in ("rvm", "pycode"):
         program = compile_program(workload.source, mode="dynamic",
                                   backend=backend)
-        result = program.run(fault_plan=FaultPlan.parse("all:0.3@7"))
+        result = program.run(faults="all:0.3@7")
         snaps.append(full_snapshot(result))
     assert snaps[0] == snaps[1]
 

@@ -5,6 +5,10 @@ import sys
 
 import pytest
 
+import repro.__main__ as repro_main
+import repro.fuzz as fuzz_main
+import repro.obs.__main__ as obs_main
+
 PROGRAM = """
 int f(int c, int v) {
     dynamicRegion (c) {
@@ -111,7 +115,8 @@ def test_missing_file():
 # -- adaptive tiering ---------------------------------------------------------
 
 def test_tier_threshold_flag(source_file):
-    proc = run_cli(source_file, "--args", "10", "--tier", "threshold:2")
+    proc = run_cli(source_file, "--args", "10",
+                   "--config", "tier=threshold:2")
     assert proc.returncode == 0, proc.stderr
     assert "214" in proc.stdout
     assert "tier[threshold:2]" in proc.stdout
@@ -119,7 +124,8 @@ def test_tier_threshold_flag(source_file):
 
 
 def test_tier_breakeven_flag(source_file):
-    proc = run_cli(source_file, "--args", "10", "--tier", "breakeven:16")
+    proc = run_cli(source_file, "--args", "10",
+                   "--config", "tier=breakeven:16")
     assert proc.returncode == 0, proc.stderr
     assert "214" in proc.stdout
     assert "tier[breakeven:16]" in proc.stdout
@@ -131,15 +137,9 @@ def test_tier_eager_prints_no_tier_summary(source_file):
     assert "tier[" not in proc.stdout
 
 
-def test_tier_bad_spec_rejected(source_file):
-    proc = run_cli(source_file, "--tier", "sometimes")
-    assert proc.returncode == 2
-    assert "--tier" in proc.stderr
-
-
 def test_stitch_mode_async_flag(source_file):
     proc = run_cli(source_file, "--args", "10",
-                   "--stitch-mode", "async:drain=2")
+                   "--config", "stitch=async:drain=2")
     assert proc.returncode == 0, proc.stderr
     assert "214" in proc.stdout  # same value as the sync run
     assert "stitchq[async:drain=2]" in proc.stdout
@@ -152,10 +152,34 @@ def test_stitch_mode_sync_prints_no_queue_summary(source_file):
     assert "stitchq[" not in proc.stdout
 
 
-def test_stitch_mode_bad_spec_rejected(source_file):
-    proc = run_cli(source_file, "--stitch-mode", "sometimes")
-    assert proc.returncode == 2
-    assert "--stitch-mode" in proc.stderr
+# -- one bad --config token per field, on every CLI ---------------------------
+
+BAD_TOKENS = {
+    "backend": "backend=nope: unknown backend 'nope'",
+    "cache": "cache=lru:x: bad cache capacity in 'lru:x'",
+    "faults": "faults=bogus:1: unknown fault site 'bogus'",
+    "tier": "tier=sometimes: unknown tier mode 'sometimes'",
+    "stitch": "stitch=sometimes: unknown stitch mode 'sometimes'",
+}
+
+#: each CLI's entry point and the arguments before its --config flag.
+CLIS = {"repro": (repro_main.main, ["prog.c"]),
+        "fuzz": (fuzz_main.main, ["--iters", "0"]),
+        "obs": (obs_main.main, ["trace", "--workload", "calculator"])}
+
+
+@pytest.mark.parametrize("field", BAD_TOKENS)
+@pytest.mark.parametrize("cli", CLIS)
+def test_bad_config_token_rejected(cli, field, capsys):
+    """A malformed spec ends the run with one line naming --config, the
+    field and the bad token, and exit status 2 -- never a traceback."""
+    main, argv = CLIS[cli]
+    message = BAD_TOKENS[field]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + ["--config", message.partition(": ")[0]])
+    assert exit_info.value.code == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: --config " + message), line
 
 
 # -- bench --seed threading (regression) --------------------------------------

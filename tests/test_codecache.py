@@ -9,7 +9,7 @@ from repro import compile_program
 from repro.bench.cachepressure import compile_pressure_program
 from repro.codecache import CacheConfig, CacheKey, CodeArena, PoolArena
 from repro.codecache.keys import region_key
-from repro.fuzz import random_cache_config
+from repro.fuzz import random_config
 from repro.machine.isa import ARG_BASE, MInstr
 from repro.machine.vm import VM, VMError
 
@@ -315,7 +315,7 @@ def test_accounting_invariant_under_random_capacities():
     program = compile_pressure_program()
     baseline = program.run("main", [16, 5, 7])
     for iteration in range(200):
-        config = random_cache_config(11, iteration)
+        config = random_config(11, iteration).cache
         result = program.run("main", [16, 5, 7], cache=config)
         stats = result.cache_stats
         assert result.value == baseline.value, config.describe()

@@ -18,7 +18,6 @@ from repro import (
     ArenaExhausted, BreakerConfig, FaultPlan, ReproError, StitchBudget,
     StitchBudgetExceeded, StitchError, VMError, compile_program,
 )
-from repro.codecache import CacheConfig
 from repro.errors import RegionNotFound, mark_injected
 from repro.faults import FAULT_SITES
 from repro.machine.vm import VM
@@ -160,7 +159,7 @@ def test_every_raising_site_degrades_to_correct_fallback(site):
     expected = expected_value(KEYED, [4])
     program = compile_program(KEYED, mode="dynamic")
     result = program.run("main", [4],
-                         fault_plan=FaultPlan({site: 1.0}))
+                         faults=FaultPlan({site: 1.0}))
     assert result.value == expected
     assert result.fallbacks, "no degradation recorded"
     injected = [e for e in result.fallbacks if e.injected]
@@ -172,13 +171,12 @@ def test_every_raising_site_degrades_to_correct_fallback(site):
 
 
 def test_fallback_handles_float_pool_holes():
-    report = run_oracle(FLOATS, [6], faults="all:1.0")
+    report = run_oracle(FLOATS, [6], config="faults=all:1.0")
     assert report.ok, [str(d) for d in report.divergences]
 
 
 def test_fallback_under_faults_matches_oracle_with_bounded_cache():
-    report = run_oracle(KEYED, [8], faults="all:0.5",
-                        cache_config=CacheConfig.parse("lru:2"))
+    report = run_oracle(KEYED, [8], config="cache=lru:2 faults=all:0.5")
     assert report.ok, [str(d) for d in report.divergences]
 
 
@@ -239,7 +237,7 @@ def test_breaker_trips_then_recovers_end_to_end():
         breaker_config=BreakerConfig(threshold=3, backoff=2))
     result = program.run(
         "main", [9],
-        fault_plan=FaultPlan({"stitch.hole": 1.0}, limit=3))
+        faults=FaultPlan({"stitch.hole": 1.0}, limit=3))
     assert result.value == expected
     reasons = [event.reason for event in result.fallbacks]
     # Three injected failures trip the breaker; the cooldown serves
@@ -265,7 +263,7 @@ def test_checksum_failure_invalidates_and_restitches():
     program = compile_program(REVISIT, mode="dynamic")
     result = program.run(
         "main", [6],
-        fault_plan=FaultPlan({"cache.checksum": 1.0}, limit=1))
+        faults=FaultPlan({"cache.checksum": 1.0}, limit=1))
     assert result.value == expected
     stats = result.cache_stats
     assert stats.checksum_failures == 1, stats
@@ -283,7 +281,7 @@ def test_disabled_faults_are_bit_identical():
     guarded = compile_program(
         KEYED, mode="dynamic",
         breaker_config=BreakerConfig(threshold=1, backoff=64))
-    result = guarded.run("main", [7], fault_plan=inert_plan)
+    result = guarded.run("main", [7], faults=inert_plan)
     assert result.value == baseline.value
     assert result.cycles == baseline.cycles
     assert result.cycles_by_owner == baseline.cycles_by_owner

@@ -147,7 +147,7 @@ def test_export_subcommand_stdout_default(source_file, capsys):
 def test_health_subcommand_fires_under_faults(tmp_path, source_file,
                                               capsys):
     json_path = tmp_path / "health.json"
-    code = obs_main(["health", source_file, "--faults", "all:0.2@7",
+    code = obs_main(["health", source_file, "--config", "faults=all:0.2@7",
                      "--expect-firing", "--json", str(json_path)])
     assert code == 0
     out = capsys.readouterr().out

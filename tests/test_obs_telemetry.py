@@ -293,11 +293,9 @@ def test_evaluate_rate_ratio_and_zero_denominator():
 
 def _oracle_dynamic_result(faults=None):
     from repro.bench.workloads import calculator_workload
-    from repro.faults import FaultPlan
     from repro.runtime.engine import compile_program
-    plan = FaultPlan.parse(faults) if faults else None
     program = compile_program(calculator_workload().source,
-                              mode="dynamic", fault_plan=plan)
+                              mode="dynamic", faults=faults)
     return program.run()
 
 

@@ -26,7 +26,6 @@ import hypothesis.strategies as st
 from hypothesis import example, given, settings
 
 from repro import compile_program
-from repro.faults import FaultPlan
 
 SOURCE = """
 int region(int k, int v) {
@@ -96,10 +95,6 @@ def pack(keys):
 
 
 def run(backend, keys, **kwargs):
-    from repro.codecache import CacheConfig
-    cache = kwargs.pop("cache", None)
-    if cache is not None:
-        kwargs["cache"] = CacheConfig.parse(cache)
     return PROGRAMS[backend].run("main", [pack(keys), len(keys)],
                                  **kwargs)
 
@@ -121,7 +116,7 @@ def test_partition_and_conservation_under_chaos(keys, backend, stitch,
     bounded cache -- and the observable result never changes."""
     reference = run(backend, keys)
     result = run(backend, keys, stitch=stitch, tier=tier, cache=cache,
-                 fault_plan=FaultPlan.parse(faults))
+                 faults=faults)
     assert result.value == reference.value
 
     # Cycle conservation: every cycle has exactly one owner.

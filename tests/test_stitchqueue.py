@@ -144,7 +144,7 @@ def test_failed_landing_retries_with_backoff_then_lands():
     sync = program.run("main", [16])
     run = program.run(
         "main", [16], stitch="async:drain=2,retries=2,backoff=2",
-        fault_plan=FaultPlan({"stitch.table": 1.0}, limit=1))
+        faults=FaultPlan({"stitch.table": 1.0}, limit=1))
     qs = run.queue_stats
     assert run.value == sync.value
     assert qs.retries == 1 and queue_conserves(qs)
@@ -159,7 +159,7 @@ def test_retries_exhausted_cancels_job_as_failed():
     sync = program.run("main", [16])
     run = program.run(
         "main", [16], stitch="async:drain=2,retries=1,backoff=1",
-        fault_plan=FaultPlan({"stitch.table": 1.0}))
+        faults=FaultPlan({"stitch.table": 1.0}))
     qs = run.queue_stats
     assert run.value == sync.value
     assert qs.cancelled.get("failed", 0) > 0 or \
@@ -171,7 +171,7 @@ def test_queue_drop_fault_accounting():
     program = compile_program(KEYED, mode="dynamic")
     sync = program.run("main", [16])
     run = program.run("main", [16], stitch="async:drain=2",
-                      fault_plan=FaultPlan({"queue.drop": 1.0}))
+                      faults=FaultPlan({"queue.drop": 1.0}))
     qs = run.queue_stats
     assert run.value == sync.value
     assert qs.dropped == run.fault_counts["queue.drop"] > 0
@@ -190,13 +190,11 @@ def test_queue_under_bounded_cache_cancels_on_eviction():
     from repro.bench.cachepressure import (
         DEFAULT_SEED, compile_pressure_program,
     )
-    from repro.codecache import CacheConfig
 
     program = compile_pressure_program()
     args = [120, 8, DEFAULT_SEED]
     baseline = program.run("main", list(args))
-    run = program.run("main", list(args),
-                      cache=CacheConfig(policy="lru", max_entries=2),
+    run = program.run("main", list(args), cache="lru:2",
                       stitch="async:drain=2")
     assert run.value == baseline.value
     qs = run.queue_stats

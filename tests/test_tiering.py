@@ -18,7 +18,6 @@ import pytest
 
 from repro import BreakerConfig, FaultPlan, compile_program
 from repro.bench.cachepressure import compile_pressure_program
-from repro.codecache import CacheConfig
 from repro.codecache.policy import CostAwarePolicy
 from repro.runtime.tiering import (
     TIER_COUNTER_CYCLES, TIER_DECIDE_CYCLES, TierPolicy,
@@ -190,7 +189,7 @@ def test_eager_never_consults_tier_flip():
     program = compile_program(ROUND_ROBIN, mode="dynamic")
     baseline = program.run("main", [10, 2])
     flipped = program.run("main", [10, 2],
-                          fault_plan=FaultPlan({"tier.flip": 1.0}))
+                          faults=FaultPlan({"tier.flip": 1.0}))
     assert flipped.value == baseline.value
     assert flipped.cycles == baseline.cycles
     assert flipped.cycles_by_owner == baseline.cycles_by_owner
@@ -349,7 +348,7 @@ def test_tier_flip_is_economically_wrong_never_semantically():
     *nothing* -- and still computes the right answer, cold."""
     program = compile_program(ROUND_ROBIN, mode="dynamic")
     result = program.run("main", [10, 2], tier="threshold:1",
-                         fault_plan=FaultPlan({"tier.flip": 1.0}))
+                         faults=FaultPlan({"tier.flip": 1.0}))
     assert result.value == round_robin_value(10, 2)
     assert result.stitch_reports == []
     assert len(result.cold_entries) == 10
@@ -368,7 +367,7 @@ def test_failed_speculative_stitch_counts_demotion():
     program = compile_program(SPECULATE, mode="dynamic")
     result = program.run(
         tier="threshold:3,spec=2",
-        fault_plan=FaultPlan({"stitch.hole": 0.5}, seed=22))
+        faults=FaultPlan({"stitch.hole": 0.5}, seed=22))
     assert result.value == static_value(SPECULATE)
     assert [r.key for r in result.stitch_reports] == [(0,)]
     assert sorted(e.key for e in result.fallbacks) == [(1,), (2,)]
@@ -409,7 +408,7 @@ def test_breaker_outranks_tiering():
         breaker_config=BreakerConfig(threshold=3, backoff=2))
     result = program.run(
         "main", [9], tier="threshold:1",
-        fault_plan=FaultPlan({"stitch.hole": 1.0}, limit=3))
+        faults=FaultPlan({"stitch.hole": 1.0}, limit=3))
     assert result.value == static_value(FRESH_KEYS, [9])
     reasons = [event.reason for event in result.fallbacks]
     assert reasons[:3] == ["fault", "fault", "fault"]
@@ -464,7 +463,7 @@ def test_tiered_bounded_cache_preserves_results():
     baseline = program.run("main", [60, 8, 7])
     for cache in ("lru:2", "cost-aware:2"):
         result = program.run("main", [60, 8, 7], tier="threshold:2",
-                             cache=CacheConfig.parse(cache))
+                             cache=cache)
         assert result.value == baseline.value, cache
         stats = result.tier_stats[("region", 1)]
         # Re-stitches of promoted keys count as promotions too.
@@ -478,12 +477,11 @@ def test_tiered_bounded_cache_preserves_results():
 # -- the differential oracle, tiered leg --------------------------------------
 
 def test_oracle_passes_with_tiered_leg():
-    report = run_oracle(ROUND_ROBIN, [12, 3], tier="threshold:2")
+    report = run_oracle(ROUND_ROBIN, [12, 3], config="tier=threshold:2")
     assert report.ok, [str(d) for d in report.divergences]
 
 
 def test_oracle_passes_tiered_under_faults_and_bounded_cache():
-    report = run_oracle(FRESH_KEYS, [8], tier="breakeven:64,spec=1",
-                        faults="all:0.2",
-                        cache_config=CacheConfig.parse("lru:2"))
+    report = run_oracle(FRESH_KEYS, [8], config="cache=lru:2 faults=all:0.2 "
+                        "tier=breakeven:64,spec=1")
     assert report.ok, [str(d) for d in report.divergences]
