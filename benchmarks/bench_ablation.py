@@ -33,8 +33,8 @@ def test_fused_stitcher_cuts_overhead(benchmark):
     workload = sparse_matvec_workload(size=16, per_row=4, reps=4)
 
     def run():
-        separate = measure(workload)
-        fused = measure(workload, stitcher_costs=FUSED_STITCHER)
+        separate = measure(workload).region
+        fused = measure(workload, stitcher_costs=FUSED_STITCHER).region
         return separate, fused
 
     separate, fused = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -42,17 +42,17 @@ def test_fused_stitcher_cuts_overhead(benchmark):
         "ablation/fused-stitcher (sparse): overhead %d -> %d cycles "
         "(%.1fx cheaper), speedup %.2fx -> %.2fx (asymptotics preserved), "
         "breakeven %s -> %s executions" % (
-            separate.overhead, fused.overhead,
-            separate.overhead / max(1, fused.overhead),
+            separate.overhead_cycles, fused.overhead_cycles,
+            separate.overhead_cycles / max(1, fused.overhead_cycles),
             separate.speedup, fused.speedup,
-            separate.breakeven_executions, fused.breakeven_executions,
+            separate.breakeven_runs, fused.breakeven_runs,
         ))
     # drastic overhead reduction...
-    assert fused.overhead < separate.overhead / 3
+    assert fused.overhead_cycles < separate.overhead_cycles / 3
     # ...without affecting asymptotic speedup
     assert abs(fused.speedup - separate.speedup) / separate.speedup < 0.01
     # and a correspondingly earlier breakeven
-    assert fused.breakeven_executions < separate.breakeven_executions
+    assert fused.breakeven_runs < separate.breakeven_runs
 
 
 def test_reachability_analysis_contribution(benchmark):
@@ -64,10 +64,10 @@ def test_reachability_analysis_contribution(benchmark):
         # constant, and the unrolled loop's induction chain survives
         # only because unrolled headers are special-cased.
         try:
-            without = measure(workload, use_reachability=False)
+            without = measure(workload, use_reachability=False).region
         except Exception as exc:  # may even fail to set up
             without = exc
-        with_reach = measure(workload, use_reachability=True)
+        with_reach = measure(workload, use_reachability=True).region
         return with_reach, without
 
     with_reach, without = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -99,10 +99,10 @@ def test_peepholes_carry_scalar_matrix(benchmark):
     record_line(
         "ablation/peepholes (scalar-matrix): speedup %.2fx with "
         "strength reduction vs %.2fx without" %
-        (with_peep.speedup, without_peep.speedup))
-    assert with_peep.speedup > without_peep.speedup
+        (with_peep.region.speedup, without_peep.region.speedup))
+    assert with_peep.region.speedup > without_peep.region.speedup
     # without strength reduction the kernel barely beats static code
-    assert without_peep.speedup < 1.15
+    assert without_peep.region.speedup < 1.15
     assert not without_peep.optimizations["strength_reduction"]
 
 
@@ -117,21 +117,22 @@ def test_overhead_scales_linearly_with_stitcher_cost(benchmark):
 
     def run():
         return [measure(workload,
-                        stitcher_costs=StitcherCosts().scaled(factor))
+                        stitcher_costs=StitcherCosts().scaled(factor)).region
                 for factor in (0.5, 1.0, 2.0)]
 
     half, base, double = benchmark.pedantic(run, rounds=1, iterations=1)
     record_line(
         "ablation/cost-sweep (calculator): overhead %d / %d / %d cycles "
         "at 0.5x / 1x / 2x stitcher cost; speedup stays %.2fx"
-        % (half.overhead, base.overhead, double.overhead, base.speedup))
+        % (half.overhead_cycles, base.overhead_cycles,
+           double.overhead_cycles, base.speedup))
     assert half.speedup == base.speedup == double.speedup
     # Stitcher cycles scale ~linearly with the cost model (4x from
     # factor 0.5 to factor 2.0; set-up code cost is unaffected).
     ratio = double.stitcher_cycles / half.stitcher_cycles
     assert 3.5 < ratio < 4.5
-    assert half.breakeven_executions < base.breakeven_executions \
-        < double.breakeven_executions
+    assert half.breakeven_runs < base.breakeven_runs \
+        < double.breakeven_runs
 
 
 def test_keyed_cache_reuses_compiled_code(benchmark):

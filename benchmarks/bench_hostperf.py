@@ -1,130 +1,54 @@
-"""Host wall-clock benchmark for the Table 2 workloads.
+"""Host-speedup gate: pycode must run VM-bound workloads >=5x faster.
 
 Unlike the cycle-accurate Table 2/3 benches (which measure *simulated*
-cycles), this script measures how long the host takes to run the
-reproduction itself: static-pipeline compile time, first run (VM build
-+ load + stitch), and steady-state repeat runs of the same
-:class:`~repro.runtime.engine.Program`.  It seeds and extends the
-repo's host-performance trajectory in ``BENCH_hostperf.json``.
+cycles), this script gates how long the host takes to run the
+reproduction itself.  It reads the flight recorder's hostperf rows
+(:func:`repro.obs.history.hostperf_rows`, the measurement behind
+``python -m repro.obs record|compare hostperf``): compile time, first
+run and best-of-``--runs`` steady-state reruns of every Table 2
+workload under both backends, after that measurement has checked each
+workload's expected value, rerun determinism and bit-identical
+simulated observables across backends.  It writes no file; the host
+trajectory lives in ``BENCH_hostperf.json`` via ``repro.obs record``.
 
-The JSON file keeps two snapshots:
-
-* ``baseline`` -- the numbers recorded the first time the script ran
-  (the pre-optimization state).  Never overwritten unless the file is
-  deleted or ``--rebaseline`` is passed.
-* ``current``  -- the numbers from the latest invocation, plus
-  ``speedup_vs_baseline`` ratios (baseline seconds / current seconds).
-
-With ``--backend pycode`` the script measures every workload under
-*both* backends, verifies the simulated observables are bit-identical,
-and gates the steady-state host speedup: every **VM-bound** workload
-must run at least ``--gate-speedup`` (default 5x) faster under pycode.
-VM-bound is defined objectively: the share of rvm steady-state host
-time spent inside runtime services (``VM._call_rt``: region lookup,
-stitching, allocation, printing) is below ``--vm-bound-rt-share``
-(default 10%).  Runtime-service host cost is a backend-independent
-floor -- a workload that spends a third of its wall clock there can
-never reach 5x end-to-end no matter how fast stitched code executes --
-so the gate applies where the backend actually runs the show.
+The gate: every **VM-bound** workload must run at least 5x faster
+steady-state under pycode than under rvm.  VM-bound is defined
+objectively: the share of rvm steady-state host time spent inside
+runtime services (``VM._call_rt``: region lookup, stitching,
+allocation, printing) is below 10%.  Runtime-service host cost is a
+backend-independent floor -- a workload that spends a third of its
+wall clock there can never reach 5x end-to-end no matter how fast
+stitched code executes -- so the gate applies where the backend
+actually runs the show.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_hostperf.py           # full
     PYTHONPATH=src python benchmarks/bench_hostperf.py --quick   # smoke
-    PYTHONPATH=src python benchmarks/bench_hostperf.py --backend pycode
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import platform
 import sys
 import time
 from pathlib import Path
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, List
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 if not any(Path(p).resolve() == REPO_ROOT / "src"
            for p in sys.path if p):
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.backends import get_backend  # noqa: E402
-from repro.bench.workloads import (  # noqa: E402
-    calculator_workload, event_dispatcher_workload, record_sorter_workload,
-    scalar_matrix_workload, sparse_matvec_workload,
-)
 from repro.machine.vm import VM  # noqa: E402
+from repro.obs.history import hostperf_rows, hostperf_workloads  # noqa: E402
 from repro.runtime.engine import compile_program  # noqa: E402
 
-OUTPUT_PATH = REPO_ROOT / "BENCH_hostperf.json"
-
-#: name -> zero-argument builder, in Table 2 row order.
-WORKLOADS: List[Tuple[str, Callable]] = [
-    ("calculator", calculator_workload),
-    ("scalar_matrix", scalar_matrix_workload),
-    ("sparse_matvec_large",
-     lambda: sparse_matvec_workload(size=24, per_row=5)),
-    ("sparse_matvec_small",
-     lambda: sparse_matvec_workload(size=12, per_row=3)),
-    ("event_dispatcher", event_dispatcher_workload),
-    ("record_sorter_1key",
-     lambda: record_sorter_workload(keys=[(0, 0)])),
-    ("record_sorter_2key",
-     lambda: record_sorter_workload(keys=[(2, 1), (0, 2)])),
-]
-
-QUICK_WORKLOADS = {"calculator", "sparse_matvec_small"}
-
-
-def bench_workload(name: str, builder: Callable, steady_runs: int,
-                   backend: str = "rvm"):
-    """Measure one workload; returns ``(row, first RunResult)``."""
-    workload = builder()
-    t0 = time.perf_counter()
-    program = compile_program(workload.source, mode="dynamic",
-                              backend=backend)
-    compile_s = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    first = program.run()
-    first_run_s = time.perf_counter() - t0
-    if workload.expected is not None and first.value != workload.expected:
-        raise AssertionError("%s: result %d != expected %d"
-                             % (name, first.value, workload.expected))
-
-    steady_samples: List[float] = []
-    for _ in range(steady_runs):
-        t0 = time.perf_counter()
-        result = program.run()
-        steady_samples.append(time.perf_counter() - t0)
-        if result.value != first.value or result.cycles != first.cycles:
-            raise AssertionError(
-                "%s: nondeterministic rerun (value %r/%r, cycles %d/%d)"
-                % (name, first.value, result.value,
-                   first.cycles, result.cycles))
-
-    return {
-        "compile_s": round(compile_s, 6),
-        "first_run_s": round(first_run_s, 6),
-        "steady_run_s": round(min(steady_samples), 6),
-        "simulated_cycles": first.cycles,
-        "config": workload.config,
-        "backend": backend,
-    }, first
-
-
-def observables(result) -> Dict[str, object]:
-    """The simulated observables the backend seam must preserve."""
-    return {
-        "value": result.value,
-        "float_value": result.float_value,
-        "output": list(result.output),
-        "cycles": result.cycles,
-        "cycles_by_owner": dict(result.cycles_by_owner),
-        "instrs_by_owner": dict(result.instrs_by_owner),
-        "op_counts": dict(result.op_counts),
-    }
+#: Minimum steady-state pycode speedup over rvm on a VM-bound workload.
+GATE_SPEEDUP = 5.0
+#: A workload is VM-bound when rvm spends less than this fraction of
+#: its steady-state host time in runtime services.
+VM_BOUND_RT_SHARE = 0.10
 
 
 def rvm_rt_share(builder: Callable, steady_runs: int) -> float:
@@ -163,174 +87,40 @@ def rvm_rt_share(builder: Callable, steady_runs: int) -> float:
     return best_rt / best_total if best_total > 0 else 0.0
 
 
-def run_suite(quick: bool, steady_runs: int,
-              backend: str = "rvm") -> Dict[str, Dict[str, object]]:
-    rows: Dict[str, Dict[str, object]] = {}
-    for name, builder in WORKLOADS:
-        if quick and name not in QUICK_WORKLOADS:
-            continue
-        rows[name], _ = bench_workload(name, builder, steady_runs,
-                                       backend=backend)
-        print("%-22s compile %7.3fs  first %7.3fs  steady %7.3fs"
-              % (name, rows[name]["compile_s"], rows[name]["first_run_s"],
-                 rows[name]["steady_run_s"]))
-    return rows
-
-
-def run_comparison(quick: bool, steady_runs: int, backend: str,
-                   gate_speedup: float, vm_bound_rt_share: float,
-                   gate: bool) -> Tuple[Dict[str, Dict[str, object]],
-                                        List[str]]:
-    """Measure rvm and ``backend`` side by side; returns ``(rows,
-    gate failures)``.  Every workload's simulated observables must be
-    bit-identical across backends; VM-bound workloads must clear the
-    steady-state speedup gate."""
-    rows: Dict[str, Dict[str, object]] = {}
-    failures: List[str] = []
-    for name, builder in WORKLOADS:
-        if quick and name not in QUICK_WORKLOADS:
-            continue
-        rvm_row, rvm_first = bench_workload(name, builder, steady_runs,
-                                            backend="rvm")
-        alt_row, alt_first = bench_workload(name, builder, steady_runs,
-                                            backend=backend)
-        if observables(rvm_first) != observables(alt_first):
-            raise AssertionError(
-                "%s: simulated observables differ between rvm and %s"
-                % (name, backend))
-        share = rvm_rt_share(builder, steady_runs)
-        speedup = (float(rvm_row["steady_run_s"])
-                   / max(1e-12, float(alt_row["steady_run_s"])))
-        vm_bound = share < vm_bound_rt_share
-        alt_row["speedup_vs_rvm"] = round(speedup, 3)
-        alt_row["rvm_rt_share"] = round(share, 4)
-        alt_row["vm_bound"] = vm_bound
-        rows[name] = rvm_row
-        rows["%s@%s" % (name, backend)] = alt_row
-        verdict = ""
-        if vm_bound and gate:
-            if speedup >= gate_speedup:
-                verdict = "  GATE PASS (>= %.1fx)" % gate_speedup
-            else:
-                verdict = "  GATE FAIL (< %.1fx)" % gate_speedup
-                failures.append(
-                    "%s: VM-bound (rt share %.1f%%) but only %.2fx"
-                    % (name, share * 100, speedup))
-        print("%-22s rvm %7.4fs  %s %7.4fs  %6.2fx  rt-share %5.1f%%"
-              " %s%s"
-              % (name, rvm_row["steady_run_s"], backend,
-                 alt_row["steady_run_s"], speedup, share * 100,
-                 "VM-bound" if vm_bound else "rt-bound", verdict))
-    return rows, failures
-
-
-def speedups(baseline: Dict[str, Dict[str, object]],
-             current: Dict[str, Dict[str, object]]) -> Dict[str, Dict[str, float]]:
-    out: Dict[str, Dict[str, float]] = {}
-    for name, row in current.items():
-        base = baseline.get(name)
-        if not base:
-            continue
-        ratios = {}
-        for metric in ("compile_s", "first_run_s", "steady_run_s"):
-            cur = float(row[metric])
-            if cur > 0 and metric in base:
-                ratios[metric.replace("_s", "")] = round(
-                    float(base[metric]) / cur, 3)
-        out[name] = ratios
-    return out
-
-
 def main(argv: List[str] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true",
                         help="smoke mode: two workloads, one steady run")
     parser.add_argument("--runs", type=int, default=3,
                         help="steady-state repetitions (best-of)")
-    parser.add_argument("--rebaseline", action="store_true",
-                        help="overwrite the recorded baseline")
-    parser.add_argument("--backend", default="rvm", metavar="NAME",
-                        help="execution backend to measure; anything "
-                             "other than rvm triggers the side-by-side "
-                             "comparison (bit-identity check + VM-bound "
-                             "speedup gate)")
-    parser.add_argument("--gate-speedup", type=float, default=5.0,
-                        help="minimum steady-state speedup a VM-bound "
-                             "workload must show under the compared "
-                             "backend (default 5.0)")
-    parser.add_argument("--vm-bound-rt-share", type=float, default=0.10,
-                        help="a workload is VM-bound when rvm spends "
-                             "less than this fraction of steady-state "
-                             "host time in runtime services (default "
-                             "0.10)")
-    parser.add_argument("--no-gate", action="store_true",
-                        help="report comparison numbers without failing "
-                             "on a missed speedup gate")
-    parser.add_argument("--output", type=Path, default=OUTPUT_PATH)
     args = parser.parse_args(argv)
 
-    try:
-        backend = get_backend(args.backend).name
-    except ValueError as exc:
-        print("error: --backend %s" % exc, file=sys.stderr)
-        return 2
-
     steady_runs = 1 if args.quick else max(1, args.runs)
-    gate_failures: List[str] = []
-    if backend == "rvm":
-        current = run_suite(args.quick, steady_runs)
-    else:
-        current, gate_failures = run_comparison(
-            args.quick, steady_runs, backend,
-            gate_speedup=args.gate_speedup,
-            vm_bound_rt_share=args.vm_bound_rt_share,
-            gate=not args.no_gate)
-
-    existing: Dict[str, object] = {}
-    if args.output.exists():
-        existing = json.loads(args.output.read_text())
-    baseline = existing.get("baseline")
-    if args.rebaseline or not baseline:
-        baseline = current
-    if args.quick and existing.get("current"):
-        # Don't clobber a full run's numbers with a smoke subset.
-        merged = dict(existing["current"])
-        merged.update(current)
-        current_out = merged
-    else:
-        current_out = current
-
-    payload = {
-        "schema": 1,
-        "note": "host wall-clock seconds; simulated cycles are "
-                "mode-independent observables",
-        "meta": {
-            "python": platform.python_version(),
-            "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
-            "steady_runs": steady_runs,
-            "quick": args.quick,
-            "backend": backend,
-        },
-        "baseline": baseline,
-        "current": current_out,
-        "speedup_vs_baseline": speedups(baseline, current_out),
-    }
-    if existing.get("trajectory"):
-        # The flight recorder (repro.obs.history) appends trajectory
-        # entries into this same file; keep them across rewrites.
-        payload["trajectory"] = existing["trajectory"]
-    args.output.write_text(json.dumps(payload, indent=2, sort_keys=True)
-                           + "\n")
-    print("wrote %s" % args.output)
-    for name, ratios in payload["speedup_vs_baseline"].items():
-        if "steady_run" in ratios:
-            print("  %-22s steady-state speedup vs baseline: %.2fx"
-                  % (name, ratios["steady_run"]))
-    if gate_failures:
-        for failure in gate_failures:
-            print("GATE FAILURE: %s" % failure, file=sys.stderr)
-        return 1
-    return 0
+    rows = hostperf_rows(quick=args.quick, steady_runs=steady_runs)
+    failures: List[str] = []
+    for name, builder in hostperf_workloads(args.quick):
+        rvm, pycode = rows[name], rows[name + "@pycode"]
+        share = rvm_rt_share(builder, steady_runs)
+        speedup = (float(rvm["steady_run_s"])
+                   / max(1e-12, float(pycode["steady_run_s"])))
+        vm_bound = share < VM_BOUND_RT_SHARE
+        verdict = ""
+        if vm_bound:
+            if speedup >= GATE_SPEEDUP:
+                verdict = "  GATE PASS (>= %.1fx)" % GATE_SPEEDUP
+            else:
+                verdict = "  GATE FAIL (< %.1fx)" % GATE_SPEEDUP
+                failures.append(
+                    "%s: VM-bound (rt share %.1f%%) but only %.2fx"
+                    % (name, share * 100, speedup))
+        print("%-22s rvm %7.4fs  pycode %7.4fs  %6.2fx  rt-share %5.1f%%"
+              " %s%s"
+              % (name, rvm["steady_run_s"], pycode["steady_run_s"],
+                 speedup, share * 100,
+                 "VM-bound" if vm_bound else "rt-bound", verdict))
+    for failure in failures:
+        print("GATE FAILURE: %s" % failure, file=sys.stderr)
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

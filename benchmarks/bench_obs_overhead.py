@@ -4,8 +4,9 @@ The obs hooks (repro.obs) ship disabled; their cost while disabled is
 one attribute/global load and branch per hook site, plus the region
 runtime's (deliberately unconditional) entry/cache-hit accounting.
 This script measures that cost **in-process on one machine** -- no
-cross-machine noise -- by timing steady-state runs of the
-bench_hostperf quick workloads three ways:
+cross-machine noise -- by timing steady-state runs of the quick
+hostperf workloads (``repro.obs.history.hostperf_workloads``) three
+ways:
 
 * **shipped**  -- the code as committed (observability present, off);
 * **bare**     -- the same run with the region runtime's hot hook
@@ -35,28 +36,19 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import Callable, Dict, List, Tuple
+from typing import Dict, List
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 if not any(Path(p).resolve() == REPO_ROOT / "src"
            for p in sys.path if p):
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.bench.workloads import (  # noqa: E402
-    calculator_workload, sparse_matvec_workload,
-)
 from repro.codecache import CacheKey, region_key  # noqa: E402
 from repro.machine.isa import CPOOL  # noqa: E402
 from repro.obs import timeseries as obs_ts  # noqa: E402
+from repro.obs.history import hostperf_workloads  # noqa: E402
 from repro.obs.metrics import registry as obs_registry  # noqa: E402
 from repro.runtime.engine import _RegionRuntime, compile_program  # noqa: E402
-
-#: Same set as bench_hostperf's --quick mode.
-WORKLOADS: List[Tuple[str, Callable]] = [
-    ("calculator", calculator_workload),
-    ("sparse_matvec_small",
-     lambda: sparse_matvec_workload(size=12, per_row=3)),
-]
 
 
 def _bare_lookup(self, vm, instr):
@@ -77,7 +69,7 @@ def _bare_lookup(self, vm, instr):
 def measure(runs: int) -> Dict[str, Dict[str, float]]:
     rows: Dict[str, Dict[str, float]] = {}
     shipped_lookup = _RegionRuntime.lookup
-    for name, builder in WORKLOADS:
+    for name, builder in hostperf_workloads(quick=True):
         workload = builder()
         program = compile_program(workload.source, mode="dynamic")
         program.run()  # warm: build VM, load, first stitch

@@ -10,34 +10,31 @@ interpreted expression's stack traffic into register moves.
 """
 
 from repro import compile_program
-from repro.bench.harness import measure
+from repro.bench.harness import measure, region_row
 from repro.bench.workloads import calculator_workload
 
 from conftest import record_line
 
 
-def measure_with_register_actions(workload):
+def run_with_register_actions(workload):
     program = compile_program(workload.source, mode="dynamic",
                               register_actions=True)
     result = program.run()
     assert result.value == workload.expected
-    breakdown = result.region_cycles(workload.region_func,
-                                     workload.region_id, "dynamic")
-    per_exec = (breakdown["stitched"] + breakdown["dispatch"]) \
-        / workload.executions
-    return per_exec, result
+    return result
 
 
 def test_register_actions_speedup(benchmark):
     workload = calculator_workload()
     plain = measure(workload)
 
-    per_exec, result = benchmark.pedantic(
-        lambda: measure_with_register_actions(workload),
+    result = benchmark.pedantic(
+        lambda: run_with_register_actions(workload),
         rounds=1, iterations=1)
 
-    speedup_plain = plain.speedup
-    speedup_actions = plain.static_per_execution / per_exec
+    speedup_plain = plain.region.speedup
+    speedup_actions = region_row(workload, plain.static_result,
+                                 result).speedup
     (report,) = result.stitch_reports
     record_line(
         "register actions (calculator): plain dynamic %.2fx -> with "

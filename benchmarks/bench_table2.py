@@ -34,12 +34,13 @@ from conftest import attach_info, record_row, run_measurement
 def test_calculator(benchmark):
     row = record_row(run_measurement(calculator_workload(), benchmark))
     attach_info(benchmark, row)
-    assert row.speedup > 1.5
-    assert row.breakeven_executions is not None
-    assert 10 <= row.breakeven_executions <= 5000
+    region = row.region
+    assert region.speedup > 1.5
+    assert region.breakeven_runs is not None
+    assert 10 <= region.breakeven_runs <= 5000
     # interpreting one expression beats 200+ cycles statically;
     # stitched code runs it in a fraction.
-    assert row.dynamic_per_execution < row.static_per_execution
+    assert region.dynamic_per_exec < region.static_per_exec
     assert row.optimizations["complete_loop_unrolling"]
     assert row.optimizations["static_branch_elimination"]
 
@@ -49,36 +50,36 @@ def test_scalar_matrix(benchmark):
     attach_info(benchmark, row)
     # the paper's 1.6: ours comes almost entirely from multiply
     # strength reduction, so it is moderate.
-    assert 1.1 <= row.speedup <= 2.5
+    assert 1.1 <= row.region.speedup <= 2.5
     assert row.optimizations["strength_reduction"]
     assert not row.optimizations["complete_loop_unrolling"]
     # one stitch per scalar key
-    assert row.stitches == row.executions
+    assert row.region.stitches == row.region.executions
 
 
 def test_sparse_matvec_large(benchmark):
     row = record_row(run_measurement(
         sparse_matvec_workload(size=24, per_row=5), benchmark))
     attach_info(benchmark, row)
-    assert 1.2 <= row.speedup <= 3.0   # paper: 1.8
+    assert 1.2 <= row.region.speedup <= 3.0   # paper: 1.8
     assert row.optimizations["complete_loop_unrolling"]
     assert row.optimizations["load_elimination"]
     # full unrolling makes this the largest stitched region
-    assert row.instrs_stitched > 400
+    assert row.region.instrs_stitched > 400
 
 
 def test_sparse_matvec_small(benchmark):
     row = record_row(run_measurement(
         sparse_matvec_workload(size=12, per_row=3), benchmark))
     attach_info(benchmark, row)
-    assert 1.2 <= row.speedup <= 3.0   # paper: 1.5
+    assert 1.2 <= row.region.speedup <= 3.0   # paper: 1.5
 
 
 def test_event_dispatcher(benchmark):
     row = record_row(run_measurement(
         event_dispatcher_workload(), benchmark))
     attach_info(benchmark, row)
-    assert row.speedup > 1.3            # paper: 1.4
+    assert row.region.speedup > 1.3            # paper: 1.4
     assert row.optimizations["static_branch_elimination"]
     assert row.optimizations["dead_code_elimination"]
     assert row.optimizations["complete_loop_unrolling"]
@@ -90,7 +91,7 @@ def test_record_sorter_one_key(benchmark):
     attach_info(benchmark, row)
     # the paper's weakest speedup (1.2): dispatch overhead on a tiny
     # region nearly cancels the win.
-    assert 1.0 < row.speedup < 1.6
+    assert 1.0 < row.region.speedup < 1.6
     assert row.optimizations["complete_loop_unrolling"]
 
 
@@ -98,7 +99,7 @@ def test_record_sorter_two_keys(benchmark):
     row = record_row(run_measurement(
         record_sorter_workload(keys=[(2, 1), (0, 2)]), benchmark))
     attach_info(benchmark, row)
-    assert 1.0 < row.speedup < 1.8
+    assert 1.0 < row.region.speedup < 1.8
     assert row.optimizations["static_branch_elimination"]
 
 
@@ -114,4 +115,4 @@ def test_breakeven_ordering():
         pytest.skip("table rows incomplete")
     sorter = by_name["record sorter"]
     calculator = by_name["calculator"]
-    assert sorter.speedup < calculator.speedup
+    assert sorter.region.speedup < calculator.region.speedup

@@ -18,6 +18,10 @@ economics describe):
 Both runs share one compiled program and deterministic key streams
 (the generator seed is threaded through ``main(n, card, seed)``), so
 the comparison is exact and reproducible -- no host timing involved.
+The cells and their measurement are the flight recorder's tiering
+rows (:func:`repro.obs.history.tiering_rows`, behind
+``python -m repro.obs record|compare tiering``); this script gates
+them.
 
 Usage::
 
@@ -31,59 +35,18 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Dict, List
+from typing import List
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 if not any(Path(p).resolve() == REPO_ROOT / "src"
            for p in sys.path if p):
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.bench.cachepressure import (  # noqa: E402
-    DEFAULT_SEED, compile_pressure_program,
-)
-
-#: (executions, cardinality, seed) cells: enough reuse for the hot
-#: keys to promote, enough cold tail for skipped stitches to matter.
-CELLS = [
-    (120, 8, DEFAULT_SEED),
-    (160, 12, DEFAULT_SEED),
-    (120, 8, 23),
-]
-
-
-def measure(tier_spec: str = "breakeven") -> List[Dict[str, object]]:
-    program = compile_pressure_program()
-    rows: List[Dict[str, object]] = []
-    for executions, cardinality, seed in CELLS:
-        args = [executions, cardinality, seed]
-        eager = program.run("main", list(args))
-        tiered = program.run("main", list(args), tier=tier_spec)
-        if tiered.value != eager.value:
-            raise AssertionError(
-                "tiered run changed the result: %r != %r (cell %r)"
-                % (tiered.value, eager.value, args))
-        delta_pct = ((tiered.cycles - eager.cycles) / eager.cycles
-                     * 100.0)
-        rows.append({
-            "cell": "n=%d card=%d seed=%d" % (executions, cardinality,
-                                              seed),
-            "eager_cycles": eager.cycles,
-            "tiered_cycles": tiered.cycles,
-            "delta_pct": round(delta_pct, 3),
-            "eager_stitches": len(eager.stitch_reports),
-            "tiered_stitches": len(tiered.stitch_reports),
-            "cold_entries": len(tiered.cold_entries),
-            "promotions": sum(s["promotions"]
-                              for s in tiered.tier_stats.values()),
-        })
-    return rows
+from repro.obs.history import tiering_rows  # noqa: E402
 
 
 def main(argv: List[str] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--tier", default="breakeven",
-                        help="adaptive tier spec to compare against "
-                             "eager (default: breakeven)")
     parser.add_argument("--gate", type=float, default=2.0, metavar="PCT",
                         help="max allowed total-cycle regression vs "
                              "eager, percent (default 2)")
@@ -91,7 +54,11 @@ def main(argv: List[str] = None) -> int:
                         help="also write the rows to this path")
     args = parser.parse_args(argv)
 
-    rows = measure(args.tier)
+    rows = []
+    for name, row in tiering_rows().items():
+        delta_pct = ((row["tiered_cycles"] - row["eager_cycles"])
+                     / row["eager_cycles"] * 100.0)
+        rows.append(dict(row, cell=name, delta_pct=round(delta_pct, 3)))
     print("%-24s %14s %14s %8s %9s %9s %6s %6s"
           % ("cell", "eager cyc", "tiered cyc", "delta", "stitches",
              "(eager)", "cold", "promo"))

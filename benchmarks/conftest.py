@@ -48,15 +48,7 @@ def run_measurement(workload: Workload, benchmark=None,
 def attach_info(benchmark, row: BenchmarkMeasurement) -> None:
     if benchmark is None:
         return
-    benchmark.extra_info.update({
-        "speedup": round(row.speedup, 3),
-        "static_cycles_per_exec": round(row.static_per_execution, 1),
-        "dynamic_cycles_per_exec": round(row.dynamic_per_execution, 1),
-        "overhead_cycles": row.overhead,
-        "breakeven_executions": row.breakeven_executions,
-        "instrs_stitched": row.instrs_stitched,
-        "cycles_per_stitched_instr": round(row.cycles_per_stitched_instr, 1),
-    })
+    benchmark.extra_info.update(row.region.to_dict())
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

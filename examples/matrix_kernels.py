@@ -32,14 +32,14 @@ from repro.bench.workloads import (
 
 
 def show(name, row):
+    region = row.region
     print("%s:" % name)
     print("  config:               %s" % row.workload.config)
-    print("  static cycles/exec:   %.0f" % row.static_per_execution)
-    print("  dynamic cycles/exec:  %.0f" % row.dynamic_per_execution)
-    print("  asymptotic speedup:   %.2fx" % row.speedup)
-    print("  one-time overhead:    %d cycles" % row.overhead)
-    print("  breakeven:            %s executions"
-          % row.breakeven_executions)
+    print("  static cycles/exec:   %.0f" % region.static_per_exec)
+    print("  dynamic cycles/exec:  %.0f" % region.dynamic_per_exec)
+    print("  asymptotic speedup:   %.2fx" % region.speedup)
+    print("  one-time overhead:    %d cycles" % region.overhead_cycles)
+    print("  breakeven:            %s executions" % region.breakeven_runs)
     fired = [k for k, v in row.optimizations.items() if v]
     print("  optimizations:        %s" % ", ".join(fired))
     print()

@@ -59,17 +59,15 @@ class ExecutionBackend:
     # -- execution ---------------------------------------------------------
 
     def execute(self, vm, entry: int,
-                int_args: Optional[List[Tuple[int, Number]]] = None,
-                dispatch: str = "threaded") -> Tuple[int, float]:
+                int_args: Optional[List[Tuple[int, Number]]] = None
+                ) -> Tuple[int, float]:
         """Run ``vm`` from ``entry``; returns ``(r0, f0)``.
 
         The default drives the VM's own dispatch (which executes
         whatever handlers are installed -- including overlays a
-        backend's install hooks put there).  ``dispatch="naive"`` is
-        the retained instruction-at-a-time oracle loop; it reads
-        ``vm.code`` directly and is backend-independent by design.
+        backend's install hooks put there).
         """
-        return vm.run(entry, int_args, dispatch=dispatch)
+        return vm.run(entry, int_args)
 
     # -- install hooks ------------------------------------------------------
 

@@ -16,11 +16,11 @@ here:
   probe plus one factory call -- the same as the hand-written version.
 
 * :class:`RVMBackend` -- the naive decode loop and the threaded
-  dispatch loop as two methods of one backend class (they used to hang
-  off a stringly ``dispatch=`` flag deep inside ``VM.run``).  The two
+  dispatch loop as two methods of one backend class.  Every run uses
+  the threaded loop; the naive loop is the reference the differential
+  tests run against it (through a test-local backend), and the two
   are required to stay equivalent -- same results, same traps with the
-  same messages, bit-identical cycle/owner/opcode accounting -- which
-  the differential tests check.
+  same messages, bit-identical cycle/owner/opcode accounting.
 
 Nothing here imports :mod:`repro.machine.vm`: the VM is always passed
 in, which is what lets the VM itself delegate to this module without
@@ -303,7 +303,8 @@ class RVMBackend(ExecutionBackend):
 
     The semantic oracle every other backend is differentially checked
     against.  ``run_threaded`` and ``run_naive`` are the two dispatch
-    variants (``VM.run``'s legacy ``dispatch=`` flag maps onto them).
+    variants: ``VM.run`` drives the first, and tests check the first
+    against the second.
     """
 
     name = "rvm"

@@ -19,8 +19,9 @@ from typing import List
 from ..machine.costs import FUSED_STITCHER
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
+from ..obs.breakeven import rows_from_results
 from ..runtime.engine import compile_program
-from .harness import measure
+from .harness import measure, region_row
 from .reporting import format_breakeven, format_table2, format_table3
 from .workloads import all_workloads, calculator_workload
 
@@ -102,13 +103,11 @@ def main(argv: List[str] = None) -> int:
                 continue
             rows.append(row)
             if args.breakeven:
-                from ..obs.breakeven import break_even_workload
                 breakeven_sections.append(
                     "%s (%s)\n%s"
                     % (workload.name, workload.config,
-                       format_breakeven(break_even_workload(
-                           workload, stitcher_costs=costs,
-                           use_reachability=not args.no_reachability))))
+                       format_breakeven(rows_from_results(
+                           row.static_result, row.dynamic_result))))
             print("measured %-30s %-32s (%.1fs, %s backend)"
                   % (workload.name, workload.config,
                      time.time() - started, backend_name),
@@ -172,14 +171,11 @@ def main(argv: List[str] = None) -> int:
                                   stitcher_costs=costs,
                                   register_actions=True,
                                   backend=args.backend)
-        result = program.run()
-        breakdown = result.region_cycles("calc", 1, "dynamic")
-        per_exec = (breakdown["stitched"] + breakdown["dispatch"]) \
-            / workload.executions
+        actions = region_row(workload, plain.static_result, program.run())
         print()
         print("register actions (calculator): %.2fx -> %.2fx "
               "[paper: 1.7 -> 4.1]"
-              % (plain.speedup, plain.static_per_execution / per_exec))
+              % (plain.region.speedup, actions.speedup))
     return 0
 
 

@@ -1,26 +1,23 @@
-"""Measurement harness reproducing the paper's Table 2 metrics.
+"""Measurement harness reproducing the paper's Table 2 and Table 3.
 
 For one workload, the harness compiles the program twice (static
-baseline and dynamic), runs both on the VM, and derives:
-
-* *asymptotic speedup* -- static region cycles per execution divided by
-  dynamic region cycles per execution (stitched code + dispatch);
-* *dynamic compilation overhead* -- one-time set-up code cycles and
-  stitcher cycles (the paper's "set-up & stitcher" column);
-* *breakeven point* -- the smallest number of executions at which the
-  dynamic version's total cost undercuts the static version's, i.e.
-  ``ceil(overhead / (static_per_exec - dynamic_per_exec))``;
-* *cycles per stitched instruction* and the stitched instruction count;
-* the Table 3 row: which dynamic optimizations were applied.
+baseline and dynamic), runs both on the VM, and takes the workload
+region's :class:`~repro.obs.breakeven.BreakEvenRow` from that pair.
+The row is the one definition of the Section 5 quantities (asymptotic
+speedup, set-up + stitcher overhead, break-even point, cycles per
+stitched instruction), counting executions as region entries.  The
+harness adds only what the row cannot know: the workload, the Table 3
+row (which dynamic optimizations were applied) and the paper's
+break-even unit.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from ..machine.costs import StitcherCosts
+from ..obs.breakeven import BreakEvenRow, rows_from_results
 from ..opt.pipeline import OptOptions
 from ..runtime.engine import Program, RunResult, compile_program
 from .workloads import Workload
@@ -31,59 +28,31 @@ class BenchmarkMeasurement:
     """One Table 2 row (plus its Table 3 row)."""
 
     workload: Workload
-    executions: int
-    static_cycles: int
-    dynamic_stitched_cycles: int
-    dynamic_dispatch_cycles: int
-    setup_cycles: int
-    stitcher_cycles: int
-    instrs_stitched: int
-    stitches: int
+    #: The workload region's break-even economics.
+    region: BreakEvenRow
+    #: Paper break-even units (``workload.unit``) per region execution.
+    units_per_execution: float
     optimizations: Dict[str, bool] = field(default_factory=dict)
     static_result: Optional[RunResult] = None
     dynamic_result: Optional[RunResult] = None
 
-    # -- derived metrics --------------------------------------------------
-
-    @property
-    def static_per_execution(self) -> float:
-        return self.static_cycles / max(1, self.executions)
-
-    @property
-    def dynamic_per_execution(self) -> float:
-        return (self.dynamic_stitched_cycles + self.dynamic_dispatch_cycles) \
-            / max(1, self.executions)
-
-    @property
-    def speedup(self) -> float:
-        if self.dynamic_per_execution == 0:
-            return float("inf")
-        return self.static_per_execution / self.dynamic_per_execution
-
-    @property
-    def overhead(self) -> int:
-        """One-time dynamic compilation cost (set-up + stitcher)."""
-        return self.setup_cycles + self.stitcher_cycles
-
-    @property
-    def breakeven_executions(self) -> Optional[int]:
-        """Executions needed before dynamic compilation pays off, or
-        None when the dynamic version never wins."""
-        gain = self.static_per_execution - self.dynamic_per_execution
-        if gain <= 0:
-            return None
-        return math.ceil(self.overhead / gain)
-
     @property
     def breakeven_paper_units(self) -> Optional[float]:
-        b = self.breakeven_executions
-        if b is None:
+        runs = self.region.breakeven_runs
+        if runs is None:
             return None
-        return b * self.workload.units_per_execution
+        return runs * self.units_per_execution
 
-    @property
-    def cycles_per_stitched_instr(self) -> float:
-        return self.overhead / max(1, self.instrs_stitched)
+
+def region_row(workload: Workload, static_result: RunResult,
+               dynamic_result: RunResult) -> BreakEvenRow:
+    """The workload region's row from one static + one dynamic run."""
+    key = (workload.region_func, workload.region_id)
+    for row in rows_from_results(static_result, dynamic_result):
+        if (row.func_name, row.region_id) == key:
+            return row
+    raise AssertionError("%s: region %s:%d was never entered"
+                         % ((workload.name,) + key))
 
 
 def measure(workload: Workload,
@@ -119,21 +88,15 @@ def measure(workload: Workload,
             "%s: result %d != expected %d"
             % (workload.name, static_result.value, workload.expected))
 
-    executions = workload.executions
-    if executions < 0:
-        # Data-dependent execution count printed by the program
-        # (e.g. the sorter's comparison counter).
-        executions = int(dynamic_result.output[0])
-        if workload.unit == "records" and executions:
-            # convert "comparisons" to the paper's "records" unit
-            records = int(workload.config.split()[0])
-            workload.units_per_execution = records / executions
+    region = region_row(workload, static_result, dynamic_result)
+    units = workload.units_per_execution
+    if workload.unit == "records" and region.executions:
+        # The sorter's region is one comparison; the paper counts
+        # records sorted.
+        units = int(workload.config.split()[0]) / region.executions
 
     func = workload.region_func
     rid = workload.region_id
-    static_region = static_result.region_cycles(func, rid, "static")
-    dynamic_region = dynamic_result.region_cycles(func, rid, "dynamic")
-
     optimizations: Dict[str, bool] = {
         "constant_folding": False,
         "static_branch_elimination": False,
@@ -142,42 +105,31 @@ def measure(workload: Workload,
         "complete_loop_unrolling": False,
         "strength_reduction": False,
     }
-    reports = [report for report in dynamic_result.stitch_reports
-               if (report.func_name, report.region_id) == (func, rid)]
-    for report in reports:
-        for key, value in report.optimizations_applied().items():
-            optimizations[key] = optimizations.get(key, False) or value
+    for report in dynamic_result.stitch_reports:
+        if (report.func_name, report.region_id) == (func, rid):
+            for key, value in report.optimizations_applied().items():
+                optimizations[key] = optimizations.get(key, False) or value
     # Load elimination is a static property: constant loads moved into
     # set-up code, leaving the template without them.
-    for plan in dynamic_program.plans:
-        if plan.func_name == func and plan.region_id == rid:
-            from ..ir.instructions import Load
-            ir_func = None  # plans keep only names; check compiled setup
-            optimizations["load_elimination"] = \
-                _setup_has_loads(dynamic_program, plan)
+    optimizations["load_elimination"] = \
+        _setup_has_loads(dynamic_program, func, rid)
 
     return BenchmarkMeasurement(
         workload=workload,
-        executions=executions,
-        static_cycles=static_region.get("region", 0),
-        dynamic_stitched_cycles=dynamic_region.get("stitched", 0),
-        dynamic_dispatch_cycles=dynamic_region.get("dispatch", 0),
-        setup_cycles=dynamic_region.get("setup", 0),
-        stitcher_cycles=dynamic_region.get("stitcher", 0),
-        instrs_stitched=sum(report.instrs_emitted for report in reports),
-        stitches=len(reports),
+        region=region,
+        units_per_execution=units,
         optimizations=optimizations,
         static_result=static_result,
         dynamic_result=dynamic_result,
     )
 
 
-def _setup_has_loads(program: Program, plan) -> bool:
+def _setup_has_loads(program: Program, func: str, rid: int) -> bool:
     """Did constant loads move to set-up code (paper's load
     elimination)?  Checked on the compiled set-up blocks."""
-    compiled = program.compiled.get(plan.func_name)
+    compiled = program.compiled.get(func)
     if compiled is None:
         return False
-    owner = "setup:%s:%d" % (plan.func_name, plan.region_id)
+    owner = "setup:%s:%d" % (func, rid)
     return any(instr.owner == owner and instr.op in ("ldq", "ldt")
                for instr in compiled.code)

@@ -26,26 +26,26 @@ def format_table2(rows: List[BenchmarkMeasurement]) -> str:
     )
     lines = [header, "-" * len(header)]
     for row in rows:
-        breakeven = row.breakeven_executions
-        breakeven_str = ("%d %s" % (round(row.breakeven_paper_units),
-                                    row.workload.unit)
-                         if breakeven is not None else "never")
+        region = row.region
+        units = row.breakeven_paper_units
+        breakeven_str = ("%d %s" % (round(units), row.workload.unit)
+                         if units is not None else "never")
         lines.append(
             "%-28s %-30s %8.2fx %12s %10d / %9d %11.0f %10d"
             % (
                 row.workload.name[:28],
                 row.workload.config[:30],
-                row.speedup,
+                region.speedup,
                 breakeven_str[:12],
-                row.setup_cycles,
-                row.stitcher_cycles,
-                row.cycles_per_stitched_instr,
-                row.instrs_stitched,
+                region.setup_cycles,
+                region.stitcher_cycles,
+                region.cycles_per_stitched_instr,
+                region.instrs_stitched,
             )
         )
         lines.append(
             "%-28s %-30s   (static %.0f vs dynamic %.0f cycles/execution)"
-            % ("", "", row.static_per_execution, row.dynamic_per_execution)
+            % ("", "", region.static_per_exec, region.dynamic_per_exec)
         )
     return "\n".join(lines)
 

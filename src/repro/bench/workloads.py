@@ -588,9 +588,9 @@ def record_sorter_workload(count: int = 80,
                                          "s" if len(keys) != 1 else ""),
         source=source,
         region_func="compare",
-        executions=-1,  # compare count is data dependent; read at run time
+        executions=-1,  # data dependent: main prints its compare count
         unit="records",
-        units_per_execution=0.0,  # filled by the harness from nCompares
+        units_per_execution=0.0,  # the harness: records / region entries
         expected=check,
         notes="paper: 1000/2000 records, speedup 1.2, breakeven "
               "3050/4760 records",

@@ -82,14 +82,14 @@ class CacheStats:
 class CodeCache:
     """Keyed cache of stitched region versions for one VM execution."""
 
-    def __init__(self, vm, config: Optional[CacheConfig] = None,
-                 faults=None, backend=None):
+    def __init__(self, vm, backend, config: Optional[CacheConfig] = None,
+                 faults=None):
         self.vm = vm
         self.config = config or CacheConfig()
         #: fault-injection plan (repro.faults.FaultPlan) or None.
         self.faults = faults
-        #: execution backend notified after installs (None = no hooks,
-        #: pure rvm behavior; see repro.backends.base).
+        #: execution backend notified after installs (its hooks are
+        #: no-ops for rvm; see repro.backends.base).
         self.backend = backend
         self.policy = make_policy(self.config)
         self.code_arena = CodeArena(vm)
@@ -362,11 +362,10 @@ class CodeCache:
         entry.pool_base = pool_base
         entry.report.pool_base = pool_base
         entry.checksum = entry.compute_checksum()
-        if self.backend is not None:
-            # Backend artifact hook: the entry is placed, relocated and
-            # checksummed; whatever the backend compiles here rides in
-            # ``entry.artifacts`` and dies with the entry.
-            self.backend.entry_installed(self.vm, entry)
+        # Backend artifact hook: the entry is placed, relocated and
+        # checksummed; whatever the backend compiles here rides in
+        # ``entry.artifacts`` and dies with the entry.
+        self.backend.entry_installed(self.vm, entry)
 
     def compact(self) -> bool:
         """Slide unpinned live entries toward the arena base (pinned

@@ -136,9 +136,9 @@ def health_flags(report, faults_configured: bool) -> List[str]:
 
     Two anomalies are worth surfacing:
 
-    * the report *diverged* yet every dynamic leg's health report is
-      green -- the rule set is blind to a real correctness failure
-      ("green but diverged"); and
+    * a leg that a divergence names (as either side) is green -- the
+      rule set is blind to a real correctness failure ("green but
+      diverged"); legs that no divergence names are not flagged; and
     * the report *agreed* with no faults configured, yet health rules
       fired anyway -- the run degraded (fallbacks, breaker trips,
       demotions) without changing observables ("silent degradation").
@@ -146,6 +146,8 @@ def health_flags(report, faults_configured: bool) -> List[str]:
     Returns human-readable flag strings (empty when nothing anomalous).
     Only legs that carried a ``run_result`` (the VM legs) are checked.
     """
+    diverged = {leg for divergence in report.divergences
+                for leg in (divergence.left, divergence.right)}
     flags: List[str] = []
     for leg in sorted(report.outcomes):
         outcome = report.outcomes[leg]
@@ -153,7 +155,7 @@ def health_flags(report, faults_configured: bool) -> List[str]:
         if result is None:
             continue
         health = obs_health.evaluate_result(result)
-        if not report.ok and not report.compile_error and health.ok:
+        if leg in diverged and health.ok:
             flags.append("%s leg diverged yet health is green "
                          "(rules are blind to this failure)" % leg)
         elif report.ok and not faults_configured and not health.ok:

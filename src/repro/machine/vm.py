@@ -63,9 +63,9 @@ _RETURN_SENTINEL = RETURN_SENTINEL
 #: One predecoded instruction: takes its own pc, returns the next pc.
 Handler = Callable[[int], int]
 
-#: The dispatch loops ``VM.run`` delegates to (a bare VM without an
-#: engine on top always executes rvm semantics; backend overlays only
-#: change *which handlers* the threaded loop finds installed).
+#: The threaded dispatch loop ``VM.run`` delegates to (a bare VM
+#: without an engine on top always executes rvm semantics; backend
+#: overlays only change *which handlers* the loop finds installed).
 _RVM = RVMBackend()
 
 
@@ -279,37 +279,34 @@ class VM:
     # -- execution ------------------------------------------------------------
 
     def run(self, entry: int,
-            int_args: Optional[List[Tuple[int, Number]]] = None,
-            dispatch: str = "threaded") -> Tuple[int, float]:
+            int_args: Optional[List[Tuple[int, Number]]] = None
+            ) -> Tuple[int, float]:
         """Execute from ``entry`` until the top-level return.
 
         ``int_args`` is a list of (register, value) pairs to preload
-        (argument passing).  Returns ``(r0, f0)``.
-
-        ``dispatch`` selects the execution engine: ``"threaded"`` runs
-        the predecoded handlers (the fast path,
-        :meth:`~repro.backends.rvm.RVMBackend.run_threaded`),
-        ``"naive"`` runs the retained instruction-at-a-time decode loop
-        (:meth:`~repro.backends.rvm.RVMBackend.run_naive`).  The two
-        are required to be equivalent -- same results, same traps, and
-        bit-identical cycle/owner/opcode accounting -- which the
-        differential tests check; the simulated cost model must never
-        depend on the host-side speed of the dispatch implementation.
+        (argument passing).  Returns ``(r0, f0)``.  Execution runs the
+        predecoded handlers
+        (:meth:`~repro.backends.rvm.RVMBackend.run_threaded`).
         """
+        return _RVM.run_threaded(self, self.enter(entry, int_args))
+
+    def enter(self, entry: int,
+              int_args: Optional[List[Tuple[int, Number]]] = None) -> int:
+        """Set up a top-level call of ``entry``: preload ``int_args``,
+        the stack pointer, the return sentinel and the zero register.
+        Returns the checked entry pc, where a dispatch loop starts
+        (tests start the retained
+        :meth:`~repro.backends.rvm.RVMBackend.run_naive` loop there)."""
         regs = self.regs
         for reg, value in int_args or []:
             regs[reg] = value
         regs[SP] = self.memory_words - 8
         regs[RA] = _RETURN_SENTINEL
         regs[ZERO] = 0
-        pc = entry
-        if pc != _RETURN_SENTINEL and not 0 <= pc < len(self.handlers):
-            raise VMError("pc out of range: %d" % pc)
-        if dispatch == "naive":
-            return _RVM.run_naive(self, pc)
-        if dispatch != "threaded":
-            raise ValueError("unknown dispatch %r" % dispatch)
-        return _RVM.run_threaded(self, pc)
+        if entry != _RETURN_SENTINEL \
+                and not 0 <= entry < len(self.handlers):
+            raise VMError("pc out of range: %d" % entry)
+        return entry
 
     def _call_rt(self, instr: MInstr) -> None:
         name = instr.name or ""

@@ -27,7 +27,7 @@ from . import export as export_mod
 from . import health as health_mod
 from . import history as history_mod
 from . import metrics, timeseries, trace
-from .breakeven import break_even_workload, rows_from_results
+from .breakeven import break_even_source, rows_from_results
 from .profiler import format_profile, profile_result
 
 
@@ -55,8 +55,9 @@ def _cmd_report(args) -> int:
         print("measuring %-30s %s ..."
               % (workload.name, workload.config), file=sys.stderr)
         try:
-            rows = break_even_workload(workload,
-                                       max_cycles=args.max_cycles)
+            rows = break_even_source(workload.source,
+                                     expected=workload.expected,
+                                     max_cycles=args.max_cycles)
         except Exception as exc:  # keep going; report the failure
             print("%-30s FAILED: %s: %s"
                   % (workload.name, type(exc).__name__, exc),

@@ -186,11 +186,14 @@ def rows_from_results(static_result, dynamic_result) -> List[BreakEvenRow]:
 
 
 def break_even_source(source: str, args: Optional[List[int]] = None,
+                      expected: Optional[int] = None,
                       max_cycles: int = 4_000_000_000,
                       **compile_kwargs) -> List[BreakEvenRow]:
     """Compile ``source`` both ways, run both, report per region.
 
-    ``compile_kwargs`` pass through to
+    Both runs must return the same value, and ``expected`` when it is
+    given (a bench :class:`~repro.bench.workloads.Workload` passes its
+    ``expected``).  ``compile_kwargs`` pass through to
     :func:`repro.runtime.engine.compile_program` (opt_options,
     stitcher_costs, use_reachability, ...).
     """
@@ -205,26 +208,8 @@ def break_even_source(source: str, args: Optional[List[int]] = None,
         raise AssertionError(
             "break-even run diverged: static %r != dynamic %r"
             % (static_result.value, dynamic_result.value))
-    return rows_from_results(static_result, dynamic_result)
-
-
-def break_even_workload(workload,
-                        max_cycles: int = 4_000_000_000,
-                        **compile_kwargs) -> List[BreakEvenRow]:
-    """Break-even rows for a bench :class:`Workload` (sanity-checks the
-    expected result when the workload declares one)."""
-    from ..runtime.engine import compile_program
-    static_program = compile_program(workload.source, mode="static",
-                                     **compile_kwargs)
-    dynamic_program = compile_program(workload.source, mode="dynamic",
-                                      **compile_kwargs)
-    static_result = static_program.run(max_cycles=max_cycles)
-    dynamic_result = dynamic_program.run(max_cycles=max_cycles)
-    for leg, result in (("static", static_result),
-                        ("dynamic", dynamic_result)):
-        if workload.expected is not None \
-                and result.value != workload.expected:
-            raise AssertionError(
-                "%s: %s result %d != expected %d"
-                % (workload.name, leg, result.value, workload.expected))
+    if expected is not None and static_result.value != expected:
+        raise AssertionError(
+            "break-even run: result %r != expected %r"
+            % (static_result.value, expected))
     return rows_from_results(static_result, dynamic_result)

@@ -1,12 +1,15 @@
 """The perf-trajectory flight recorder: record + compare benchmarks.
 
 Each supported benchmark (``hostperf``, ``cachepressure``,
-``tiering``, ``stitchqueue``) appends timestamped entries to a
-``BENCH_<name>.json``
-trajectory file (for hostperf, the existing ``BENCH_hostperf.json``
-gains a ``"trajectory"`` key next to its baseline/current snapshots).
-An entry is ``{"recorded_at", "meta", "rows"}`` where ``rows`` maps a
-stable row name (workload or sweep cell) to its measured metrics.
+``tiering``, ``stitchqueue``) appends timestamped entries to the
+``"trajectory"`` list of a ``BENCH_<name>.json`` file.  An entry is
+``{"recorded_at", "rows"}`` (plus an optional ``"note"``) where
+``rows`` maps a stable row name (workload or sweep cell) to its
+measured metrics.  A benchmark's collector is its one measurement:
+the CI gate scripts ``benchmarks/bench_hostperf.py``,
+``bench_tiering.py`` and ``bench_stitchqueue.py`` gate the same rows
+(the last through :mod:`repro.bench.stitchqueue`, which its collector
+calls).
 
 ``compare`` gates a candidate entry -- either freshly collected
 (``--run``) or the latest committed one -- against the *best* value
@@ -117,7 +120,7 @@ def load_trajectory(path: Path) -> List[Dict[str, object]]:
 
 def append_entry(path: Path, entry: Dict[str, object]) -> None:
     """Append one trajectory entry, preserving any sibling keys the
-    file already carries (e.g. hostperf's baseline/current)."""
+    file already carries (e.g. ``schema``)."""
     document = load_document(path)
     trajectory = document.setdefault("trajectory", [])
     if not isinstance(trajectory, list):
@@ -140,24 +143,13 @@ def make_entry(rows: Dict[str, Dict[str, object]],
 
 # -- collectors ------------------------------------------------------------
 
-def _collect_hostperf(quick: bool = True,
-                      steady_runs: int = 3) -> Dict[str, Dict[str, object]]:
-    """Compile/first/steady host seconds + simulated cycles for the
-    Table 2 workloads (the quick pair by default).
-
-    Every workload is measured under both execution backends: the
-    historical row name carries the default ``rvm`` numbers (keeping
-    the trajectory comparable across entries that predate the backend
-    seam) and a ``<name>@pycode`` sibling row tracks the
-    closure-composition backend.  ``simulated_cycles`` is gated on
-    both, so a backend that drifts from the bit-identical contract
-    trips the flight recorder, not just the test suite."""
+def hostperf_workloads(quick: bool = True) -> List[Tuple[str, Callable]]:
+    """``(row name, workload builder)`` pairs the hostperf rows cover:
+    the quick pair, then (unless ``quick``) the rest of Table 2."""
     from ..bench.workloads import (
         calculator_workload, sparse_matvec_workload, scalar_matrix_workload,
         event_dispatcher_workload, record_sorter_workload,
     )
-    from ..runtime.engine import compile_program
-
     workloads: List[Tuple[str, Callable]] = [
         ("calculator", calculator_workload),
         ("sparse_matvec_small",
@@ -174,11 +166,46 @@ def _collect_hostperf(quick: bool = True,
             ("record_sorter_2key",
              lambda: record_sorter_workload(keys=[(2, 1), (0, 2)])),
         ]
+    return workloads
+
+
+def _observables(result) -> Dict[str, object]:
+    """The simulated observables the backend seam must preserve."""
+    return {
+        "value": result.value,
+        "float_value": result.float_value,
+        "output": list(result.output),
+        "cycles": result.cycles,
+        "cycles_by_owner": dict(result.cycles_by_owner),
+        "instrs_by_owner": dict(result.instrs_by_owner),
+        "op_counts": dict(result.op_counts),
+    }
+
+
+def hostperf_rows(quick: bool = True,
+                  steady_runs: int = 3) -> Dict[str, Dict[str, object]]:
+    """Compile/first/steady host seconds + simulated cycles for the
+    Table 2 workloads (the quick pair by default).
+
+    Every workload is measured under both execution backends: the
+    historical row name carries the default ``rvm`` numbers (keeping
+    the trajectory comparable across entries that predate the backend
+    seam) and a ``<name>@pycode`` sibling row tracks the
+    closure-composition backend.  ``steady_run_s`` is the fastest of
+    ``steady_runs`` reruns of the same program.  Before any row is
+    returned, each first run must give the workload's expected value,
+    each rerun must repeat the first run's value and cycles, and the
+    two backends' first runs must agree on every simulated observable;
+    ``simulated_cycles`` is also gated, so a backend that drifts from
+    the bit-identical contract trips the flight recorder as well."""
+    from ..runtime.engine import compile_program
 
     rows: Dict[str, Dict[str, object]] = {}
-    for name, builder in workloads:
+    for name, builder in hostperf_workloads(quick):
         workload = builder()
+        firsts = []
         for backend in ("rvm", "pycode"):
+            key = name if backend == "rvm" else "%s@%s" % (name, backend)
             t0 = time.perf_counter()
             program = compile_program(workload.source, mode="dynamic",
                                       backend=backend)
@@ -186,18 +213,30 @@ def _collect_hostperf(quick: bool = True,
             t0 = time.perf_counter()
             first = program.run()
             first_run_s = time.perf_counter() - t0
+            if workload.expected is not None \
+                    and first.value != workload.expected:
+                raise AssertionError("%s: result %d != expected %d"
+                                     % (key, first.value, workload.expected))
             steady = []
             for _ in range(max(1, steady_runs)):
                 t0 = time.perf_counter()
-                program.run()
+                rerun = program.run()
                 steady.append(time.perf_counter() - t0)
-            key = name if backend == "rvm" else "%s@%s" % (name, backend)
+                if (rerun.value, rerun.cycles) != (first.value, first.cycles):
+                    raise AssertionError(
+                        "%s: nondeterministic rerun (value %r/%r, cycles "
+                        "%d/%d)" % (key, first.value, rerun.value,
+                                    first.cycles, rerun.cycles))
+            firsts.append(first)
             rows[key] = {
                 "compile_s": round(compile_s, 6),
                 "first_run_s": round(first_run_s, 6),
                 "steady_run_s": round(min(steady), 6),
                 "simulated_cycles": first.cycles,
             }
+        if _observables(firsts[0]) != _observables(firsts[1]):
+            raise AssertionError("%s: simulated observables differ "
+                                 "between rvm and pycode" % name)
     return rows
 
 
@@ -236,8 +275,10 @@ def _collect_cachepressure(**_kw) -> Dict[str, Dict[str, object]]:
     return rows
 
 
-#: (executions, cardinality, seed) tiering cells, mirroring
-#: benchmarks/bench_tiering.py.
+#: (executions, cardinality, seed) tiering cells on the skewed-key
+#: cache-pressure program: enough reuse for the hot keys to promote,
+#: enough cold tail for skipped stitches to matter.  ``None`` is the
+#: program's default seed.
 _TIERING_CELLS = (
     (120, 8, None),
     (160, 12, None),
@@ -245,8 +286,9 @@ _TIERING_CELLS = (
 )
 
 
-def _collect_tiering(tier_spec: str = "breakeven",
-                     **_kw) -> Dict[str, Dict[str, object]]:
+def tiering_rows(**_kw) -> Dict[str, Dict[str, object]]:
+    """Eager vs ``breakeven``-tiered runs of each tiering cell on one
+    compiled program, bit-identical results enforced."""
     from ..bench.cachepressure import DEFAULT_SEED, compile_pressure_program
 
     program = compile_pressure_program()
@@ -255,7 +297,7 @@ def _collect_tiering(tier_spec: str = "breakeven",
         seed = DEFAULT_SEED if seed is None else seed
         args = [executions, cardinality, seed]
         eager = program.run("main", list(args))
-        tiered = program.run("main", list(args), tier=tier_spec)
+        tiered = program.run("main", list(args), tier="breakeven")
         if tiered.value != eager.value:
             raise AssertionError(
                 "tiered run changed the result: %r != %r (cell %r)"
@@ -300,9 +342,9 @@ def _collect_stitchqueue(**_kw) -> Dict[str, Dict[str, object]]:
 
 
 _COLLECTORS: Dict[str, Callable[..., Dict[str, Dict[str, object]]]] = {
-    "hostperf": _collect_hostperf,
+    "hostperf": hostperf_rows,
     "cachepressure": _collect_cachepressure,
-    "tiering": _collect_tiering,
+    "tiering": tiering_rows,
     "stitchqueue": _collect_stitchqueue,
 }
 

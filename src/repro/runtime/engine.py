@@ -268,19 +268,16 @@ class Program:
     def run(self, func: str = "main", args: Optional[List[Number]] = None,
             max_cycles: int = 4_000_000_000,
             memory_words: int = 1 << 22,
-            dispatch: str = "threaded",
             cache=None, faults=None, tier=None, stitch=None
             ) -> RunResult:
-        """Run ``func(*args)``; ``dispatch`` picks the VM execution
-        engine ("threaded" predecoded fast path, or the retained
-        "naive" decode loop -- equivalent by construction and by
-        test).  ``cache``, ``faults``, ``tier`` and ``stitch`` override
-        those fields of the program's :class:`RunConfig` for this
-        execution (an object or a spec string each; None keeps the
-        program's).  ``memory_words`` is the size of the VM's address
-        space (the stack starts just below its top, the heap ends 64K
-        words below it); data memory is sparse, so a large address
-        space costs nothing until it is written."""
+        """Run ``func(*args)``.  ``cache``, ``faults``, ``tier`` and
+        ``stitch`` override those fields of the program's
+        :class:`RunConfig` for this execution (an object or a spec
+        string each; None keeps the program's).  ``memory_words`` is
+        the size of the VM's address space (the stack starts just below
+        its top, the heap ends 64K words below it); data memory is
+        sparse, so a large address space costs nothing until it is
+        written."""
         vm = self._acquire_vm(memory_words, max_cycles)
         runtime = _RegionRuntime(self, vm, self.config.replace(
             cache=cache, faults=faults, tier=tier, stitch=stitch))
@@ -293,10 +290,9 @@ class Program:
         for i, arg in enumerate(args or []):
             preload.append((ARG_BASE + i, arg))
         with obs_trace.span("vm.run", "vm", func=func, mode=self.mode,
-                            dispatch=dispatch,
                             backend=self.backend.name) as span:
             int_result, float_result = self.backend.execute(
-                vm, entry_fn.base, preload, dispatch=dispatch)
+                vm, entry_fn.base, preload)
             if span is not None:
                 span["cycles"] = vm.cycles
                 span["value"] = int_result
@@ -364,8 +360,8 @@ class _RegionRuntime:
         #: the code cache: keyed versions, eviction, compaction.  The
         #: program's backend hooks every install, so stitched entries
         #: get their host artifact whichever path placed them.
-        self.cache: CodeCache = CodeCache(vm, config.cache, faults=faults,
-                                          backend=program.backend)
+        self.cache: CodeCache = CodeCache(vm, program.backend, config.cache,
+                                          faults=faults)
         #: every region entry, in order (written only by :meth:`_record`).
         self.log: List[EntryEvent] = []
         #: (func, region_id) -> entries (every lookup, hit or miss).

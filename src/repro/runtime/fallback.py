@@ -80,15 +80,15 @@ class FallbackCode:
 
 class _FallbackBuilder:
     def __init__(self, vm, compiled: CompiledFunction, region: RegionCode,
-                 functions: Dict[str, CompiledFunction], backend=None):
+                 functions: Dict[str, CompiledFunction], backend):
         self.vm = vm
         self.compiled = compiled
         self.region = region
         self.functions = functions
-        #: execution backend the block installs through (None = plain
-        #: vm.install_code).  A degraded pycode run must get pycode
-        #: fallback code, not silently re-enter per-instruction rvm
-        #: dispatch with differently-shaped host behavior.
+        #: execution backend the block installs through.  A degraded
+        #: pycode run must get pycode fallback code, not silently
+        #: re-enter per-instruction rvm dispatch with differently-shaped
+        #: host behavior.
         self.backend = backend
         self.owner = "fallback:%s:%d" % (region.func_name, region.region_id)
         self.out: List[MInstr] = []
@@ -281,10 +281,7 @@ class _FallbackBuilder:
                 self._emit_stub(name)
             else:
                 self._emit_block(name)
-        if self.backend is not None:
-            base = self.backend.install_block(self.vm, self.out)
-        else:
-            base = self.vm.install_code(self.out)
+        base = self.backend.install_block(self.vm, self.out)
         for n, instr in enumerate(self.out):
             label = instr.label
             if label is None:
@@ -301,12 +298,10 @@ class _FallbackBuilder:
                 instr.target = callee.base
             else:
                 instr.target = base + self.labels[label]
-        if self.backend is not None:
-            # Targets are resolved only now, so the backend's artifact
-            # pass runs after the loop above, not inside install_block.
-            self.backend.block_installed(
-                self.vm, base, len(self.out),
-                base + self.labels[entry_label])
+        # Targets are resolved only now, so the backend's artifact
+        # pass runs after the loop above, not inside install_block.
+        self.backend.block_installed(
+            self.vm, base, len(self.out), base + self.labels[entry_label])
         return FallbackCode(
             func_name=self.region.func_name,
             region_id=self.region.region_id,
@@ -321,7 +316,7 @@ class _FallbackBuilder:
 
 def build_fallback(vm, compiled: CompiledFunction, region: RegionCode,
                    functions: Dict[str, CompiledFunction],
-                   backend=None) -> FallbackCode:
+                   backend) -> FallbackCode:
     """Materialize and install the generic fallback for ``region``.
 
     Lazy by design: the engine only calls this on a region's first

@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 from typing import List, Optional, Tuple, Union
 
+from repro.backends import PycodeBackend, RVMBackend
 from repro.dynamic.splitter import split_module
 from repro.frontend.parser import parse
 from repro.frontend.typecheck import check
@@ -16,6 +17,32 @@ from repro.runtime.engine import compile_program
 from repro.runtime.interp import Interpreter
 
 Number = Union[int, float]
+
+
+class NaiveLoop:
+    """Test-local backend mixin: while ``naive`` is set, runs use the
+    retained instruction-at-a-time loop
+    (:meth:`~repro.backends.rvm.RVMBackend.run_naive`) in place of the
+    threaded handlers, the reference the dispatch-equivalence tests
+    compare against.  Clearing ``naive`` switches every program built
+    on the instance, and its cached VM, back to the threaded loop."""
+
+    def __init__(self, naive: bool = True):
+        super().__init__()
+        self.naive = naive
+
+    def execute(self, vm, entry, int_args=None):
+        if self.naive:
+            return RVMBackend().run_naive(vm, vm.enter(entry, int_args))
+        return super().execute(vm, entry, int_args)
+
+
+class NaiveRVM(NaiveLoop, RVMBackend):
+    """rvm with a switchable dispatch loop (see :class:`NaiveLoop`)."""
+
+
+class NaivePycode(NaiveLoop, PycodeBackend):
+    """pycode with a switchable dispatch loop (see :class:`NaiveLoop`)."""
 
 
 def build(source: str) -> Module:

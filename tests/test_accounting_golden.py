@@ -27,6 +27,8 @@ from repro.bench.workloads import (
 from repro.runtime.engine import compile_program
 from repro.machine.vm import VMError
 
+from helpers import NaiveRVM
+
 GOLDEN_PATH = Path(__file__).parent / "golden_accounting.json"
 
 #: name -> workload builder; small configs keep the snapshots fast but
@@ -120,18 +122,21 @@ def test_dispatch_equivalence(name: str, mode: str) -> None:
     The cost model is simulated, so host-side dispatch speed must never
     leak into it."""
     workload = CASES[name]()
-    threaded = compile_program(workload.source, mode=mode)
-    naive = compile_program(workload.source, mode=mode)
-    a = _full_snapshot(threaded.run(dispatch="threaded"))
-    b = _full_snapshot(naive.run(dispatch="naive"))
+    threaded_loop, naive_loop = NaiveRVM(naive=False), NaiveRVM()
+    threaded = compile_program(workload.source, mode=mode,
+                               backend=threaded_loop)
+    naive = compile_program(workload.source, mode=mode, backend=naive_loop)
+    a = _full_snapshot(threaded.run())
+    b = _full_snapshot(naive.run())
     for field in sorted(a):
         assert a[field] == b[field], \
             "%s/%s: %s differs between threaded and naive dispatch" \
             % (name, mode, field)
     # Cross-dispatch rerun on the same cached VM: a naive rerun of the
     # threaded Program (and vice versa) must reproduce it again.
-    c = _full_snapshot(threaded.run(dispatch="naive"))
-    d = _full_snapshot(naive.run(dispatch="threaded"))
+    threaded_loop.naive, naive_loop.naive = True, False
+    c = _full_snapshot(threaded.run())
+    d = _full_snapshot(naive.run())
     assert c == a
     assert d == a
 
@@ -145,22 +150,18 @@ def test_dispatch_equivalence_on_trap() -> None:
     }
     """
     outcomes = []
-    for dispatch in ("threaded", "naive"):
-        program = compile_program(source, mode="static")
+    for naive in (False, True):
+        program = compile_program(source, mode="static",
+                                  backend=NaiveRVM(naive))
         try:
-            program.run("main", [0], dispatch=dispatch)
+            program.run("main", [0])
         except VMError as exc:
             outcomes.append((str(exc), program._vm.cycles))
         else:
-            pytest.fail("division by zero did not trap (%s)" % dispatch)
+            pytest.fail("division by zero did not trap (naive=%s)"
+                        % naive)
     assert outcomes[0] == outcomes[1]
     assert "arithmetic trap" in outcomes[0][0]
-
-
-def test_dispatch_rejects_unknown() -> None:
-    program = compile_program("int main(int x) { return x; }")
-    with pytest.raises(ValueError):
-        program.run("main", [1], dispatch="sideways")
 
 
 @pytest.mark.parametrize("mode", MODES)

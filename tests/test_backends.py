@@ -29,6 +29,8 @@ from repro.machine.isa import ARG_BASE, MInstr, RV, ZERO
 from repro.machine.vm import VM, VMError
 from repro.runtime.engine import compile_program
 
+from helpers import NaivePycode, NaiveRVM
+
 #: small configs keep runs fast while still covering unrolled loops,
 #: const branches, float templates, two-block counted loops (the
 #: scalar matrix), const-divisor arithmetic and data-dependent
@@ -232,16 +234,17 @@ def test_budget_trap_parity() -> None:
 
 
 def test_pycode_dispatch_backcompat() -> None:
-    """The ``dispatch`` knob still selects the loop for non-overlay
-    execution under pycode, and both loops agree."""
+    """A pycode program rerun through the retained naive loop (which
+    reads the VM's code, not pycode's overlays) agrees with its pycode
+    run."""
     workload = CASES["calculator"]()
+    backend = NaivePycode(naive=False)
     program = compile_program(workload.source, mode="dynamic",
-                              backend="pycode")
-    a = full_snapshot(program.run(dispatch="threaded"))
-    b = full_snapshot(program.run(dispatch="naive"))
+                              backend=backend)
+    a = full_snapshot(program.run())
+    backend.naive = True
+    b = full_snapshot(program.run())
     assert a == b
-    with pytest.raises(ValueError):
-        program.run(dispatch="sideways")
 
 
 def test_pycode_trap_messages_match_rvm() -> None:
@@ -314,8 +317,8 @@ def test_unwritten_heap_word_reads_zero_on_every_path() -> None:
             PycodeBackend().prepare_vm(vm, len(vm.code))
             assert getattr(vm.handlers[entry + 2], "_pycode_segment",
                            False)
-        dispatch = "naive" if path == "naive" else "threaded"
-        outcomes.append((vm.run(entry, dispatch=dispatch), vm.cycles))
+        backend = NaiveRVM(naive=path == "naive")
+        outcomes.append((backend.execute(vm, entry), vm.cycles))
         assert VM.HEAP_BASE + 2 not in vm.memory
     assert outcomes[0] == outcomes[1] == outcomes[2]
     assert outcomes[0][0] == (7, 0.0)

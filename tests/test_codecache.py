@@ -13,6 +13,8 @@ from repro.fuzz import random_config
 from repro.machine.isa import ARG_BASE, MInstr
 from repro.machine.vm import VM, VMError
 
+from helpers import NaiveRVM
+
 
 # -- satellite: the one key-extraction helper ---------------------------------
 
@@ -138,7 +140,7 @@ def test_freed_filler_faults_on_execution():
     with pytest.raises(VMError, match="unknown opcode"):
         vm.run(base, [])
     with pytest.raises(VMError, match="unknown opcode"):
-        vm.run(base, [], dispatch="naive")
+        NaiveRVM().execute(vm, base, [])
 
 
 # -- eviction: the lru:1 two-key acceptance scenario --------------------------
@@ -190,10 +192,12 @@ def test_lru_capacity_one_two_alternating_keys():
 
 
 def test_lru_capacity_one_matches_naive_dispatch():
-    program = compile_program(TWO_KEY, mode="dynamic")
+    backend = NaiveRVM(naive=False)
+    program = compile_program(TWO_KEY, mode="dynamic", backend=backend)
     config = CacheConfig("lru", 1)
     threaded = program.run("main", [8], cache=config)
-    naive = program.run("main", [8], dispatch="naive", cache=config)
+    backend.naive = True
+    naive = program.run("main", [8], cache=config)
     assert naive.value == threaded.value
     assert naive.cycles == threaded.cycles
     assert naive.cycles_by_owner == threaded.cycles_by_owner
@@ -240,9 +244,12 @@ def test_multi_version_region_n_keys_n_stitches():
 
 
 def test_multi_version_bit_identical_across_dispatchers():
-    program = compile_program(MULTI_VERSION, mode="dynamic")
+    backend = NaiveRVM(naive=False)
+    program = compile_program(MULTI_VERSION, mode="dynamic",
+                              backend=backend)
     threaded = program.run()
-    naive = program.run(dispatch="naive")
+    backend.naive = True
+    naive = program.run()
     assert naive.value == threaded.value
     assert naive.cycles == threaded.cycles
     assert naive.cycles_by_owner == threaded.cycles_by_owner

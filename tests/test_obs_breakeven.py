@@ -6,7 +6,7 @@ Two layers of defense:
   cycles per stitched instruction) are checked against hand-computed
   values on a synthetic row, so the arithmetic itself is pinned
   independently of the compiler;
-* a full ``break_even_workload`` over ``sparse_matvec_small`` (the
+* a full ``break_even_source`` over ``sparse_matvec_small`` (the
   paper's matrix benchmark at test scale) is compared field-for-field
   with the committed ``tests/golden_breakeven.json``, so any
   accounting drift in the pipeline shows up as a diff.
@@ -24,10 +24,10 @@ import math
 import sys
 from pathlib import Path
 
+import pytest
+
 from repro.bench.workloads import sparse_matvec_workload
-from repro.obs.breakeven import (
-    BreakEvenRow, break_even_source, break_even_workload,
-)
+from repro.obs.breakeven import BreakEvenRow, break_even_source
 from repro.runtime.engine import compile_program
 
 GOLDEN_PATH = Path(__file__).parent / "golden_breakeven.json"
@@ -35,6 +35,11 @@ GOLDEN_PATH = Path(__file__).parent / "golden_breakeven.json"
 
 def small_workload():
     return sparse_matvec_workload(size=12, per_row=3)
+
+
+def small_rows():
+    workload = small_workload()
+    return break_even_source(workload.source, expected=workload.expected)
 
 
 def test_derived_quantities_hand_computed():
@@ -86,7 +91,7 @@ def test_to_dict_is_json_round_trippable():
 
 def test_golden_sparse_matvec_small():
     workload = small_workload()
-    rows = break_even_workload(workload)
+    rows = small_rows()
     golden = json.loads(GOLDEN_PATH.read_text())
     assert golden["config"] == workload.config
     assert len(rows) == len(golden["rows"])
@@ -104,7 +109,7 @@ def test_rows_consistent_with_run_results():
     workload = small_workload()
     static = compile_program(workload.source, mode="static").run()
     dynamic = compile_program(workload.source, mode="dynamic").run()
-    (row,) = break_even_workload(workload)
+    (row,) = small_rows()
     key = (row.func_name, row.region_id)
     suffix = "%s:%d" % key
     assert row.executions == dynamic.region_entries[key]
@@ -143,11 +148,14 @@ def test_break_even_source_checks_agreement():
     assert row.executions == 8
     assert row.stitches == 1
     assert row.cache_hits == 7
+    assert break_even_source(source, expected=80) == rows
+    with pytest.raises(AssertionError):
+        break_even_source(source, expected=81)
 
 
 def _regen():
     workload = small_workload()
-    rows = break_even_workload(workload)
+    rows = small_rows()
     out = {"workload": workload.name, "config": workload.config,
            "rows": [row.to_dict() for row in rows]}
     with open(GOLDEN_PATH, "w") as handle:

@@ -311,34 +311,41 @@ def test_health_fires_under_seeded_faults_and_not_clean():
 
 def test_fuzz_health_flags():
     from repro.fuzz import health_flags
+    from repro.testing.oracle import Divergence, OracleOutcome, OracleReport
 
-    class _Outcome:
-        def __init__(self, run_result):
-            self.run_result = run_result
-
-    class _Report:
-        def __init__(self, ok, outcomes):
-            self.ok = ok
-            self.compile_error = False
-            self.outcomes = outcomes
+    def report(run_result, *divergences,
+               legs=("dynamic",)) -> OracleReport:
+        outcomes = {"interp": OracleOutcome("interp", "ok", value=1)}
+        for leg in legs:
+            outcomes[leg] = OracleOutcome(leg, "ok", value=1,
+                                          run_result=run_result)
+        return OracleReport([], outcomes, list(divergences))
 
     degraded = _oracle_dynamic_result(faults="all:0.2@7")
     clean = _oracle_dynamic_result()
     # Diverged yet green: the rules are blind to the failure.
-    flags = health_flags(_Report(False, {"dynamic": _Outcome(clean)}),
-                         faults_configured=False)
+    flags = health_flags(
+        report(clean, Divergence("value", "interp", "dynamic", "1 vs 2")),
+        faults_configured=False)
     assert flags and "diverged yet health is green" in flags[0]
+    # Only the legs a divergence names are flagged, not the green legs
+    # that agreed.
+    flags = health_flags(
+        report(clean, Divergence("value", "interp", "dynamic+tiered",
+                                 "1 vs 2"),
+               legs=("static", "dynamic", "dynamic+pycode",
+                     "dynamic+regactions", "dynamic+tiered")),
+        faults_configured=False)
+    assert flags == ["dynamic+tiered leg diverged yet health is green "
+                     "(rules are blind to this failure)"]
     # Agreed with no faults configured, yet rules fired: silent
     # degradation.
-    flags = health_flags(_Report(True, {"dynamic": _Outcome(degraded)}),
-                         faults_configured=False)
+    flags = health_flags(report(degraded), faults_configured=False)
     assert flags and "silent degradation" in flags[0]
     # Same degradation under a configured fault plan is expected.
-    assert health_flags(_Report(True, {"dynamic": _Outcome(degraded)}),
-                        faults_configured=True) == []
+    assert health_flags(report(degraded), faults_configured=True) == []
     # Clean and agreeing: nothing to flag.
-    assert health_flags(_Report(True, {"dynamic": _Outcome(clean)}),
-                        faults_configured=False) == []
+    assert health_flags(report(clean), faults_configured=False) == []
 
 
 # -- the flight recorder ---------------------------------------------------
@@ -391,6 +398,33 @@ def test_compare_host_metrics_gated_only_on_request(tmp_path):
     strict = history.compare("hostperf", directory=tmp_path,
                              include_host=True)
     assert not strict.ok
+
+
+def test_hostperf_rows_check_what_they_time(monkeypatch):
+    """The one hostperf measurement (recorder and gate script alike)
+    yields an rvm row and an ``@pycode`` row per workload with the four
+    trajectory metrics, and refuses to time a wrong result."""
+    from repro.bench.workloads import calculator_workload
+
+    def workload(expected=None):
+        built = calculator_workload(xs=3, ys=3)
+        if expected is not None:
+            built.expected = expected
+        return built
+
+    monkeypatch.setattr(history, "hostperf_workloads",
+                        lambda quick: [("calc", workload)])
+    rows = history.hostperf_rows(steady_runs=1)
+    assert sorted(rows) == ["calc", "calc@pycode"]
+    for row in rows.values():
+        assert sorted(row) == ["compile_s", "first_run_s",
+                               "simulated_cycles", "steady_run_s"]
+    assert rows["calc"]["simulated_cycles"] \
+        == rows["calc@pycode"]["simulated_cycles"]
+    monkeypatch.setattr(history, "hostperf_workloads",
+                        lambda quick: [("calc", lambda: workload(-1))])
+    with pytest.raises(AssertionError, match="!= expected -1"):
+        history.hostperf_rows(steady_runs=1)
 
 
 def test_append_entry_preserves_sibling_keys(tmp_path):

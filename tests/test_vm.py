@@ -7,7 +7,10 @@ import pytest
 from repro.machine.isa import (
     ARG_BASE, CPOOL, FREG_BASE, MInstr, RA, RV, SP, ZERO, fits_imm, reg_name,
 )
+from repro.backends import RVMBackend
 from repro.machine.vm import VM, VMError
+
+from helpers import NaiveRVM
 
 
 def run_instrs(instrs, args=None, vm=None):
@@ -187,8 +190,9 @@ def test_wild_load_faults():
         ])
 
 
-@pytest.mark.parametrize("dispatch", ("threaded", "naive"))
-def test_wild_store_faults(dispatch):
+@pytest.mark.parametrize("backend", (RVMBackend(), NaiveRVM()),
+                         ids=("threaded", "naive"))
+def test_wild_store_faults(backend):
     """The address space ends at ``memory_words``: a store to the last
     word lands, a store one past it faults and leaves memory alone."""
     vm = VM(memory_words=1 << 16)
@@ -197,10 +201,10 @@ def test_wild_store_faults(dispatch):
         MInstr("stq", rb=1, ra=ARG_BASE, imm=0),
         MInstr("ret"),
     ])
-    vm.run(entry, [(ARG_BASE, vm.memory_words - 1)], dispatch=dispatch)
+    backend.execute(vm, entry, [(ARG_BASE, vm.memory_words - 1)])
     assert vm.load(vm.memory_words - 1) == 5
     with pytest.raises(VMError, match="store to wild address 0x10000"):
-        vm.run(entry, [(ARG_BASE, vm.memory_words)], dispatch=dispatch)
+        backend.execute(vm, entry, [(ARG_BASE, vm.memory_words)])
     with pytest.raises(VMError, match="store to wild address"):
         vm.store(vm.memory_words, 1)
     assert vm.memory_words not in vm.memory
