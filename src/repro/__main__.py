@@ -193,11 +193,12 @@ def _run(args, source: str, config: RunConfig) -> int:
     stats = result.cache_stats
     if stats is not None and stats.bounded:
         print("cache[%s]: %d hits, %d misses, %d evictions, "
-              "%d compactions, %d invalidations, %d re-stitches, "
-              "%d live entries (%d words)"
+              "%d compactions, %d invalidations, %d re-stitches "
+              "(%d revived), %d live entries (%d words)"
               % (stats.policy, stats.hits, stats.misses, stats.evictions,
                  stats.compactions, stats.invalidations, stats.restitches,
-                 stats.live_entries, stats.live_code_words))
+                 stats.revivals, stats.live_entries,
+                 stats.live_code_words))
 
     if result.tier_stats:
         colds = Counter((event.func_name, event.region_id)

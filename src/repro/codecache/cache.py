@@ -28,6 +28,14 @@ Two invariants, checked by the differential oracle:
   *word-identical modulo relocation base* to the original stitch
   (mismatches are recorded in :attr:`CacheStats.restitch_mismatches`
   and fail the oracle).
+
+Revival: the cache keeps the last cleanly evicted entry of each key.
+When the key misses again, :meth:`CodeCache.revive` replays that
+entry's table walk against the freshly filled table; on a match a
+fresh entry over the same words goes back through :meth:`insert`
+instead of a new stitch (the engine charges the original stitch's
+cycles, so simulated observables are unchanged).  Runs with a fault
+plan never revive: a revival skips the stitcher's fault draws.
 """
 
 from __future__ import annotations
@@ -58,6 +66,9 @@ class CacheStats:
     #: stitches for keys that had been stitched before (post-eviction
     #: or post-invalidation re-compilations).
     restitches: int = 0
+    #: stitches served by re-installing the key's evicted entry (its
+    #: table walk matched; see :meth:`CodeCache.revive`).
+    revivals: int = 0
     #: cache hits whose entry failed integrity verification (the entry
     #: was invalidated and the key re-stitched).
     checksum_failures: int = 0
@@ -79,6 +90,23 @@ class CacheStats:
             self.max_entries is not None or self.max_words is not None)
 
 
+class _KeyRecord:
+    """What the cache remembers about one key across evictions."""
+
+    __slots__ = ("fingerprint", "canonical", "evicted")
+
+    def __init__(self, entry: CachedEntry):
+        #: the table fingerprint of the key's latest stitch (a change
+        #: means the region's table was re-filled: invalidate).
+        self.fingerprint = entry.table_fingerprint
+        #: canonical words of the key's *first* stitch, for the
+        #: re-stitch identity invariant.
+        self.canonical = entry.canonical_words()
+        #: the key's last cleanly evicted entry while it is not live
+        #: (never one dropped by a checksum failure or invalidation).
+        self.evicted: Optional[CachedEntry] = None
+
+
 class CodeCache:
     """Keyed cache of stitched region versions for one VM execution."""
 
@@ -96,17 +124,15 @@ class CodeCache:
         self.pool_arena = PoolArena(vm)
         #: live versions only.
         self.entries: Dict[CacheKey, CachedEntry] = {}
-        #: table fingerprint per key ever stitched (survives eviction:
-        #: distinguishes an invalidation from an ordinary re-stitch).
-        self.fingerprints: Dict[CacheKey, Tuple] = {}
-        #: canonical words of the *first* stitch per key, for the
-        #: re-stitch identity invariant.
-        self.archive: Dict[CacheKey, Tuple] = {}
+        #: one record per key stitched since the region's last
+        #: invalidation (survives eviction).
+        self.keys: Dict[CacheKey, _KeyRecord] = {}
         self.tick = 0
         self._evictions = 0
         self._compactions = 0
         self._invalidations = 0
         self._restitches = 0
+        self._revivals = 0
         self._hits = 0
         self._misses = 0
         self._checksum_failures = 0
@@ -205,16 +231,42 @@ class CodeCache:
             return False
         return True
 
+    def revive(self, key: CacheKey, table_addr: int
+               ) -> Optional[CachedEntry]:
+        """A fresh entry over the words of ``key``'s last evicted
+        version, when replaying its table walk against the table at
+        ``table_addr`` matches (the stitcher would emit the same words
+        again); None means stitch.  The caller charges the entry's
+        stitch cycles and inserts it."""
+        record = self.keys.get(key)
+        if record is None or record.evicted is None \
+                or self.faults is not None \
+                or not record.evicted.walk_matches(self.vm, table_addr):
+            return None
+        entry = record.evicted.revived()
+        record.evicted = None
+        self._revivals += 1
+        if obs_metrics._enabled:
+            obs_metrics.counter("cache.revivals").inc()
+        if obs_trace._current is not None:
+            obs_trace.instant("cache.revive", "runtime",
+                              region="%s:%d" % (key.func, key.region_id),
+                              key=list(key.key), words=entry.words)
+        return entry
+
     def insert(self, entry: CachedEntry) -> CachedEntry:
-        """Admit a freshly stitched entry: invalidate on fingerprint
-        change, check re-stitch identity, make room, install."""
+        """Admit a stitched (or revived) entry: invalidate on
+        fingerprint change, check re-stitch identity, make room,
+        install."""
         self.tick += 1
         key = entry.key
-        old_fp = self.fingerprints.get(key)
-        if old_fp is not None and old_fp != entry.table_fingerprint:
+        record = self.keys.get(key)
+        if record is not None \
+                and record.fingerprint != entry.table_fingerprint:
             # The region's "run-time constants" were re-filled with
             # different values: every version of the region is stale.
             self.invalidate_region(key.func, key.region_id)
+            record = None
         elif key in self.entries:
             # A live key being re-inserted (possible only through
             # direct API use, never through the dispatch glue, which
@@ -222,16 +274,18 @@ class CodeCache:
             old = self.entries.pop(key)
             if not old.pinned:
                 self._release(old)
-        archived = self.archive.get(key)
-        if archived is not None:
+        if record is None:
+            self.keys[key] = _KeyRecord(entry)
+        else:
             self._restitches += 1
             if obs_metrics._enabled:
                 obs_metrics.counter("cache.restitches").inc()
-            if archived != entry.canonical_words():
+            canonical = entry.canonical_words()
+            if canonical is not record.canonical \
+                    and canonical != record.canonical:
                 self._mismatches.append(key.pretty())
-        else:
-            self.archive[key] = entry.canonical_words()
-        self.fingerprints[key] = entry.table_fingerprint
+            record.fingerprint = entry.table_fingerprint
+            record.evicted = None
         self._make_room(entry.words)
         self._install(entry)
         self.policy.on_insert(entry, self.tick)
@@ -287,6 +341,7 @@ class CodeCache:
     def _evict(self, entry: CachedEntry) -> None:
         del self.entries[entry.key]
         self._release(entry)
+        self.keys[entry.key].evicted = entry
         self._evictions += 1
         if self.on_evict is not None:
             self.on_evict(entry.key)
@@ -312,9 +367,8 @@ class CodeCache:
             entry = self.entries.pop(key)
             if not entry.pinned:
                 self._release(entry)
-        for mapping in (self.fingerprints, self.archive):
-            for key in [k for k in mapping if k.region == region]:
-                del mapping[key]
+        for key in [k for k in self.keys if k.region == region]:
+            del self.keys[key]
         self._invalidations += 1
         if self.on_invalidate is not None:
             self.on_invalidate(func, region_id)
@@ -430,6 +484,7 @@ class CodeCache:
             compactions=self._compactions,
             invalidations=self._invalidations,
             restitches=self._restitches,
+            revivals=self._revivals,
             checksum_failures=self._checksum_failures,
             live_entries=len(live),
             live_code_words=self._cache_words,

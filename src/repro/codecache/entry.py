@@ -32,13 +32,25 @@ Relocation kinds:
 
 from __future__ import annotations
 
+import struct
 import zlib
-from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Tuple, Union
+from dataclasses import dataclass, field, replace
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
+from ..errors import VMError
 from ..machine.isa import MInstr
 
 Number = Union[int, float]
+
+#: One load of a stitch's table walk: ``(base, offset, value,
+#: record)``.  ``base`` names where the load reads -- 0 for the
+#: constants table, n for the n-th distinct record pointer the walk
+#: followed -- and ``offset`` the word within it.  A value load has
+#: ``record == 0`` and the value read; a record-pointer load has
+#: ``value None`` and the number of the record it points to.
+WalkStep = Tuple[int, int, Optional[Number], int]
+
+_DOUBLE = struct.Struct("<d").pack
 
 
 class CacheKey(NamedTuple):
@@ -87,6 +99,9 @@ class CachedEntry:
     #: are deliberately excluded: they are heap addresses that
     #: legitimately differ between re-stitches).
     table_fingerprint: Tuple[Number, ...] = ()
+    #: every table and record load the stitch made, in order (see
+    #: :data:`WalkStep`): :meth:`walk_matches` replays it.
+    walk: Tuple[WalkStep, ...] = ()
     #: entries that call functions (``jsr``) can have live frames
     #: below them when the cache runs; they are never moved or evicted.
     pinned: bool = False
@@ -145,6 +160,50 @@ class CachedEntry:
                 for n, i in enumerate(self.code))
             self._canonical = (words, tuple(self.pool), self.entry_offset)
         return self._canonical
+
+    def walk_matches(self, vm, table_addr: int) -> bool:
+        """True when the table at ``table_addr`` gives this entry's
+        walk again: every value equal by type and bits, every record
+        pointer non-zero and aliasing the others as before.  The
+        stitcher reads nothing else, so on that table it would emit
+        these words again."""
+        bases = [table_addr]
+        numbers: Dict[int, int] = {}
+        load = vm.load
+        try:
+            for base, offset, want, record in self.walk:
+                got = load(bases[base] + offset)
+                if record:
+                    pointer = int(got)
+                    if not pointer \
+                            or numbers.setdefault(pointer,
+                                                  len(bases)) != record:
+                        return False
+                    if record == len(bases):
+                        bases.append(pointer)
+                elif got is not want and not (
+                        got.__class__ is want.__class__ and got == want
+                        and (got.__class__ is not float
+                             or _DOUBLE(got) == _DOUBLE(want))):
+                    return False
+        except (VMError, OverflowError, ValueError):
+            return False  # a wild or non-finite pointer: stitch for real
+        return True
+
+    def revived(self) -> "CachedEntry":
+        """A fresh, uninstalled copy of this evicted entry over the same
+        words, with its own copy of the report."""
+        report = self.report
+        return CachedEntry(
+            key=self.key, code=self.code, relocs=self.relocs,
+            pool=self.pool, entry_offset=self.entry_offset,
+            report=replace(report,
+                           loop_iterations=dict(report.loop_iterations),
+                           peepholes=dict(report.peepholes),
+                           reg_actions=dict(report.reg_actions)),
+            table_fingerprint=self.table_fingerprint, walk=self.walk,
+            pinned=self.pinned, _canonical=self._canonical,
+            _crc=self._crc)
 
     def compute_checksum(self) -> int:
         """CRC32 over the canonical (base-independent) image, so the

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
 from ..codecache.entry import (
-    CachedEntry, CacheKey, Relocation, install_entry,
+    CachedEntry, CacheKey, Relocation, WalkStep, install_entry,
 )
 from ..codegen.objects import (
     CompiledFunction, RegionCode, TemplateBlock, linearize_block,
@@ -129,12 +129,13 @@ class Stitcher:
         self.labels: Dict[str, int] = {}
         self.pending: List[Tuple[int, str]] = []  # (out index, label)
         self.pool: List[Number] = []
-        #: every value read from the constants table / loop records,
-        #: in read order: the table fingerprint for invalidation.
-        #: (Record-chain *pointers* are read in _edge_env, not here --
-        #: they are heap addresses that legitimately differ between
-        #: re-stitches and must stay out of the fingerprint.)
-        self.table_reads: List[Number] = []
+        #: every load from the constants table and the loop records,
+        #: in order (see :attr:`CachedEntry.walk`); its values are the
+        #: table fingerprint for invalidation.
+        self.walk: List[WalkStep] = []
+        #: record address -> its number in the walk (1, 2, ... by
+        #: first appearance; the table is base 0).
+        self.records: Dict[int, int] = {}
         #: the relocatable product of the stitch (set by _finalize).
         self.entry: Optional[CachedEntry] = None
         self.emitted: Dict[Tuple[str, Env], str] = {}
@@ -158,16 +159,28 @@ class Stitcher:
         loop_id, index = slot
         if loop_id is None:
             value = self.vm.load(self.table_addr + index)
-        else:
-            for active_id, rec in env:
-                if active_id == loop_id:
-                    value = self.vm.load(rec + index)
-                    break
-            else:
-                raise StitchError("hole references inactive loop %d"
-                                  % loop_id)
-        self.table_reads.append(value)
-        return value
+            self.walk.append((0, index, value, 0))
+            return value
+        for active_id, rec in env:
+            if active_id == loop_id:
+                value = self.vm.load(rec + index)
+                self.walk.append((self.records[rec], index, value, 0))
+                return value
+        raise StitchError("hole references inactive loop %d" % loop_id)
+
+    def _load_record(self, base: int, offset: int,
+                     table: bool = False) -> int:
+        """Follow the record-chain pointer at ``base + offset``, where
+        ``base`` is the table or a record; 0 ends the chain."""
+        rec = int(self.vm.load(base + offset))
+        if rec:
+            records = self.records
+            number = records.get(rec)
+            if number is None:
+                number = records[rec] = len(records) + 1
+            self.walk.append((0 if table else records[base], offset,
+                              None, number))
+        return rec
 
     def _pool_index(self, value: Number) -> int:
         self.pool.append(value)
@@ -213,8 +226,8 @@ class Stitcher:
                     # Back edge: advance to the next record (RESTART_LOOP).
                     for i, (loop_id, rec) in enumerate(new_env):
                         if loop_id == header_plan.loop_id:
-                            next_rec = int(self.vm.load(
-                                rec + header_plan.next_offset))
+                            next_rec = self._load_record(
+                                rec, header_plan.next_offset)
                             if next_rec == 0:
                                 raise StitchError(
                                     "broken record chain for loop %d"
@@ -250,15 +263,17 @@ class Stitcher:
             else:
                 # ENTER_LOOP: read the head record pointer.
                 if header_plan.parent is None:
-                    head_addr = self.table_addr + header_plan.head_slot
+                    rec = self._load_record(self.table_addr,
+                                            header_plan.head_slot,
+                                            table=True)
                 else:
                     parent_rec = dict(new_env).get(header_plan.parent)
                     if parent_rec is None:
                         raise StitchError(
                             "nested loop %d entered outside its parent"
                             % header_plan.loop_id)
-                    head_addr = parent_rec + header_plan.head_slot
-                rec = int(self.vm.load(head_addr))
+                    rec = self._load_record(parent_rec,
+                                            header_plan.head_slot)
                 if rec == 0:
                     raise StitchError(
                         "loop %d has no iteration records"
@@ -575,7 +590,9 @@ class Stitcher:
             pool=self.pool,
             entry_offset=labels[self.emitted[(self.region.entry, ())]],
             report=self.report,
-            table_fingerprint=tuple(self.table_reads),
+            table_fingerprint=tuple(value for _, _, value, record
+                                    in self.walk if not record),
+            walk=tuple(self.walk),
             # Entries that call functions may have live frames beneath
             # them when the cache evicts or compacts: never move them.
             pinned=any(instr.op == "jsr" for instr in keep),
@@ -633,8 +650,7 @@ def stitch_entry(vm, compiled: CompiledFunction, region: RegionCode,
             report = stitcher.stitch()
         except StitchError:
             partial = stitch_cost(stitcher.report, costs)
-            vm.charge("stitcher:%s:%d"
-                      % (region.func_name, region.region_id), partial)
+            charge_stitch(vm, region, partial)
             if span is not None:
                 span["aborted"] = True
                 span["stitcher_cycles"] = partial
@@ -653,10 +669,17 @@ def stitch_entry(vm, compiled: CompiledFunction, region: RegionCode,
                 for loop_id, count in report.loop_iterations.items()}
             span["peepholes"] = dict(report.peepholes)
             span["stitcher_cycles"] = report.cycles
-    vm.charge("stitcher:%s:%d" % (region.func_name, region.region_id),
-              report.cycles)
+    charge_stitch(vm, region, report.cycles)
     assert stitcher.entry is not None
     return stitcher.entry
+
+
+def charge_stitch(vm, region: RegionCode, cycles: int) -> None:
+    """Charge stitcher cycles to the region's ``stitcher:`` owner: a
+    stitch, an aborted stitch, or a revived one (which costs what its
+    original stitch did)."""
+    vm.charge("stitcher:%s:%d" % (region.func_name, region.region_id),
+              cycles)
 
 
 def stitch_region(vm, compiled: CompiledFunction, region: RegionCode,

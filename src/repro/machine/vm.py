@@ -108,6 +108,9 @@ class VM:
         self.heap_next = self.HEAP_BASE
         #: name -> handler(vm, instr) -> int result for r0.
         self.rt_handlers: Dict[str, Callable[["VM", MInstr], int]] = {}
+        #: the one ``freed`` filler word and its handler, shared by
+        #: every freed slot (built by the first :meth:`fill_freed`).
+        self._freed: Optional[Tuple[MInstr, Handler]] = None
 
     # -- accounting views --------------------------------------------------
 
@@ -205,17 +208,20 @@ class VM:
     def fill_freed(self, base: int, words: int) -> None:
         """Fill released code words with trapping filler: executing a
         stale pc in an evicted region faults like any unknown opcode
-        instead of silently running another entry's code."""
+        instead of silently running another entry's code.  Every slot
+        gets the same filler word and handler (the handler reads the
+        pc it reports from its argument)."""
         if base < 0 or base + words > len(self.code):
             raise VMError("fill_freed outside installed code: %d+%d"
                           % (base, words))
-        code = self.code
-        handlers = self.handlers
-        for i in range(words):
+        if self._freed is None:
             filler = MInstr("freed", owner="codecache")
             filler.cost = op_cost("freed", "")
-            code[base + i] = filler
-            handlers[base + i] = _predecode(self, filler)
+            self._freed = (filler, _predecode(self, filler))
+        filler, handler = self._freed
+        end = base + words
+        self.code[base:end] = [filler] * words
+        self.handlers[base:end] = [handler] * words
 
     def alloc(self, words: int) -> int:
         """Bump-allocate ``max(1, words)`` heap words below the top 64K

@@ -65,7 +65,7 @@ def _cmd_report(args) -> int:
             continue
         title = "%s (%s)" % (workload.name, workload.config)
         sections.append(title + "\n" + format_breakeven(rows))
-        json_out[workload.name] = [row.to_dict() for row in rows]
+        json_out[title] = [row.to_dict() for row in rows]
     if not sections:
         print("nothing measured", file=sys.stderr)
         return 1

@@ -28,7 +28,7 @@ from ..codecache import CacheKey, CacheStats, CodeCache, region_key
 from ..codegen.lower import DataLayout, lower_module
 from ..codegen.objects import CompiledFunction, RegionCode
 from ..dynamic.splitter import RegionPlan, split_module
-from ..dynamic.stitcher import StitchReport, stitch_entry
+from ..dynamic.stitcher import StitchReport, charge_stitch, stitch_entry
 from ..errors import RegionNotFound, StitchBudgetExceeded, StitchError
 from ..frontend.parser import parse
 from ..frontend.typecheck import check
@@ -493,12 +493,20 @@ class _RegionRuntime:
             queue.landing = job
         host_start = time.perf_counter()
         try:
-            entry = stitch_entry(
-                vm, self.program.compiled[func], region,
-                table_addr, self.program.stitcher_costs, key=key,
-                register_actions=self.program.register_actions,
-                functions=self.program.compiled,
-                faults=self.faults, budget=self.program.stitch_budget)
+            # An evicted version whose table walk still matches is
+            # re-installed instead of stitched again, at its original
+            # stitch's price.
+            entry = self.cache.revive(CacheKey(func, region_id, key),
+                                      table_addr)
+            if entry is None:
+                entry = stitch_entry(
+                    vm, self.program.compiled[func], region,
+                    table_addr, self.program.stitcher_costs, key=key,
+                    register_actions=self.program.register_actions,
+                    functions=self.program.compiled,
+                    faults=self.faults, budget=self.program.stitch_budget)
+            else:
+                charge_stitch(vm, region, entry.report.cycles)
             self.cache.insert(entry)
         except (StitchError, VMError) as exc:
             # The degradation ladder: any failure of run-time code

@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -113,6 +114,18 @@ def test_missing_file():
 
 
 # -- adaptive tiering ---------------------------------------------------------
+
+def test_cache_line_counts_revivals():
+    """A bounded cache prints its accounting line, revivals included
+    (the corpus revival program: 18 of its 24 stitches revive)."""
+    program = Path(__file__).parent / "corpus" / "revive_evicted_stitches.c"
+    proc = run_cli(str(program), "--args", "6", "--config", "cache=lru:1",
+                   "--stats")
+    assert proc.returncode == 0, proc.stderr
+    assert "=> 1484" in proc.stdout
+    assert "23 evictions" in proc.stdout
+    assert "18 re-stitches (18 revived)" in proc.stdout
+
 
 def test_tier_threshold_flag(source_file):
     proc = run_cli(source_file, "--args", "10",

@@ -10,6 +10,7 @@ from repro.bench.cachepressure import compile_pressure_program
 from repro.codecache import CacheConfig, CacheKey, CodeArena, PoolArena
 from repro.codecache.keys import region_key
 from repro.fuzz import random_config
+from repro.machine.costs import op_cost
 from repro.machine.isa import ARG_BASE, MInstr
 from repro.machine.vm import VM, VMError
 
@@ -133,14 +134,25 @@ def test_pool_arena_reuse_and_zeroing():
 
 def test_freed_filler_faults_on_execution():
     """Evicted code words must trap, not silently execute, under both
-    dispatchers."""
+    dispatchers -- naming the pc they were reached at, and charging the
+    ``codecache`` owner and the ``freed`` opcode like any executed word,
+    although every freed slot shares one filler word and handler."""
     vm = VM(memory_words=1 << 12)
-    base = vm.install_code([MInstr("halt")])
-    vm.fill_freed(base, 1)
-    with pytest.raises(VMError, match="unknown opcode"):
-        vm.run(base, [])
-    with pytest.raises(VMError, match="unknown opcode"):
-        NaiveRVM().execute(vm, base, [])
+    base = vm.install_code([MInstr("halt"), MInstr("halt")])
+    vm.fill_freed(base, 2)
+    assert vm.code[base] is vm.code[base + 1]
+    assert vm.handlers[base] is vm.handlers[base + 1]
+    cost = op_cost("freed", "")
+    for pc in (base, base + 1):
+        with pytest.raises(VMError, match="unknown opcode 'freed' at pc %d"
+                           % pc):
+            vm.run(pc, [])
+        with pytest.raises(VMError, match="unknown opcode 'freed' at pc %d"
+                           % pc):
+            NaiveRVM().execute(vm, pc, [])
+    assert vm.cycles_by_owner == {"codecache": 4 * cost}
+    assert vm.instrs_by_owner == {"codecache": 4}
+    assert vm.op_counts == {"freed": 4}
 
 
 # -- eviction: the lru:1 two-key acceptance scenario --------------------------

@@ -1,11 +1,14 @@
 """Regression tests over the fuzz corpus.
 
-Every ``tests/corpus/*.c`` file is a minimized reproducer committed
-when the differential fuzzer (``python -m repro.fuzz``) found a
-divergence that was then fixed.  Replaying them through the three-way
-oracle, under the run configuration their ``// config:`` header
-records, keeps the fixes honest; a short deterministic fuzz run guards
-the generator/oracle plumbing itself.  The :class:`RunConfig` spec
+Every ``tests/corpus/*.c`` file is either a minimized reproducer
+committed when the differential fuzzer (``python -m repro.fuzz``)
+found a divergence that was then fixed, or a coverage program for a
+runtime path generated programs almost never reach (e.g. reviving
+evicted stitches under a one-entry cache).  Replaying them through
+the three-way oracle, under the run configuration their ``// config:``
+header records, keeps the fixes honest and the rare paths checked; a
+short deterministic fuzz run guards the generator/oracle plumbing
+itself.  The :class:`RunConfig` spec
 contract those headers rely on is pinned here too.
 """
 

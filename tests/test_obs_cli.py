@@ -52,6 +52,10 @@ def test_report_matches_golden(tmp_path, capsys):
     assert "spmv:1" in out
     golden = json.loads(GOLDEN_PATH.read_text())
     written = json.loads(json_path.read_text())
+    # One key per reported table: both sparse configurations, keyed by
+    # their printed titles (name and config).
+    assert len(written) == 2
+    assert all(title in out for title in written)
     # The bench-scale sparse workload (24x24) differs from the golden's
     # test-scale one (12x12); both must at least report the region.
     assert any("spmv:1" == row["region"]
