@@ -99,6 +99,7 @@ def main(argv: List[str] = None) -> int:
         return 2
 
     from .obs import metrics as obs_metrics
+    from .obs import report_metrics
     from .obs import trace as obs_trace
     tracer = obs_trace.Tracer() if args.trace else None
     if tracer is not None:
@@ -115,17 +116,7 @@ def main(argv: List[str] = None) -> int:
                   % (args.trace, len(tracer.events), tracer.dropped),
                   file=sys.stderr)
         if args.metrics or args.metrics_out:
-            snap = obs_metrics.registry.snapshot()
-            if args.metrics:
-                print()
-                print(obs_metrics.format_snapshot(snap))
-            if args.metrics_out:
-                import json
-                with open(args.metrics_out, "w") as handle:
-                    json.dump(snap, handle, indent=2, sort_keys=True)
-                    handle.write("\n")
-                print("wrote metrics: %s" % args.metrics_out,
-                      file=sys.stderr)
+            report_metrics(args.metrics, args.metrics_out)
             obs_metrics.registry.disable()
 
 

@@ -18,6 +18,7 @@ from typing import List
 
 from ..machine.costs import FUSED_STITCHER
 from ..obs import metrics as obs_metrics
+from ..obs import report_metrics
 from ..obs import trace as obs_trace
 from ..obs.breakeven import rows_from_results
 from ..runtime.engine import compile_program
@@ -150,17 +151,7 @@ def main(argv: List[str] = None) -> int:
         print()
         print("\n\n".join(breakeven_sections))
     if args.metrics or args.metrics_out:
-        snap = obs_metrics.registry.snapshot()
-        if args.metrics:
-            print()
-            print(obs_metrics.format_snapshot(snap))
-        if args.metrics_out:
-            import json
-            with open(args.metrics_out, "w") as handle:
-                json.dump(snap, handle, indent=2, sort_keys=True)
-                handle.write("\n")
-            print("wrote metrics: %s" % args.metrics_out,
-                  file=sys.stderr)
+        report_metrics(args.metrics, args.metrics_out)
         obs_metrics.registry.disable()
 
     if args.register_actions:

@@ -29,6 +29,10 @@ Two invariants, checked by the differential oracle:
   (mismatches are recorded in :attr:`CacheStats.restitch_mismatches`
   and fail the oracle).
 
+Everything the cache does to code is logged as an event in the run's
+log (:mod:`repro.runtime.runlog`), which :meth:`CodeCache.snapshot`
+counts.
+
 Revival: the cache keeps the last cleanly evicted entry of each key.
 When the key misses again, :meth:`CodeCache.revive` replays that
 entry's table walk against the freshly filled table; on a match a
@@ -44,8 +48,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import ArenaExhausted, VMError, mark_injected
-from ..obs import trace as obs_trace
-from ..obs.metrics import registry as obs_metrics
 from .arena import CodeArena, PoolArena
 from .entry import CachedEntry, CacheKey
 from .policy import CacheConfig, make_policy
@@ -73,6 +75,8 @@ class CacheStats:
     #: was invalidated and the key re-stitched).
     checksum_failures: int = 0
     live_entries: int = 0
+    #: live entries pinned for a possible live frame (see above).
+    live_pinned: int = 0
     live_code_words: int = 0
     #: live (base, words) code ranges -- the only run-time code ranges
     #: the oracle's branch/reachability invariants may scan.
@@ -110,9 +114,11 @@ class _KeyRecord:
 class CodeCache:
     """Keyed cache of stitched region versions for one VM execution."""
 
-    def __init__(self, vm, backend, config: Optional[CacheConfig] = None,
+    def __init__(self, vm, backend, log, config: Optional[CacheConfig] = None,
                  faults=None):
         self.vm = vm
+        #: the run's log (repro.runtime.runlog.RunLog).
+        self.log = log
         self.config = config or CacheConfig()
         #: fault-injection plan (repro.faults.FaultPlan) or None.
         self.faults = faults
@@ -128,43 +134,14 @@ class CodeCache:
         #: invalidation (survives eviction).
         self.keys: Dict[CacheKey, _KeyRecord] = {}
         self.tick = 0
-        self._evictions = 0
-        self._compactions = 0
-        self._invalidations = 0
-        self._restitches = 0
-        self._revivals = 0
-        self._hits = 0
-        self._misses = 0
-        self._checksum_failures = 0
-        self._mismatches: List[str] = []
         #: immovable (base, words) code ranges the cache must route
         #: around: fallback blocks live inside the arena's address
         #: range but are not cache entries (see :meth:`reserve`).
         self._reserved: List[Tuple[int, int]] = []
         self._reserved_words = 0
-        #: async-stitching hooks (set by the engine when a stitch
-        #: queue is active): ``on_invalidate(func, region_id)`` lets
-        #: the queue cancel a region's in-flight jobs when its table
-        #: fingerprint changes; ``on_evict(key)`` cancels a key's job
-        #: when its installed code is evicted; ``pin_probe(region)``
-        #: returns True while the region has jobs in flight, pinning
-        #: its installed code against eviction until they land.
+        #: ``on_invalidate(func, region_id)``, set by the engine under
+        #: async stitching: cancels the region's queued jobs.
         self.on_invalidate = None
-        self.on_evict = None
-        self.pin_probe = None
-        #: memoized labeled counter children for the hot hit/miss
-        #: sites: one dict probe per lookup instead of label
-        #: resolution (registry.reset() keeps instrument identity,
-        #: so memoized children stay live).
-        self._metric_children: Dict[Tuple[str, str, int], object] = {}
-
-    def _region_counter(self, name: str, key: CacheKey):
-        child = self._metric_children.get((name, key.func, key.region_id))
-        if child is None:
-            child = obs_metrics.counter(name).labels(
-                region="%s:%d" % (key.func, key.region_id))
-            self._metric_children[(name, key.func, key.region_id)] = child
-        return child
 
     # -- the two runtime-service entry points -------------------------------
 
@@ -173,44 +150,19 @@ class CodeCache:
         self.tick += 1
         entry = self.entries.get(key)
         if entry is None:
-            self._misses += 1
-            if obs_metrics._enabled:
-                self._region_counter("cache.misses", key).inc()
-            if obs_trace._current is not None:
-                obs_trace.instant("cache.miss", "runtime",
-                                  region="%s:%d" % (key.func,
-                                                    key.region_id),
-                                  key=list(key.key))
             return None
         if not self._verify(entry):
             # Integrity failure: drop the corrupted version and report
             # a miss, so the region is re-stitched once (recovery); a
             # second failure falls back via the engine's breaker.
-            self._checksum_failures += 1
             del self.entries[key]
             if not entry.pinned:
                 self._release(entry)
-            if obs_metrics._enabled:
-                obs_metrics.counter("cache.checksum_failures").inc()
-                obs_metrics.counter("retry.checksum").inc()
-            if obs_trace._current is not None:
-                obs_trace.instant("cache.checksum_fail", "runtime",
-                                  region="%s:%d" % (key.func,
-                                                    key.region_id),
-                                  key=list(key.key), base=entry.base)
-            self._misses += 1
-            if obs_metrics._enabled:
-                self._region_counter("cache.misses", key).inc()
-            self._update_gauges()
+            self.log.event("cache.checksum_fail", key.region, key.key,
+                           base=entry.base, entries=len(self.entries),
+                           code_words=self._cache_words)
             return None
-        self._hits += 1
         self.policy.on_hit(entry, self.tick)
-        if obs_metrics._enabled:
-            self._region_counter("cache.hits", key).inc()
-        if obs_trace._current is not None:
-            obs_trace.instant("cache.hit", "runtime",
-                              region="%s:%d" % (key.func, key.region_id),
-                              key=list(key.key), entry=entry.entry_pc)
         return entry
 
     def _verify(self, entry: CachedEntry) -> bool:
@@ -245,13 +197,8 @@ class CodeCache:
             return None
         entry = record.evicted.revived()
         record.evicted = None
-        self._revivals += 1
-        if obs_metrics._enabled:
-            obs_metrics.counter("cache.revivals").inc()
-        if obs_trace._current is not None:
-            obs_trace.instant("cache.revive", "runtime",
-                              region="%s:%d" % (key.func, key.region_id),
-                              key=list(key.key), words=entry.words)
+        self.log.event("cache.revive", key.region, key.key,
+                       words=entry.words)
         return entry
 
     def insert(self, entry: CachedEntry) -> CachedEntry:
@@ -277,20 +224,20 @@ class CodeCache:
         if record is None:
             self.keys[key] = _KeyRecord(entry)
         else:
-            self._restitches += 1
-            if obs_metrics._enabled:
-                obs_metrics.counter("cache.restitches").inc()
             canonical = entry.canonical_words()
-            if canonical is not record.canonical \
-                    and canonical != record.canonical:
-                self._mismatches.append(key.pretty())
+            self.log.event("cache.restitch", key.region, key.key,
+                           identical=canonical is record.canonical
+                           or canonical == record.canonical)
             record.fingerprint = entry.table_fingerprint
             record.evicted = None
         self._make_room(entry.words)
         self._install(entry)
         self.policy.on_insert(entry, self.tick)
         self.entries[key] = entry
-        self._update_gauges()
+        self.log.event("cache.install", key.region, key.key,
+                       base=entry.base, words=entry.words,
+                       entries=len(self.entries),
+                       code_words=self._cache_words)
         return entry
 
     # -- capacity ----------------------------------------------------------
@@ -326,10 +273,8 @@ class CodeCache:
         if not self.config.bounded:
             return
         while self._over_capacity(incoming_words):
-            probe = self.pin_probe
             candidates = [e for e in self.entries.values()
-                          if not e.pinned
-                          and (probe is None or not probe(e.key.region))]
+                          if not e.pinned]
             if not candidates:
                 break  # everything pinned: overflow softly
             self._evict(self.policy.victim(candidates, self.tick))
@@ -342,19 +287,9 @@ class CodeCache:
         del self.entries[entry.key]
         self._release(entry)
         self.keys[entry.key].evicted = entry
-        self._evictions += 1
-        if self.on_evict is not None:
-            self.on_evict(entry.key)
-        if obs_metrics._enabled:
-            obs_metrics.counter("cache.evictions").labels(
-                region="%s:%d" % (entry.key.func, entry.key.region_id),
-                policy=self.policy.name).inc()
-        if obs_trace._current is not None:
-            obs_trace.instant(
-                "cache.evict", "runtime",
-                region="%s:%d" % (entry.key.func, entry.key.region_id),
-                key=list(entry.key.key), policy=self.policy.name,
-                base=entry.base, words=entry.words)
+        self.log.event("cache.evict", entry.key.region, entry.key.key,
+                       policy=self.policy.name, base=entry.base,
+                       words=entry.words)
 
     def invalidate_region(self, func: str, region_id: int) -> int:
         """Drop every version of a region (its table was re-filled
@@ -369,15 +304,11 @@ class CodeCache:
                 self._release(entry)
         for key in [k for k in self.keys if k.region == region]:
             del self.keys[key]
-        self._invalidations += 1
+        self.log.event("cache.invalidate", region, dropped=len(doomed),
+                       entries=len(self.entries),
+                       code_words=self._cache_words)
         if self.on_invalidate is not None:
             self.on_invalidate(func, region_id)
-        if obs_metrics._enabled:
-            obs_metrics.counter("cache.invalidations").inc()
-        if obs_trace._current is not None:
-            obs_trace.instant("cache.invalidate", "runtime",
-                              region="%s:%d" % region, dropped=len(doomed))
-        self._update_gauges()
         return len(doomed)
 
     # -- installation ------------------------------------------------------
@@ -456,39 +387,38 @@ class CodeCache:
         if cursor < end:
             free_blocks.append((cursor, end - cursor))
         self.code_arena.reset_free(free_blocks)
-        self._compactions += 1
-        if obs_metrics._enabled:
-            obs_metrics.counter("cache.compactions").inc()
-        if obs_trace._current is not None:
-            obs_trace.instant("cache.compact", "runtime", moved=moved,
-                              free_words=self.code_arena.free_words,
-                              largest_free=self.code_arena.largest_free)
+        self.log.event("cache.compact", moved=moved,
+                       free_words=self.code_arena.free_words,
+                       largest_free=self.code_arena.largest_free)
         return True
 
     # -- reporting ---------------------------------------------------------
 
-    def _update_gauges(self) -> None:
-        if obs_metrics._enabled:
-            obs_metrics.gauge("cache.entries").set(len(self.entries))
-            obs_metrics.gauge("cache.code_words").set(self._cache_words)
-
     def snapshot(self) -> CacheStats:
+        """The run's cache accounting: counts over the run's log plus
+        the live entries."""
+        log = self.log
+        hits = sum(1 for event in log.entries if event.kind == "hit")
         live = sorted(self.entries.values(), key=lambda e: e.base)
         return CacheStats(
             policy=self.config.policy,
             max_entries=self.config.max_entries,
             max_words=self.config.max_words,
-            hits=self._hits,
-            misses=self._misses,
-            evictions=self._evictions,
-            compactions=self._compactions,
-            invalidations=self._invalidations,
-            restitches=self._restitches,
-            revivals=self._revivals,
-            checksum_failures=self._checksum_failures,
+            hits=hits,
+            misses=len(log.entries) - hits,
+            evictions=log.count("cache.evict"),
+            compactions=log.count("cache.compact"),
+            invalidations=log.count("cache.invalidate"),
+            restitches=log.count("cache.restitch"),
+            revivals=log.count("cache.revive"),
+            checksum_failures=log.count("cache.checksum_fail"),
             live_entries=len(live),
+            live_pinned=sum(1 for e in live if e.pinned),
             live_code_words=self._cache_words,
             live_blocks=[(e.base, e.words) for e in live],
             live_entry_pcs=[e.entry_pc for e in live],
-            restitch_mismatches=list(self._mismatches),
+            restitch_mismatches=[
+                CacheKey(*event.region, event.key).pretty()
+                for event in log.of_kind("cache.restitch")
+                if not event.args["identical"]],
         )

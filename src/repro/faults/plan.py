@@ -45,6 +45,10 @@ injected shed) and ``stitch.hang`` wedges a ready job until the
 watchdog's deadline clears it -- so configuring them never perturbs
 other runs' seeded fault schedules.
 
+Each injection is a ``fault.inject`` event in the log of the run the
+plan serves (``RunResult.fault_counts`` counts them);
+:attr:`FaultPlan.counts`, the total over every run, enforces ``limit``.
+
 A clause may scope a site to one region with bracket syntax --
 ``stitch.hang[region]:1.0`` (every region of function ``region``) or
 ``stitch.hang[region.1]:1.0`` (just region 1) -- which is how the
@@ -57,9 +61,6 @@ from __future__ import annotations
 
 import random
 from typing import Dict, Optional
-
-from ..obs import trace as obs_trace
-from ..obs.metrics import registry as obs_metrics
 
 #: Every site a plan may configure, in pipeline order.
 FAULT_SITES = (
@@ -106,8 +107,10 @@ class FaultPlan:
         #: stop injecting after this many total faults (None: no cap).
         self.limit = limit
         self._rng = random.Random(seed)
-        #: site -> faults actually injected.
+        #: site -> faults actually injected (over every run).
         self.counts: Dict[str, int] = {}
+        #: the log of the run being served (set by the engine).
+        self.log = None
 
     # -- construction ------------------------------------------------------
 
@@ -222,10 +225,7 @@ class FaultPlan:
         if self._rng.random() >= prob:
             return False
         self.counts[site] = self.counts.get(site, 0) + 1
-        if obs_metrics._enabled:
-            obs_metrics.counter("fault.injected").labels(site=site).inc()
-            obs_metrics.counter("fault.injected.%s" % site).inc()
-        if obs_trace._current is not None:
-            obs_trace.instant("fault.inject", "faults", site=site,
-                              nth=self.total_injected)
+        if self.log is not None:
+            self.log.event("fault.inject", region, site=site,
+                           nth=self.total_injected)
         return True

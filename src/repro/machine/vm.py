@@ -142,12 +142,6 @@ class VM:
         return {op: cell[0] for op, cell in self._op_cells.items()
                 if cell[0]}
 
-    def owner_snapshot(self) -> Tuple[Dict[str, int], Dict[str, int]]:
-        """``(cycles_by_owner, instrs_by_owner)`` copied out of the live
-        counter cells, for profilers (see :mod:`repro.obs.profiler`).
-        Reading never perturbs the accounting."""
-        return self.cycles_by_owner, self.instrs_by_owner
-
     def _owner_cell(self, owner: str) -> List:
         cell = self._owner_cells.get(owner)
         if cell is None:

@@ -7,7 +7,9 @@ Three layers, all zero-dependency and all disabled (free) by default:
 * :mod:`repro.obs.trace` -- a structured event tracer (spans +
   instants) emitting JSONL and Chrome trace-event JSON, loadable in
   Perfetto / speedscope, with hook sites across frontend, optimizer,
-  analyses, splitter, codegen, stitcher and the region runtime;
+  analyses, splitter, codegen and stitcher;
+* :mod:`repro.obs.sink` -- the one table from a run's entry and event
+  records to its metrics and trace instants;
 * :mod:`repro.obs.timeseries` -- a deterministic sampler snapshotting
   every instrument into fixed-capacity ring buffers on logical clocks
   (region entries / simulated cycles), deriving rates and ratios;
@@ -39,6 +41,7 @@ layers (:mod:`~repro.obs.breakeven`, :mod:`~repro.obs.profiler`)
 import the engine and must be imported directly.
 """
 
+import json
 import sys
 from contextlib import contextmanager
 
@@ -56,6 +59,20 @@ def enable_metrics() -> None:
 
 def disable_metrics() -> None:
     registry.disable()
+
+
+def report_metrics(show: bool, path=None) -> None:
+    """The ``--metrics`` / ``--metrics-out`` flags: print the registry
+    snapshot to stdout and/or write it to ``path`` as JSON."""
+    snap = registry.snapshot()
+    if show:
+        print()
+        print(format_snapshot(snap))
+    if path:
+        with open(path, "w") as handle:
+            json.dump(snap, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+        print("wrote metrics: %s" % path, file=sys.stderr)
 
 
 @contextmanager
@@ -100,6 +117,7 @@ __all__ = [
     "instant",
     "observing",
     "registry",
+    "report_metrics",
     "sampling",
     "span",
     "tracing",

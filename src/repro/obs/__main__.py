@@ -20,13 +20,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 from typing import List, Optional
 
 from . import export as export_mod
 from . import health as health_mod
 from . import history as history_mod
-from . import metrics, timeseries, trace
+from . import metrics, report_metrics, timeseries, trace
 from .breakeven import break_even_source, rows_from_results
 from .profiler import format_profile, profile_result
 
@@ -133,9 +134,7 @@ def _cmd_trace(args) -> int:
         for error in errors[:20]:
             print("schema error: %s" % error, file=sys.stderr)
         return 1
-    if args.metrics:
-        print()
-        print(metrics.format_snapshot(metrics.registry.snapshot()))
+    report_metrics(args.metrics)
     return 0
 
 
@@ -182,23 +181,26 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-def _cmd_export(args) -> int:
-    """Run with metrics + sampling on; write OpenMetrics text and/or
-    the JSON series dump (and optionally the Chrome trace with the
-    Perfetto counter tracks riding in it)."""
+def _sampled_run(args):
+    """(result, sampler, tracer) of a sampled, metered, maybe traced run."""
     tracer = trace.Tracer() if args.trace else None
     sampler = _make_sampler(args)
     metrics.registry.reset()
     metrics.registry.enable()
     try:
-        with timeseries.sampling(sampler):
-            if tracer is not None:
-                with trace.tracing(tracer):
-                    _, result = _compile_and_run(args)
-            else:
-                _, result = _compile_and_run(args)
+        with timeseries.sampling(sampler), \
+                trace.tracing(tracer) if tracer is not None else nullcontext():
+            _, result = _compile_and_run(args)
     finally:
         metrics.registry.disable()
+    return result, sampler, tracer
+
+
+def _cmd_export(args) -> int:
+    """Run with metrics + sampling on; write OpenMetrics text and/or
+    the JSON series dump (and optionally the Chrome trace with the
+    Perfetto counter tracks riding in it)."""
+    result, sampler, tracer = _sampled_run(args)
     snap = metrics.registry.snapshot()
     print("ran: value=%s cycles=%d; %d samples over %d entries"
           % (result.value, result.cycles, sampler.samples,
@@ -231,19 +233,7 @@ def _cmd_health(args) -> int:
             return 2
     else:
         rules = list(health_mod.DEFAULT_RULES)
-    tracer = trace.Tracer() if args.trace else None
-    sampler = _make_sampler(args)
-    metrics.registry.reset()
-    metrics.registry.enable()
-    try:
-        with timeseries.sampling(sampler):
-            if tracer is not None:
-                with trace.tracing(tracer):
-                    _, result = _compile_and_run(args)
-            else:
-                _, result = _compile_and_run(args)
-    finally:
-        metrics.registry.disable()
+    result, _, tracer = _sampled_run(args)
     values = health_mod.flatten_snapshot(metrics.registry.snapshot())
     report = health_mod.evaluate(values, rules, cycles=result.cycles)
     if tracer is not None:
@@ -413,8 +403,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                             help="write a Chrome trace (with Perfetto "
                                  "counter tracks) here")
     export_cmd.add_argument("--exclude", nargs="*", default=None,
-                            help="metric names to omit (e.g. the "
-                                 "nondeterministic stitch.host_seconds)")
+                            help="metric names to omit")
     export_cmd.set_defaults(func=_cmd_export)
 
     health = sub.add_parser(

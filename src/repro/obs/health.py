@@ -16,7 +16,8 @@ A rule is one line of text::
 Rules evaluate against a flat ``{metric name: number}`` mapping --
 either :func:`flatten_snapshot` over the live registry, or
 :func:`values_from_result` over a :class:`RunResult` (which is how the
-fuzzer health-checks iterations without enabling global metrics).
+fuzzer health-checks iterations without enabling global metrics),
+which replays the run's records through :mod:`repro.obs.sink`.
 
 The result is a :class:`HealthReport`: per-rule values and verdicts
 plus an overall status (``ok`` / ``warn`` / ``fail``), consumed by
@@ -27,9 +28,10 @@ and CI.
 from __future__ import annotations
 
 import operator
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
+
+from .sink import replay
 
 Number = float
 
@@ -184,30 +186,10 @@ def flatten_snapshot(snap: Dict[str, Dict[str, object]]
 
 
 def values_from_result(result) -> Dict[str, Number]:
-    """Pseudo-metric values for a :class:`RunResult`, matching the
-    registry metric names so one rule set serves both sources."""
-    kinds = Counter(event.kind for event in result.entries)
-    values: Dict[str, Number] = {
-        "vm.cycles": result.cycles,
-        "region.entries": sum(result.region_entries.values()),
-        "cache.hits": kinds["hit"],
-        "fallback.count": kinds["fallback"],
-        "fault.injected": sum(result.fault_counts.values()),
-        "breaker.trips": sum(s.get("trips", 0)
-                             for s in result.breaker_stats.values()),
-        "tier.promotions": sum(s.get("promotions", 0)
-                               for s in result.tier_stats.values()),
-        "tier.demotions": sum(s.get("demotions", 0)
-                              for s in result.tier_stats.values()),
-        "tier.cold": kinds["cold"],
-    }
-    stats = result.cache_stats
-    if stats is not None:
-        values["cache.misses"] = stats.misses
-        values["cache.evictions"] = stats.evictions
-        values["cache.checksum_failures"] = stats.checksum_failures
-        values["cache.restitches"] = stats.restitches
-    return values
+    """The metric values a :class:`RunResult`'s records report: the
+    values the live registry would hold had metrics been enabled for
+    that run alone."""
+    return flatten_snapshot(replay(result).snapshot())
 
 
 def evaluate(values: Dict[str, Number],

@@ -322,8 +322,9 @@ class MetricsRegistry:
             instrument.reset()
 
     def clear(self) -> None:
-        """Drop every instrument (tests)."""
-        self._instruments.clear()
+        """Drop every instrument (tests).  A new dict, so a holder of
+        instruments can tell they are gone (see repro.obs.sink)."""
+        self._instruments = {}
 
     # -- instrument accessors ----------------------------------------------
 

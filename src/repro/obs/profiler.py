@@ -2,9 +2,8 @@
 
 The RVM's predecoded threaded dispatch keeps its accounting in
 per-owner counter cells (see :mod:`repro.machine.vm`); this module
-turns those cells -- via :meth:`VM.owner_snapshot` or an already
-returned :class:`~repro.runtime.engine.RunResult` -- into structured
-profiles: cycles and instruction counts grouped by owner *kind*
+turns a run's copy of them (a :class:`~repro.runtime.engine.RunResult`)
+into structured profiles: cycles and instruction counts grouped by owner *kind*
 (function body, region set-up, stitched code, stitcher, dispatch glue,
 static-mode region body) and aggregated per dynamic region.
 
@@ -27,7 +26,7 @@ run does not perturb it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 #: Owner-kind display order for profile reports.
 KIND_ORDER = ["fn", "setup", "dispatch", "stitched", "stitcher",
@@ -91,9 +90,6 @@ class Profile:
     op_counts: Dict[str, int] = field(default_factory=dict)
     total_cycles: int = 0
 
-    def top_ops(self, n: int = 10) -> List[Tuple[str, int]]:
-        return sorted(self.op_counts.items(), key=lambda kv: -kv[1])[:n]
-
 
 def profile_owner_cells(
         owners_cycles: Mapping[str, int],
@@ -140,12 +136,6 @@ def profile_result(result) -> Profile:
         result.cycles_by_owner, result.instrs_by_owner,
         op_counts=result.op_counts,
         region_entries=getattr(result, "region_entries", None))
-
-
-def profile_vm(vm) -> Profile:
-    """Profile a VM in place, straight from its live counter cells."""
-    cycles, instrs = vm.owner_snapshot()
-    return profile_owner_cells(cycles, instrs, op_counts=vm.op_counts)
 
 
 def format_profile(profile: Profile, top_owners: int = 12) -> str:

@@ -7,11 +7,11 @@ simulated cycles, never host wall-clock -- so two runs of the same
 program produce bit-identical series and goldens/fuzz replays stay
 reproducible.
 
-Hook sites: ``_RegionRuntime.lookup`` calls :func:`on_entry` through
-the module-level ``_current`` global (one global load + one ``is
-None`` branch while no sampler is installed, mirroring the tracer),
-and ``Program.run`` forces a final sample so short runs still record a
-point.
+Hook sites: a run's log (:mod:`repro.runtime.runlog`) calls
+:func:`on_entry` after logging each region entry, through the
+module-level ``_current`` global (one global load + one ``is None``
+branch while no sampler is installed, mirroring the tracer), and takes
+a final sample when the run ends so short runs still record a point.
 
 Each sample point is ``(entries, cycles, value)`` where ``entries`` is
 the sampler's region-entry clock and ``cycles`` the VM's simulated
@@ -47,27 +47,18 @@ DEFAULT_CAPACITY = 256
 
 SeriesKey = Tuple[str, LabelKey]
 
-#: Derived series definitions: name -> (numerator metric, denominator
-#: metric or None for cycle-based rates, scale).  Ratios divide deltas
-#: of two counters; ``evictions_per_kcycle`` divides by the cycle
-#: delta instead.
-_RATIOS = (
-    ("cache.hit_ratio", "cache.hits", "cache.misses"),
-)
-_PER_ENTRY_RATES = (
-    ("tier.promotion_rate", "tier.promotions"),
-    ("fallback.ratio", "fallback.count"),
-)
-_PER_KCYCLE_RATES = (
-    ("cache.evictions_per_kcycle", "cache.evictions"),
-)
-#: Quotients of two counter deltas: mean value per event inside the
-#: window.  ``stitchq.entries_to_land`` divides the summed queue
-#: latency (in region entries) by the jobs landed, so a climbing curve
-#: means stitches are waiting longer behind the drain clock.
-_QUOTIENTS = (
+#: Derived series: (name, numerator counter, denominator); a point is
+#: the numerator's delta over a window divided by the denominator's --
+#: another counter's (``entries_to_land``: entries a landed job waited),
+#: the numerator plus ``+NAME``'s (a share), or ``cycles`` (per
+#: kilocycle).
+_DERIVED = (
+    ("cache.hit_ratio", "cache.hits", "+cache.misses"),
+    ("tier.promotion_rate", "tier.promotions", "region.entries"),
+    ("fallback.ratio", "fallback.count", "region.entries"),
     ("stitchq.entries_to_land", "stitchq.latency_entries",
      "stitchq.landed"),
+    ("cache.evictions_per_kcycle", "cache.evictions", "cycles"),
 )
 
 
@@ -174,13 +165,10 @@ class TimeSeriesSampler:
             })
         return out
 
-    def _points(self, name: str) -> Dict[int, Tuple[int, float]]:
-        """Entry-clock -> (cycles, value) for the unlabeled series of
-        ``name`` (empty when never sampled)."""
+    def _points(self, name: str) -> Dict[int, float]:
+        """Entry-clock -> value of the unlabeled series ``name``."""
         entry = self._series.get((name, ()))
-        if entry is None:
-            return {}
-        return {e: (c, v) for (e, c, v) in entry["points"]}
+        return {e: v for (e, _c, v) in entry["points"]} if entry else {}
 
     def _clocks(self) -> List[Tuple[int, int]]:
         clocks = set()
@@ -198,63 +186,22 @@ class TimeSeriesSampler:
         """
         clocks = self._clocks()
         out = []
-
-        def value_at(points: Dict[int, Tuple[int, float]],
-                     entry_clock: int) -> float:
-            got = points.get(entry_clock)
-            return got[1] if got is not None else 0
-
-        def windows():
+        for name, num, den in _DERIVED:
+            nums = self._points(num)
+            dens = self._points(den.lstrip("+"))
+            points = []
             for (e0, c0), (e1, c1) in zip(clocks, clocks[1:]):
-                yield e0, e1, c0, c1
-
-        def emit(name: str, points: List[List[float]]) -> None:
+                dn = nums.get(e1, 0) - nums.get(e0, 0)
+                if den == "cycles":
+                    dd, scale = c1 - c0, 1000.0
+                else:
+                    dd = dens.get(e1, 0) - dens.get(e0, 0)
+                    dd, scale = dd + dn if den[0] == "+" else dd, 1.0
+                if dd > 0:
+                    points.append([e1, c1, scale * dn / dd])
             if points:
                 out.append({"name": name, "labels": {},
                             "kind": "derived", "points": points})
-
-        for name, num, den in _RATIOS:
-            np, dp = self._points(num), self._points(den)
-            pts = []
-            for e0, e1, _c0, c1 in windows():
-                dn = value_at(np, e1) - value_at(np, e0)
-                dd = value_at(dp, e1) - value_at(dp, e0)
-                if dn + dd > 0:
-                    pts.append([e1, c1, dn / (dn + dd)])
-            emit(name, pts)
-
-        entries_points = self._points("region.entries")
-        for name, num in _PER_ENTRY_RATES:
-            np = self._points(num)
-            pts = []
-            for e0, e1, _c0, c1 in windows():
-                de = value_at(entries_points, e1) \
-                    - value_at(entries_points, e0)
-                if de > 0:
-                    dn = value_at(np, e1) - value_at(np, e0)
-                    pts.append([e1, c1, dn / de])
-            emit(name, pts)
-
-        for name, num, den in _QUOTIENTS:
-            np, dp = self._points(num), self._points(den)
-            pts = []
-            for e0, e1, _c0, c1 in windows():
-                dd = value_at(dp, e1) - value_at(dp, e0)
-                if dd > 0:
-                    dn = value_at(np, e1) - value_at(np, e0)
-                    pts.append([e1, c1, dn / dd])
-            emit(name, pts)
-
-        for name, num in _PER_KCYCLE_RATES:
-            np = self._points(num)
-            pts = []
-            for e0, e1, c0, c1 in windows():
-                dc = c1 - c0
-                if dc > 0:
-                    dn = value_at(np, e1) - value_at(np, e0)
-                    pts.append([e1, c1, 1000.0 * dn / dc])
-            emit(name, pts)
-
         return out
 
     def to_json(self) -> Dict[str, object]:

@@ -19,7 +19,7 @@ Modes:
 
 from __future__ import annotations
 
-import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
@@ -39,13 +39,12 @@ from ..machine.costs import StitcherCosts
 from ..machine.isa import ARG_BASE, CPOOL, MInstr
 from ..machine.loader import load_program
 from ..machine.vm import VM, VMError
-from ..obs import timeseries as obs_ts
 from ..obs import trace as obs_trace
-from ..obs.metrics import registry as obs_metrics
 from ..opt.pipeline import OptOptions, OptStats, optimize
 from .config import RunConfig
 from .fallback import FallbackCode, build_fallback
 from .guards import BreakerConfig, RegionBreaker, StitchBudget
+from .runlog import RunEvent, RunLog
 from .stitchqueue import QueueStats, StitchJob, StitchQueue
 from .tiering import TierController
 
@@ -68,13 +67,16 @@ class EntryEvent(NamedTuple):
       ``injected`` is True only for faults raised by the
       :mod:`repro.faults` harness;
     * ``cold`` -- kept on the fallback tier by an adaptive tiering
-      policy: the policy working as intended, not a degradation;
+      policy: the policy working as intended, not a degradation.
+      ``reason`` is the policy's mode (``threshold`` or ``breakeven``);
     * ``queued`` -- served from fallback because of the async stitch
       queue.  ``reason`` is the job's phase: ``enqueued`` (this entry
       created the job), ``waiting`` (pending or backing off), ``hung``
       (wedged by a ``stitch.hang`` fault), ``shed`` (refused by
       admission control) or ``dropped`` (eaten by a ``queue.drop``
       fault).
+
+    Every kind but ``hit`` is a code-cache miss.
     """
 
     kind: str
@@ -103,6 +105,8 @@ class RunResult:
     instrs_by_owner: Dict[str, int]
     #: every region entry in execution order, logged exactly once.
     entries: List[EntryEvent] = field(default_factory=list)
+    #: every other runtime event, in order (see repro.runtime.runlog).
+    events: List[RunEvent] = field(default_factory=list)
     #: executed-instruction histogram by opcode.
     op_counts: Dict[str, int] = field(default_factory=dict)
     #: (func, region_id) -> region entries, counted by the lookup
@@ -118,7 +122,7 @@ class RunResult:
     #: run-time ranges the oracle's reachability scan must also cover.
     fallback_blocks: List[Tuple[int, int, int]] = field(
         default_factory=list)
-    #: fault site -> injections during this run (empty without a plan).
+    #: fault site -> this run's ``fault.inject`` events.
     fault_counts: Dict[str, int] = field(default_factory=dict)
     #: (func, region_id) -> circuit-breaker snapshot, for regions whose
     #: breaker saw at least one failure.
@@ -296,41 +300,26 @@ class Program:
             if span is not None:
                 span["cycles"] = vm.cycles
                 span["value"] = int_result
-                kinds = [event.kind for event in runtime.log]
+                kinds = [event.kind for event in runtime.log.entries]
                 span["stitches"] = kinds.count("stitch")
                 span["cache_hits"] = kinds.count("hit")
-        sampler = obs_ts._current
-        if sampler is not None:
-            # Force a final sample so short runs (fewer entries than
-            # one sampler period) still record a point.
-            sampler.sample(vm.cycles)
-        if obs_metrics._enabled:
-            obs_metrics.counter("vm.runs").inc()
-            obs_metrics.counter("vm.cycles").inc(vm.cycles)
-            owner_cycles = obs_metrics.counter("vm.owner_cycles")
-            for owner, cycles in vm.cycles_by_owner.items():
-                owner_cycles.labels(
-                    owner=owner.split(":", 1)[0]).inc(cycles)
-        fault_counts: Dict[str, int] = {}
-        if runtime.faults is not None:
-            for site, count in runtime.faults.counts.items():
-                delta = count - runtime.fault_baseline.get(site, 0)
-                if delta:
-                    fault_counts[site] = delta
-        return RunResult(
+        log = runtime.log
+        result = RunResult(
             value=int_result,
             float_value=float_result,
             output=vm.output,
             cycles=vm.cycles,
             cycles_by_owner=dict(vm.cycles_by_owner),
             instrs_by_owner=dict(vm.instrs_by_owner),
-            entries=runtime.log,
+            entries=log.entries,
+            events=log.events,
             op_counts=dict(vm.op_counts),
             region_entries=dict(runtime.region_entries),
             cache_stats=runtime.cache.snapshot(),
             fallback_blocks=[(fb.base, fb.words, fb.entry)
                              for fb in runtime.fallback_codes.values()],
-            fault_counts=fault_counts,
+            fault_counts=dict(Counter(
+                event.args["site"] for event in log.of_kind("fault.inject"))),
             breaker_stats={
                 region: breaker.snapshot()
                 for region, breaker in runtime.breakers.items()
@@ -342,6 +331,8 @@ class Program:
                          if runtime.queue is not None else None),
             backend=self.backend.name,
         )
+        log.finish(result)
+        return result
 
 
 class _RegionRuntime:
@@ -354,16 +345,17 @@ class _RegionRuntime:
         config = config or program.config
         self.program = program
         self.vm = vm
-        #: this run's fault plan, and its counts before the run.
+        #: every region entry and runtime event of this run, in order.
+        self.log = log = RunLog(vm)
+        #: this run's fault plan; its injections go to this run's log.
         self.faults = faults = config.fault_plan()
-        self.fault_baseline = dict(faults.counts) if faults else {}
+        if faults is not None:
+            faults.log = log
         #: the code cache: keyed versions, eviction, compaction.  The
         #: program's backend hooks every install, so stitched entries
         #: get their host artifact whichever path placed them.
-        self.cache: CodeCache = CodeCache(vm, program.backend, config.cache,
-                                          faults=faults)
-        #: every region entry, in order (written only by :meth:`_record`).
-        self.log: List[EntryEvent] = []
+        self.cache: CodeCache = CodeCache(vm, program.backend, log,
+                                          config.cache, faults=faults)
         #: (func, region_id) -> entries (every lookup, hit or miss).
         self.region_entries: Dict[Tuple[str, int], int] = {}
         #: lazily built generic code per region (first entry served
@@ -371,11 +363,6 @@ class _RegionRuntime:
         self.fallback_codes: Dict[Tuple[str, int], FallbackCode] = {}
         #: per-region circuit breakers (created on first stitch).
         self.breakers: Dict[Tuple[str, int], RegionBreaker] = {}
-        #: memoized region.entries counter children, so the hot lookup
-        #: path pays one dict probe instead of label resolution per
-        #: entry while metrics are enabled (registry.reset() keeps
-        #: instrument identity, so memoized children stay live).
-        self._entry_counters: Dict[Tuple[str, int], object] = {}
         self._regions: Dict[Tuple[str, int], RegionCode] = {}
         for function in program.compiled.values():
             for region in function.regions:
@@ -385,25 +372,19 @@ class _RegionRuntime:
         self.tier: Optional[TierController] = None
         if config.tier.adaptive:
             self.tier = TierController(config.tier, vm, self._regions,
-                                       program.stitcher_costs,
+                                       program.stitcher_costs, log,
                                        faults=faults)
         #: the async stitch queue; None for sync runs, which therefore
         #: take exactly the historical inline-stitch code path.
         self.queue: Optional[StitchQueue] = None
         if config.stitch.asynchronous:
-            queue = self.queue = StitchQueue(config.stitch, vm,
+            queue = self.queue = StitchQueue(config.stitch, vm, log,
                                              faults=faults)
             queue.on_deadline = self._on_job_deadline
-            # In-flight jobs pin their region's installed code: the
-            # cache must not evict what a queued compilation is about
-            # to join, and a fingerprint invalidation or eviction
-            # cancels the obsolete jobs.
-            self.cache.pin_probe = queue.region_in_flight
+            # A fingerprint invalidation makes the region's queued
+            # jobs obsolete.
             self.cache.on_invalidate = \
                 lambda f, r: queue.cancel_region(f, r, "invalidate")
-            self.cache.on_evict = \
-                lambda key: queue.cancel_key(key.func, key.region_id,
-                                             key.key, "evict")
 
     def lookup(self, vm: VM, instr: MInstr) -> int:
         func, region_id = instr.extra  # type: ignore[misc]
@@ -412,16 +393,6 @@ class _RegionRuntime:
                        region_key(vm.regs, region.key_count))
         entries = self.region_entries
         entries[key.region] = entries.get(key.region, 0) + 1
-        sampler = obs_ts._current
-        if sampler is not None:
-            sampler.on_entry(vm)
-        if obs_metrics._enabled:
-            child = self._entry_counters.get((func, region_id))
-            if child is None:
-                child = obs_metrics.counter("region.entries").labels(
-                    region="%s:%d" % (func, region_id))
-                self._entry_counters[(func, region_id)] = child
-            child.inc()
         tier = self.tier
         if tier is not None:
             tier.on_entry(func, region_id, key.key)
@@ -438,7 +409,7 @@ class _RegionRuntime:
         if tier is not None:
             tier.on_hit(func, region_id, key.key, cached)
         vm.regs[CPOOL] = cached.pool_base
-        return self._record(
+        return self.log.entry(
             EntryEvent("hit", func, region_id, key.key, cached.entry_pc))
 
     def stitch(self, vm: VM, instr: MInstr) -> int:
@@ -446,11 +417,7 @@ class _RegionRuntime:
         region = self._regions[(func, region_id)]
         table_addr = int(vm.regs[ARG_BASE])
         key = region_key(vm.regs, region.key_count, stitch_args=True)
-        breaker = self.breakers.get((func, region_id))
-        if breaker is None:
-            breaker = RegionBreaker(self.program.breaker_config,
-                                    func, region_id)
-            self.breakers[(func, region_id)] = breaker
+        breaker = self._breaker((func, region_id))
         if not breaker.should_attempt():
             # Circuit open: the region is pinned to static execution
             # until the cooldown (counted in region entries) expires.
@@ -462,7 +429,7 @@ class _RegionRuntime:
         tier = self.tier
         if tier is not None and not tier.decide(func, region_id, key):
             return self._serve_fallback("cold", func, region_id, key,
-                                        table_addr)
+                                        table_addr, tier.policy.mode)
         queue = self.queue
         job: Optional[StitchJob] = None
         if queue is not None:
@@ -491,7 +458,6 @@ class _RegionRuntime:
                 return self._serve_fallback("queued", func, region_id,
                                             key, table_addr, "hung")
             queue.landing = job
-        host_start = time.perf_counter()
         try:
             # An evicted version whose table walk still matches is
             # re-installed instead of stitched again, at its original
@@ -539,9 +505,9 @@ class _RegionRuntime:
             tier.on_promote(func, region_id, key, entry)
         report = entry.report
         vm.regs[CPOOL] = report.pool_base
-        return self._record(
+        return self.log.entry(
             EntryEvent("stitch", func, region_id, key, report.entry,
-                       report=report), host_start)
+                       report=report))
 
     def _serve_fallback(self, kind: str, func: str, region_id: int,
                         key: Tuple[Number, ...], table_addr: int,
@@ -558,6 +524,8 @@ class _RegionRuntime:
                                 self.program.compiled,
                                 backend=self.program.backend)
             self.fallback_codes[(func, region_id)] = fb
+            self.log.event("fallback.build", (func, region_id),
+                           words=fb.words, entry=fb.entry)
             # The block lives inside the code arena's address range but
             # must survive compaction and stay out of cache capacity.
             self.cache.reserve(fb.base, fb.words)
@@ -568,66 +536,21 @@ class _RegionRuntime:
             count = tier.count(func, region_id, key)
             tier.on_fallback(func, region_id, key,
                              degraded=kind == "fallback")
-        return self._record(EntryEvent(kind, func, region_id, key,
-                                       fb.entry, reason, injected, count))
+        return self.log.entry(EntryEvent(kind, func, region_id, key,
+                                         fb.entry, reason, injected, count))
 
-    def _record(self, event: EntryEvent, host_start: float = 0.0) -> int:
-        """Log one region entry -- the only writer of the entry log --
-        and emit its metrics and trace instant.  Returns the pc the
-        dispatch glue jumps to.  ``host_start`` is when a ``stitch``
-        entry's stitch began (for ``stitch.host_seconds``)."""
-        self.log.append(event)
-        kind = event.kind
-        if kind == "hit" or not (obs_metrics._enabled
-                                 or obs_trace._current is not None):
-            return event.entry
-        region = "%s:%d" % (event.func_name, event.region_id)
-        if obs_metrics._enabled:
-            if kind == "stitch":
-                report = event.report
-                obs_metrics.counter("stitch.count").labels(
-                    region=region).inc()
-                obs_metrics.counter("stitch.instrs_emitted").inc(
-                    report.instrs_emitted)
-                obs_metrics.counter("stitch.holes_patched").inc(
-                    report.holes_patched)
-                obs_metrics.counter("stitch.pool_entries").inc(
-                    report.pool_entries)
-                obs_metrics.histogram("stitch.cycles").labels(
-                    region=region).observe(report.cycles)
-                obs_metrics.histogram("stitch.host_seconds").observe(
-                    time.perf_counter() - host_start)
-            elif kind == "fallback":
-                obs_metrics.counter("fallback.count").labels(
-                    region=region, reason=event.reason).inc()
-                obs_metrics.counter("fallback.%s" % event.reason).inc()
-            elif kind == "cold":
-                obs_metrics.counter("tier.cold").labels(
-                    region=region, tier=self.tier.policy.mode).inc()
-            else:
-                obs_metrics.counter("stitchq.entries").labels(
-                    phase=event.reason).inc()
-        if obs_trace._current is not None:
-            if kind == "fallback":
-                obs_trace.instant("region.fallback", "runtime",
-                                  region=region, reason=event.reason,
-                                  injected=event.injected,
-                                  entry=event.entry)
-            elif kind == "cold":
-                obs_trace.instant("tier.cold", "runtime", region=region,
-                                  key=list(event.key), count=event.count)
-        return event.entry
+    def _breaker(self, region: Tuple[str, int]) -> RegionBreaker:
+        breaker = self.breakers.get(region)
+        if breaker is None:
+            breaker = self.breakers[region] = RegionBreaker(
+                self.program.breaker_config, *region, log=self.log)
+        return breaker
 
     def _on_job_deadline(self, job: StitchJob) -> None:
         """Watchdog: a queued job blew its simulated-cycle deadline.
         That is a compilation failure like any other -- it feeds the
         region's breaker, and a trip flushes the region's queue."""
-        region = (job.func_name, job.region_id)
-        breaker = self.breakers.get(region)
-        if breaker is None:
-            breaker = RegionBreaker(self.program.breaker_config,
-                                    job.func_name, job.region_id)
-            self.breakers[region] = breaker
+        breaker = self._breaker(job.region)
         breaker.on_failure()
         if not breaker.should_attempt() and self.queue is not None:
             self.queue.cancel_region(job.func_name, job.region_id,

@@ -51,8 +51,6 @@ from typing import Dict, List, Tuple
 
 from ..codegen.objects import CompiledFunction, RegionCode, TemplateBlock
 from ..errors import StitchError
-from ..obs import trace as obs_trace
-from ..obs.metrics import registry as obs_metrics
 from ..machine.isa import (
     MInstr, SCRATCH, SCRATCH2, ZERO, fits_imm,
 )
@@ -324,15 +322,5 @@ def build_fallback(vm, compiled: CompiledFunction, region: RegionCode,
     no code, and stay bit-identical to the seed goldens.  ``backend``
     routes the install through the execution-backend seam so degraded
     runs keep backend-consistent host execution."""
-    code = _FallbackBuilder(vm, compiled, region, functions,
+    return _FallbackBuilder(vm, compiled, region, functions,
                             backend=backend).build()
-    if obs_metrics._enabled:
-        region_label = "%s:%d" % (code.func_name, code.region_id)
-        obs_metrics.counter("fallback.builds").labels(
-            region=region_label).inc()
-        obs_metrics.histogram("fallback.code_words").observe(code.words)
-    if obs_trace._current is not None:
-        obs_trace.instant("fallback.build", "runtime",
-                          region="%s:%d" % (code.func_name, code.region_id),
-                          words=code.words, entry=code.entry)
-    return code

@@ -17,6 +17,7 @@ down (see ``docs/ROBUSTNESS.md``):
   backoff measured in region-entry counts, the only clock the
   simulated runtime has) up to ``max_cooldown``, optionally spread by
   :func:`seeded_jitter`.  One success fully resets the breaker.
+  Trips and resets are ``breaker.*`` events in the run's log.
 
 :func:`seeded_jitter` is the deterministic jitter source shared by
 the breaker and the async stitch queue's retry backoff (see
@@ -34,8 +35,7 @@ import zlib
 from dataclasses import dataclass
 from typing import Optional
 
-from ..obs import trace as obs_trace
-from ..obs.metrics import registry as obs_metrics
+from .runlog import RunLog
 
 
 def seeded_jitter(seed: int, token, spread: int) -> int:
@@ -98,20 +98,27 @@ class RegionBreaker:
     failure re-trips at double the previous cooldown).
     """
 
-    def __init__(self, config: BreakerConfig, func: str, region_id: int):
+    def __init__(self, config: BreakerConfig, func: str, region_id: int,
+                 log: Optional[RunLog] = None):
         self.config = config
         self.func = func
         self.region_id = region_id
+        self.region = (func, region_id)
+        #: the run's log, which records trips and resets.
+        self.log = log if log is not None else RunLog()
         #: consecutive failures since the last success.
         self.consecutive = 0
         #: region entries left before stitching may be retried.
         self.cooldown = 0
-        #: cumulative trips over the program run.
+        #: cumulative trips over the program run (seeds the jitter).
         self.trips = 0
         #: trips in the current unbroken failure streak (drives backoff).
         self._streak_trips = 0
-        #: times a success closed a previously tripped breaker.
-        self.resets = 0
+
+    @property
+    def resets(self) -> int:
+        """Times a success closed a previously tripped breaker."""
+        return self.log.count("breaker.reset", self.region)
 
     def should_attempt(self) -> bool:
         return self.cooldown == 0
@@ -135,24 +142,17 @@ class RegionBreaker:
                 self.config.jitter)
             self.cooldown = cooldown
             self.consecutive = 0
-            if obs_metrics._enabled:
-                obs_metrics.counter("breaker.trips").labels(
-                    region="%s:%d" % (self.func, self.region_id)).inc()
-            obs_trace.instant("breaker.trip", "robustness", func=self.func,
-                              region=self.region_id, cooldown=self.cooldown,
-                              streak=self._streak_trips)
+            self.log.event("breaker.trip", self.region,
+                           cooldown=self.cooldown, streak=self._streak_trips)
 
     def on_success(self) -> None:
         self.consecutive = 0
         if self._streak_trips:
             self._streak_trips = 0
-            self.resets += 1
-            if obs_metrics._enabled:
-                obs_metrics.counter("breaker.resets").labels(
-                    region="%s:%d" % (self.func, self.region_id)).inc()
-            obs_trace.instant("breaker.reset", "robustness", func=self.func,
-                              region=self.region_id)
+            self.log.event("breaker.reset", self.region)
 
     def snapshot(self) -> dict:
-        return {"trips": self.trips, "resets": self.resets,
-                "cooldown": self.cooldown, "consecutive": self.consecutive}
+        """Trips and resets counted from the log, plus the state."""
+        return {"trips": self.log.count("breaker.trip", self.region),
+                "resets": self.resets, "cooldown": self.cooldown,
+                "consecutive": self.consecutive}

@@ -29,12 +29,14 @@ schedule is deterministic, replayable, and fuzzable:
 * a failed landing retries with seeded jittered exponential backoff
   (``backoff_entries * 2**(attempt-1) + jitter`` region entries,
   via :func:`repro.runtime.guards.seeded_jitter`) until ``retries``
-  attempts are spent; jobs are cancelled when their region's table is
-  invalidated, its cached code evicted, or its breaker trips.
+  attempts are spent; a region's jobs are cancelled when its table is
+  invalidated or its breaker trips.  A job exists only for a key whose
+  lookup missed, so no live cache entry ever has a job: the queue pins
+  nothing against eviction, and a bounded cache keeps its bound.
 * every admitted job leaves the queue through :meth:`StitchQueue.finish`
-  with exactly one outcome -- ``landed``, ``expired`` or ``cancelled``
-  -- and ``QueueStats`` counts its buckets from those outcomes, so job
-  conservation holds by construction.
+  with exactly one outcome -- ``landed``, ``expired`` or ``cancelled``.
+  Admissions, outcomes, sheds, retries, hangs and drains are
+  ``stitch.*`` events in the run's log, which ``QueueStats`` counts.
 * two fault sites drive the chaos story: ``queue.drop`` (an enqueue
   silently dropped -- an injected shed) and ``stitch.hang`` (a ready
   job wedges and never lands; only the watchdog can clear it).  Both
@@ -49,11 +51,10 @@ stitching").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from collections import Counter
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
-from ..obs import trace as obs_trace
-from ..obs.metrics import registry as obs_metrics
 from .guards import seeded_jitter
 
 Key = Tuple
@@ -69,11 +70,10 @@ QUEUE_DRAIN_CYCLES = 2
 class QueueStats:
     """End-of-run queue accounting, surfaced on ``RunResult``.
 
-    The job buckets -- ``landed``, ``expired``, ``cancelled`` and
-    ``pending`` -- are counted from the admitted jobs' outcomes, so
-    ``enqueued == landed + expired + sum(cancelled) + pending`` holds
-    by construction.  ``shed`` and ``dropped`` count enqueue attempts
-    that never became jobs.
+    Counts over the run's ``stitch.*`` events, but ``pending`` (jobs
+    still queued); the oracle checks ``enqueued == landed + expired +
+    sum(cancelled) + pending``.  ``shed`` and ``dropped`` count enqueue
+    attempts that never became jobs.
     """
 
     config: str = "sync"
@@ -87,8 +87,7 @@ class QueueStats:
     #: jobs expired by the watchdog (deadline exceeded).
     expired: int = 0
     #: cancellation reason -> jobs cancelled (breaker / invalidate /
-    #: evict / failed / shed -- a colder job evicted to admit a hotter
-    #: one).
+    #: failed / shed -- a colder job dropped to admit a hotter one).
     cancelled: Dict[str, int] = field(default_factory=dict)
     #: failed landings that were re-queued with backoff.
     retries: int = 0
@@ -230,13 +229,6 @@ class StitchJob:
     attempts: int = 0
     #: entry clock before which a backing-off job may not go ready.
     not_before: int = 0
-    #: terminal outcome, set once when the job leaves the queue:
-    #: ``landed``, ``expired`` or ``cancelled``.
-    outcome: str = ""
-    #: why a cancelled job was cancelled.
-    reason: str = ""
-    #: region entries between enqueue and leaving the queue.
-    latency: int = 0
 
     @property
     def region(self) -> RegionId:
@@ -246,17 +238,13 @@ class StitchJob:
 class StitchQueue:
     """The deterministic background-stitching scheduler for one run."""
 
-    def __init__(self, config: StitchQueueConfig, vm, faults=None):
+    def __init__(self, config: StitchQueueConfig, vm, log, faults=None):
         assert config.asynchronous, "sync runs construct no queue"
         self.config = config
         self.vm = vm
+        self.log = log
         self.faults = faults
         self.jobs: Dict[Tuple[str, int, Key], StitchJob] = {}
-        #: admitted jobs that left the queue, in order, each with its
-        #: outcome (see :meth:`finish`).
-        self.done: List[StitchJob] = []
-        #: event counters; :meth:`snapshot` adds the job buckets.
-        self.stats = QueueStats(config=config.describe())
         #: region-entry clock (every lookup of any region ticks it).
         self.entry_clock = 0
         self._seq = 0
@@ -285,7 +273,7 @@ class StitchQueue:
 
     def drain(self) -> None:
         """One background-compiler tick: watchdog, then readiness."""
-        self.stats.drains += 1
+        self.log.event("stitch.drain")
         self._last_drain_cycles = self.vm.cycles
         self.vm.charge("stitchq:sched", QUEUE_DRAIN_CYCLES)
         deadline = self.config.deadline_cycles
@@ -330,10 +318,8 @@ class StitchQueue:
                        QUEUE_ENQUEUE_CYCLES)
         if self.faults is not None and self.faults.should_fire(
                 "queue.drop", region=(func, region_id)):
-            self.stats.dropped += 1
-            self.stats.shed += 1
-            self._instant("stitch.shed", func, region_id, key,
-                          injected=True)
+            self.log.event("stitch.shed", (func, region_id), key,
+                           injected=True)
             return "dropped"
         if len(self.jobs) >= self.config.depth:
             victim = min(
@@ -342,9 +328,8 @@ class StitchQueue:
                 key=lambda job: (job.priority, -job.seq), default=None)
             if victim is None or victim.priority >= priority:
                 # Nothing colder than the newcomer: shed the newcomer.
-                self.stats.shed += 1
-                self._instant("stitch.shed", func, region_id, key,
-                              injected=False)
+                self.log.event("stitch.shed", (func, region_id), key,
+                               injected=False)
                 return "shed"
             self.cancel(victim, "shed")
         job = StitchJob(func, region_id, key, priority,
@@ -352,10 +337,8 @@ class StitchQueue:
                         enqueue_cycles=self.vm.cycles, seq=self._seq)
         self._seq += 1
         self.jobs[(func, region_id, key)] = job
-        self.stats.max_depth = max(self.stats.max_depth, len(self.jobs))
-        self._instant("stitch.enqueue", func, region_id, key,
-                      priority=priority)
-        self._gauge()
+        self.log.event("stitch.enqueue", (func, region_id), key,
+                       priority=priority, depth=len(self.jobs))
         return "enqueued"
 
     # -- leaving the queue -------------------------------------------------
@@ -371,29 +354,18 @@ class StitchQueue:
         if self.jobs.pop((job.func_name, job.region_id, job.key),
                          None) is None:
             return False
-        job.outcome = outcome
-        job.reason = reason
-        job.latency = self.entry_clock - job.enqueue_entries
-        self.done.append(job)
+        depth = len(self.jobs)
         if outcome == "landed":
-            self._instant("stitch.land", job.func_name, job.region_id,
-                          job.key, latency=job.latency,
-                          attempts=job.attempts)
-            if obs_metrics._enabled:
-                obs_metrics.counter("stitchq.landed").inc()
-                obs_metrics.counter("stitchq.latency_entries").inc(
-                    job.latency)
+            self.log.event("stitch.land", job.region, job.key,
+                           latency=self.entry_clock - job.enqueue_entries,
+                           attempts=job.attempts, depth=depth)
         elif outcome == "expired":
-            self._instant("stitch.deadline", job.func_name,
-                          job.region_id, job.key,
-                          age=self.vm.cycles - job.enqueue_cycles,
-                          hung=job.state == "hung")
-            if obs_metrics._enabled:
-                obs_metrics.counter("stitchq.expired").inc()
+            self.log.event("stitch.deadline", job.region, job.key,
+                           age=self.vm.cycles - job.enqueue_cycles,
+                           hung=job.state == "hung", depth=depth)
         else:
-            self._instant("stitch.cancel", job.func_name, job.region_id,
-                          job.key, reason=reason)
-        self._gauge()
+            self.log.event("stitch.cancel", job.region, job.key,
+                           reason=reason, depth=depth)
         return True
 
     def on_land_failure(self, job: StitchJob) -> bool:
@@ -412,18 +384,15 @@ class StitchQueue:
             self.config.jitter)
         job.state = "pending"
         job.not_before = self.entry_clock + backoff
-        self.stats.retries += 1
-        self._instant("stitch.retry", job.func_name, job.region_id,
-                      job.key, attempt=job.attempts, backoff=backoff)
+        self.log.event("stitch.retry", job.region, job.key,
+                       attempt=job.attempts, backoff=backoff)
         return True
 
     def mark_hung(self, job: StitchJob) -> None:
         """An injected ``stitch.hang``: the job wedges until the
         watchdog's deadline clears it."""
         job.state = "hung"
-        self.stats.hung += 1
-        self._instant("stitch.hang", job.func_name, job.region_id,
-                      job.key)
+        self.log.event("stitch.hang", job.region, job.key)
 
     # -- cancellation ------------------------------------------------------
 
@@ -440,45 +409,24 @@ class StitchQueue:
                     if job.region == (func, region_id)]:
             self.cancel(job, reason)
 
-    def cancel_key(self, func: str, region_id: int, key: Key,
-                   reason: str) -> None:
-        job = self.jobs.get((func, region_id, key))
-        if job is not None:
-            self.cancel(job, reason)
-
-    def region_in_flight(self, region: RegionId) -> bool:
-        """Does the region have queued jobs?  The code cache consults
-        this to pin the region's installed code against eviction while
-        compilation is in flight."""
-        return any(job.region == region for job in self.jobs.values())
-
     # -- reporting ---------------------------------------------------------
 
     def snapshot(self) -> QueueStats:
-        """The event counters plus the job buckets, counted from the
-        outcomes of every admitted job."""
-        cancelled: Dict[str, int] = {}
-        for job in self.done:
-            if job.outcome == "cancelled":
-                cancelled[job.reason] = cancelled.get(job.reason, 0) + 1
-        latencies = [job.latency for job in self.done
-                     if job.outcome == "landed"]
-        return replace(
-            self.stats, enqueued=len(self.done) + len(self.jobs),
-            landed=len(latencies), land_latencies=latencies,
-            expired=sum(job.outcome == "expired" for job in self.done),
-            cancelled=cancelled, pending=len(self.jobs))
-
-    def _gauge(self) -> None:
-        if obs_metrics._enabled:
-            obs_metrics.gauge("stitchq.depth").set(len(self.jobs))
-
-    def _instant(self, name: str, func: str, region_id: int, key: Key,
-                 **fields) -> None:
-        if obs_metrics._enabled:
-            obs_metrics.counter(
-                name.replace("stitch.", "stitchq.", 1)).inc()
-        if obs_trace._current is not None:
-            obs_trace.instant(name, "stitchq",
-                              region="%s:%d" % (func, region_id),
-                              key=list(key), **fields)
+        """Counts over the run's ``stitch.*`` events, plus the jobs
+        still queued."""
+        log = self.log
+        latencies = [e.args["latency"] for e in log.of_kind("stitch.land")]
+        injected = [e.args["injected"] for e in log.of_kind("stitch.shed")]
+        return QueueStats(
+            config=self.config.describe(),
+            enqueued=log.count("stitch.enqueue"), landed=len(latencies),
+            shed=len(injected), dropped=sum(injected),
+            expired=log.count("stitch.deadline"),
+            cancelled=dict(Counter(
+                e.args["reason"] for e in log.of_kind("stitch.cancel"))),
+            retries=log.count("stitch.retry"),
+            hung=log.count("stitch.hang"), pending=len(self.jobs),
+            max_depth=max((e.args["depth"]
+                           for e in log.of_kind("stitch.enqueue")),
+                          default=0),
+            drains=log.count("stitch.drain"), land_latencies=latencies)

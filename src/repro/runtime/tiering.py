@@ -54,8 +54,9 @@ entry.)  The per-region speculative version set is bounded by
 
 Demotions: a promotion-eligible entry that ends up on the fallback
 tier anyway (stitch failure, or a circuit breaker holding the region
-open) counts as a demotion; the counters surface in
-``RunResult.tier_stats`` and the ``tier.*`` metrics.
+open) counts as a demotion.  Promotions, demotions, speculative marks and
+flipped decisions are ``tier.*`` events in the run's log, which
+``RunResult.tier_stats`` and the ``tier.*`` metrics count.
 
 The controller also feeds *hotness-weighted eviction*: every cached
 entry's ``hotness`` is kept at the key's live entry count, which the
@@ -76,8 +77,6 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Set, Tuple, Union
 
 from ..machine.costs import StitcherCosts
-from ..obs import trace as obs_trace
-from ..obs.metrics import registry as obs_metrics
 
 Number = Union[int, float]
 
@@ -239,10 +238,8 @@ class _RegionState:
     last_fallback_cycles: int = 0
     #: key -> predicted break-even entry count at decision time.
     predicted: Dict[Key, int] = field(default_factory=dict)
-    promotions: int = 0
+    #: speculative promotions (they spend the version budget).
     speculative_promotions: int = 0
-    demotions: int = 0
-    flips: int = 0
 
 
 class TierController:
@@ -255,10 +252,11 @@ class TierController:
 
     def __init__(self, policy: TierPolicy, vm,
                  regions: Dict[RegionId, "RegionCode"],  # noqa: F821
-                 costs: StitcherCosts, faults=None):
+                 costs: StitcherCosts, log, faults=None):
         assert policy.adaptive, "eager runs need no controller"
         self.policy = policy
         self.vm = vm
+        self.log = log
         self.regions = regions
         self.costs = costs
         self.faults = faults
@@ -340,7 +338,7 @@ class TierController:
         promote = self._predicate(region, state, key)
         if self.faults is not None and self.faults.should_fire("tier.flip"):
             promote = not promote
-            state.flips += 1
+            self.log.event("tier.flip", region, key, promote=promote)
         return promote
 
     def _predicate(self, region: RegionId, state: _RegionState,
@@ -384,13 +382,8 @@ class TierController:
         state = self._state(region)
         state.pending = key
         if degraded and (key in state.promoted or key in state.marks):
-            state.demotions += 1
-            if obs_metrics._enabled:
-                obs_metrics.counter("tier.demotions").labels(
-                    region="%s:%d" % region, tier=self.policy.mode).inc()
-            if obs_trace._current is not None:
-                obs_trace.instant("tier.demote", "runtime",
-                                  region="%s:%d" % region, key=list(key))
+            self.log.event("tier.demote", region, key,
+                           tier=self.policy.mode)
 
     def on_promote(self, func: str, region_id: int, key: Key,
                    entry) -> None:
@@ -401,21 +394,13 @@ class TierController:
         speculative = key in state.marks and key not in state.promoted
         state.marks.discard(key)
         state.promoted.add(key)
-        state.promotions += 1
         if speculative:
             state.speculative_promotions += 1
         count = state.counts.get(key, 0)
         entry.hotness = count
-        if obs_metrics._enabled:
-            obs_metrics.counter("tier.promotions").labels(
-                region="%s:%d" % region, tier=self.policy.mode).inc()
-            if speculative:
-                obs_metrics.counter("tier.speculative_promotions").inc()
-        if obs_trace._current is not None:
-            obs_trace.instant(
-                "tier.promote", "runtime", region="%s:%d" % region,
-                key=list(key), count=count, speculative=speculative,
-                predicted_breakeven=state.predicted.get(key))
+        self.log.event("tier.promote", region, key, tier=self.policy.mode,
+                       count=count, speculative=speculative,
+                       predicted_breakeven=state.predicted.get(key))
         if not speculative:
             self._mark_siblings(region, state, key)
 
@@ -439,12 +424,7 @@ class TierController:
             key=lambda item: (-item[0], item[1]))
         for _, sibling in siblings[:budget]:
             state.marks.add(sibling)
-            if obs_metrics._enabled:
-                obs_metrics.counter("tier.speculative_marks").inc()
-            if obs_trace._current is not None:
-                obs_trace.instant("tier.speculate", "runtime",
-                                  region="%s:%d" % region,
-                                  key=list(sibling))
+            self.log.event("tier.speculate", region, sibling)
 
     def on_hit(self, func: str, region_id: int, key: Key,
                cached) -> None:
@@ -455,7 +435,10 @@ class TierController:
     # -- reporting ---------------------------------------------------------
 
     def snapshot(self) -> Dict[RegionId, Dict[str, object]]:
-        """Per-region tiering stats for ``RunResult.tier_stats``."""
+        """Per-region tiering stats for ``RunResult.tier_stats``: the
+        event counts come from the run's log, the rest is the
+        controller's decision state."""
+        log = self.log
         out: Dict[RegionId, Dict[str, object]] = {}
         for region, state in sorted(self.state.items()):
             predicted = [state.predicted[k] for k in sorted(state.predicted)]
@@ -465,10 +448,12 @@ class TierController:
                 "keys_promoted": len(state.promoted),
                 "promoted_keys": [repr(list(k))
                                   for k in sorted(state.promoted)],
-                "promotions": state.promotions,
-                "speculative_promotions": state.speculative_promotions,
-                "demotions": state.demotions,
-                "decision_flips": state.flips,
+                "promotions": log.count("tier.promote", region),
+                "speculative_promotions": sum(
+                    1 for event in log.of_kind("tier.promote")
+                    if event.region == region and event.args["speculative"]),
+                "demotions": log.count("tier.demote", region),
+                "decision_flips": log.count("tier.flip", region),
                 "predicted_breakeven": (
                     min(predicted) if predicted else None),
                 "predicted_breakeven_by_key": {

@@ -89,7 +89,7 @@ def stitched_code(program, result):
     vm.rt_handlers["region_lookup"] = runtime.lookup
     vm.rt_handlers["region_stitch"] = runtime.stitch
     vm.run(program.compiled["main"].base)
-    (report,) = [event.report for event in runtime.log
+    (report,) = [event.report for event in runtime.log.entries
                  if event.kind == "stitch"]
     end = len(vm.code)
     return vm.code[report.entry:end], report

@@ -2,10 +2,11 @@
 
 The whole observability layer is host-side: every simulated observable
 -- final value, total cycles, per-owner cycle/instruction accounting,
-opcode histogram, stitch reports, region-entry counts -- must be
-bit-identical between a run with tracing+metrics fully on and a run
-with both off.  If a hook ever leaks into the cost model (say, by
-charging a cycle for a trace event), this is the test that catches it.
+opcode histogram, stitch reports, region-entry counts, the runtime
+event log -- must be bit-identical between a run with tracing+metrics
+fully on and a run with both off.  If a hook ever leaks into the cost
+model (say, by charging a cycle for a trace event), this is the test
+that catches it.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ def observables(result):
         "cache_hits": list(result.cache_hits),
         "stitch_reports": [dataclasses.asdict(report)
                            for report in result.stitch_reports],
+        "events": list(result.events),
     }
 
 

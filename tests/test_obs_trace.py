@@ -178,3 +178,22 @@ def test_real_pipeline_trace_is_schema_valid_and_covers_stages():
     # Opt spans carry IR size deltas.
     fold = tracer.by_name("opt.fold")[0]
     assert fold["args"]["instrs_before"] >= fold["args"]["instrs_after"]
+
+
+def test_async_run_trace_is_schema_valid(tmp_path):
+    """An async run's queue instants -- here an admission, a landing
+    and a cancellation (a colder job shed to admit a hotter one) --
+    carry a valid category, so the written trace validates."""
+    from repro.bench.cachepressure import compile_pressure_program
+
+    tracer = trace.Tracer()
+    program = compile_pressure_program()
+    with trace.tracing(tracer):
+        result = program.run("main", [40, 8, 7],
+                             stitch="async:drain=4,depth=1")
+    names = {event["name"] for event in tracer.events}
+    assert {"stitch.enqueue", "stitch.land", "stitch.cancel"} <= names
+    assert result.queue_stats.cancelled == {"shed": 1}
+    path = tmp_path / "async.json"
+    tracer.write_chrome(str(path))
+    assert trace.validate_events(trace.load_trace(str(path))) == []

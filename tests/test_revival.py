@@ -20,10 +20,8 @@ from repro.codecache import CachedEntry, CacheKey
 from repro.codecache.cache import CodeCache
 from repro.machine.vm import VM, VMError
 
-#: the cache-pressure region twice over: a program with one region
-#: never evicts under async stitching (an in-flight job pins its
-#: region's code, and the landing job is in flight at every insert), so
-#: async revival needs a second region to evict while the first lands.
+#: the cache-pressure region twice over, so eviction and revival also
+#: run with two regions' versions competing for the cache.
 TWO_REGIONS = """
 int ra(int k, int v) {
     int t = v;
@@ -104,6 +102,12 @@ CONFIGS = [
     {"cache": "lru:4", "tier": "breakeven", "stitch": "async"},
 ]
 
+#: ``main`` arguments for every configuration ...
+ARGS = ([60, 8, 7], [120, 12, 3], [300, 6, 1])
+#: ... plus, under a tiering policy (a key stitches only once it runs
+#: hot, so four entries fill only on a long run), a long one.
+LONG = [1000, 24, 1]
+
 
 def observables(result):
     """Everything a run reports except the revival count."""
@@ -155,18 +159,18 @@ def test_revival_is_invisible(config, backend):
     a run that revives is bit-identical to one that re-stitches: value,
     cycles, owners, opcodes, the entry log (report fields and pcs
     included), cache stats (live blocks included) and re-stitch
-    identity -- and revival does fire."""
-    revivals = 0
+    identity -- and revival does fire, on one region and on two."""
     for source in (PRESSURE, TWO_REGIONS):
         program = compile_program(source, backend=backend)
-        for args in ([60, 8, 7], [120, 12, 3], [300, 6, 1]):
+        revivals = 0
+        for args in ARGS + ((LONG,) if "tier" in config else ()):
             revived, _ = run(program, args, **config)
             restitched, _ = run(program, args, revive=False, **config)
             assert observables(revived) == observables(restitched), args
             assert revived.cache_stats.restitch_mismatches == []
             assert restitched.cache_stats.revivals == 0
             revivals += revived.cache_stats.revivals
-    assert revivals > 0
+        assert revivals > 0, source
 
 
 def _addresses(vm, walk, table_addr):

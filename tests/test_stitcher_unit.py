@@ -23,7 +23,7 @@ def stitch_and_inspect(source, args=None, **compile_kwargs):
     vm.rt_handlers["region_stitch"] = runtime.stitch
     preload = [(16 + i, v) for i, v in enumerate(args or [])]
     value, _ = vm.run(program.compiled["main"].base, preload)
-    reports = [event.report for event in runtime.log
+    reports = [event.report for event in runtime.log.entries
                if event.kind == "stitch"]
     return program, vm, reports, value
 

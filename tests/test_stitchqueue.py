@@ -4,7 +4,7 @@ Covers the job lifecycle end to end: spec parse/describe round-trips,
 the five-way entry partition and queue-conservation invariants,
 priority shedding, retry with seeded jittered backoff, the watchdog +
 breaker ladder under ``stitch.hang``, ``queue.drop`` accounting,
-cancellation on eviction/invalidation, and the guard-rail helpers the
+the cache bound under async stitching, and the guard-rail helpers the
 queue shares with the breaker (:func:`seeded_jitter`, the cooldown
 cap).  Sync mode must stay bit-identical to the historical engine --
 that is what keeps every committed golden valid.
@@ -186,7 +186,10 @@ def test_watchdog_and_breaker_degrade_hung_region():
     assert check_hang(hang_gate()) == []
 
 
-def test_queue_under_bounded_cache_cancels_on_eviction():
+def test_queue_under_bounded_cache_keeps_the_bound():
+    """Queued jobs pin nothing: a job exists only for a key whose
+    lookup missed, so the bounded cache evicts under async stitching
+    exactly as it does inline, and ends within its bound."""
     from repro.bench.cachepressure import (
         DEFAULT_SEED, compile_pressure_program,
     )
@@ -197,6 +200,8 @@ def test_queue_under_bounded_cache_cancels_on_eviction():
     run = program.run("main", list(args), cache="lru:2",
                       stitch="async:drain=2")
     assert run.value == baseline.value
+    assert run.cache_stats.evictions > 0
+    assert run.cache_stats.live_entries <= 2
     qs = run.queue_stats
     assert queue_conserves(qs)
     entries = sum(run.region_entries.values())
