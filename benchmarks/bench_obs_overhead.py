@@ -53,8 +53,11 @@ from repro.runtime.engine import _RegionRuntime, compile_program  # noqa: E402
 
 def _bare_lookup(self, vm, instr):
     """_RegionRuntime.lookup without obs guards or entry accounting
-    (the pre-observability body, for A/B timing only).  Steady-state
-    runs never miss, so the tier/stitch cold paths are irrelevant."""
+    (the pre-observability body, for A/B timing only).  Every
+    ``Program.run`` builds a fresh ``CodeCache``, so each run's first
+    entry of each key misses: there this returns 0 and the glue falls
+    through to the real ``region_stitch`` path, which logs the entry
+    as in the shipped variant.  Only hits take the bare path."""
     func, region_id = instr.extra
     region = self._regions[(func, region_id)]
     key = CacheKey(func, region_id,

@@ -36,6 +36,10 @@ The seam contract (see ``docs/BACKENDS.md``):
   stats, entry pcs, compaction behavior and golden accounting stay
   byte-identical.  Backend-specific artifacts ride alongside
   (``CachedEntry.artifacts``) and die with the entry.
+* **Nothing installed in a VM holds the VM.**  Handlers reach runtime
+  services as ``rt[0](instr)`` through the VM's run-scoped slot
+  ``rt = vm._rt``, never through a captured ``vm`` or bound method of
+  it, so a dropped program and its VM are freed by reference counting.
 """
 
 from __future__ import annotations

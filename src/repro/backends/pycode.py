@@ -493,7 +493,7 @@ class _SegmentCodegen:
         op = instr.op
         if op == "call_rt":
             self.needs.add("call_rt")
-            out.append("call_rt(%s)" % self._instr_ref(k, instr))
+            out.append("rt[0](%s)" % self._instr_ref(k, instr))
             out.append("return pc + %d" % (k + 1))
         elif op == "br":
             ref = self._instr_ref(k, instr)
@@ -618,7 +618,7 @@ class _SegmentCodegen:
             lines.append("    memory = vm.memory")
             lines.append("    memlen = vm.memory_words")
         if "call_rt" in self.needs:
-            lines.append("    call_rt = vm._call_rt")
+            lines.append("    rt = vm._rt")
         for j in range(len(owner_cells)):
             lines.append("    oc%d = ocells[%d]" % (j, j))
         for j in range(len(op_cells)):

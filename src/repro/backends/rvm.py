@@ -203,11 +203,13 @@ if target < 0 and target != RETURN_SENTINEL:
     raise VMError("pc out of range: %d" % target)
 return target
 """),
+    # The run-scoped slot, not the bound ``vm._call_rt``: a handler
+    # that held the VM would make every VM a reference cycle.
     "call_rt": ("""\
-call_rt = vm._call_rt
+rt = vm._rt
 i = instr
 """, """\
-call_rt(i)
+rt[0](i)
 return pc + 1
 """),
     "halt": ("", "return RETURN_SENTINEL\n"),
@@ -313,9 +315,16 @@ class RVMBackend(ExecutionBackend):
         return predecode(vm, instr)
 
     def run_threaded(self, vm, pc: int) -> Tuple[int, float]:
-        """The fast path: ``pc = handlers[pc](pc)`` until the sentinel."""
+        """The fast path: ``pc = handlers[pc](pc)`` until the sentinel.
+
+        For the length of the loop the VM's runtime-call slot holds
+        ``vm._call_rt`` (the previous value comes back on exit), so the
+        ``call_rt`` handlers reach the VM without holding it."""
         handlers = vm.handlers
         regs = vm.regs
+        rt = vm._rt
+        outer = rt[0]
+        rt[0] = vm._call_rt
         try:
             while pc != RETURN_SENTINEL:
                 pc = handlers[pc](pc)
@@ -323,6 +332,8 @@ class RVMBackend(ExecutionBackend):
             if 0 <= pc < len(handlers):
                 raise  # a genuine IndexError inside a runtime service
             raise VMError("pc out of range: %d" % pc) from None
+        finally:
+            rt[0] = outer
         return int(regs[RV]), float(regs[FRV])
 
     def run_naive(self, vm, pc: int) -> Tuple[int, float]:

@@ -31,7 +31,11 @@ the dispatch implementation.
 Runtime services (``call_rt``) cover allocation, printing, the pure
 math builtins, and the two dynamic-compilation hooks
 (``region_lookup`` / ``region_stitch``) that the runtime engine
-installs handlers for.
+installs handlers for, for the length of one run.  Predecoded
+``call_rt`` handlers reach :meth:`VM._call_rt` through the run-scoped
+slot ``_rt``, which the dispatch loop fills on entry and restores on
+exit: nothing installed in a VM holds the VM, so a dropped program and
+its VM are freed by reference counting, not by the cyclic collector.
 """
 
 from __future__ import annotations
@@ -108,6 +112,10 @@ class VM:
         self.heap_next = self.HEAP_BASE
         #: name -> handler(vm, instr) -> int result for r0.
         self.rt_handlers: Dict[str, Callable[["VM", MInstr], int]] = {}
+        #: the run-scoped runtime-call slot: ``call_rt`` handlers call
+        #: ``rt[0](instr)``, and the dispatch loop holds ``_call_rt``
+        #: here for the length of a run (see the module docstring).
+        self._rt: List[Optional[Callable[[MInstr], None]]] = [None]
         #: the one ``freed`` filler word and its handler, shared by
         #: every freed slot (built by the first :meth:`fill_freed`).
         self._freed: Optional[Tuple[MInstr, Handler]] = None

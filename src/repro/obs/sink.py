@@ -86,8 +86,7 @@ EVENTS = {
     "cache.invalidate": (counter("cache.invalidations"),) + _POPULATION,
     "cache.revive": (counter("cache.revivals"),),
     "cache.restitch": (counter("cache.restitches"),),
-    "cache.checksum_fail": (counter("cache.checksum_failures"),
-                            counter("retry.checksum")) + _POPULATION,
+    "cache.checksum_fail": (counter("cache.checksum_failures"),) + _POPULATION,
     # adaptive tiering
     "tier.promote": (counter("tier.promotions", region="region",
                              tier="tier"),
@@ -106,10 +105,9 @@ EVENTS = {
     # the async stitch queue
     "stitch.enqueue": (counter("stitchq.enqueue"), _DEPTH),
     "stitch.shed": (counter("stitchq.shed"),),
-    "stitch.land": (counter("stitchq.land"), counter("stitchq.landed"),
+    "stitch.land": (counter("stitchq.land"),
                     counter("stitchq.latency_entries", "latency"), _DEPTH),
-    "stitch.deadline": (counter("stitchq.deadline"),
-                        counter("stitchq.expired"), _DEPTH),
+    "stitch.deadline": (counter("stitchq.deadline"), _DEPTH),
     "stitch.cancel": (counter("stitchq.cancel"), _DEPTH),
     "stitch.retry": (counter("stitchq.retry"),),
     "stitch.hang": (counter("stitchq.hang"),),

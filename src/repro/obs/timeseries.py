@@ -57,7 +57,7 @@ _DERIVED = (
     ("tier.promotion_rate", "tier.promotions", "region.entries"),
     ("fallback.ratio", "fallback.count", "region.entries"),
     ("stitchq.entries_to_land", "stitchq.latency_entries",
-     "stitchq.landed"),
+     "stitchq.land"),
     ("cache.evictions_per_kcycle", "cache.evictions", "cycles"),
 )
 

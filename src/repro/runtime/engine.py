@@ -285,24 +285,33 @@ class Program:
         vm = self._acquire_vm(memory_words, max_cycles)
         runtime = _RegionRuntime(self, vm, self.config.replace(
             cache=cache, faults=faults, tier=tier, stitch=stitch))
-        vm.rt_handlers["region_lookup"] = runtime.lookup
-        vm.rt_handlers["region_stitch"] = runtime.stitch
         entry_fn = self.compiled.get(func)
         if entry_fn is None:
             raise VMError("no function named %s" % func)
         preload: List[Tuple[int, Number]] = []
         for i, arg in enumerate(args or []):
             preload.append((ARG_BASE + i, arg))
-        with obs_trace.span("vm.run", "vm", func=func, mode=self.mode,
-                            backend=self.backend.name) as span:
-            int_result, float_result = self.backend.execute(
-                vm, entry_fn.base, preload)
-            if span is not None:
-                span["cycles"] = vm.cycles
-                span["value"] = int_result
-                kinds = [event.kind for event in runtime.log.entries]
-                span["stitches"] = kinds.count("stitch")
-                span["cache_hits"] = kinds.count("hit")
+        # The region services hold this run's runtime, which holds the
+        # VM and this program: installed for the run alone, so neither
+        # outlives it in a reference cycle.
+        vm.rt_handlers["region_lookup"] = runtime.lookup
+        vm.rt_handlers["region_stitch"] = runtime.stitch
+        try:
+            with obs_trace.span("vm.run", "vm", func=func, mode=self.mode,
+                                backend=self.backend.name) as span:
+                int_result, float_result = self.backend.execute(
+                    vm, entry_fn.base, preload)
+                if span is not None:
+                    span["cycles"] = vm.cycles
+                    span["value"] = int_result
+                    kinds = [event.kind for event in runtime.log.entries]
+                    span["stitches"] = kinds.count("stitch")
+                    span["cache_hits"] = kinds.count("hit")
+        finally:
+            del vm.rt_handlers["region_lookup"]
+            del vm.rt_handlers["region_stitch"]
+            if runtime.queue is not None:
+                runtime.queue.on_deadline = None
         log = runtime.log
         result = RunResult(
             value=int_result,

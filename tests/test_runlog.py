@@ -177,3 +177,22 @@ def test_observability_doc_lists_every_table_name():
         missing = sorted(names - documented)
         assert not missing, "%s names missing from %s: %s" % (
             what, OBSERVABILITY.name, missing)
+
+
+def test_each_fact_has_one_metric():
+    """Two metric names fed by the same records with the same value
+    field, labels and condition would always hold equal values."""
+    rows = [("entry", kind, updates)
+            for kind, (updates, _) in ENTRIES.items()]
+    rows += [("event", kind, updates) for kind, updates in EVENTS.items()]
+    feeds = {}
+    for table, kind, updates in rows:
+        for update in updates:
+            feeds.setdefault(update.metric, set()).add(
+                (table, kind, update.type, update.labels, update.value,
+                 update.when))
+    names = {}
+    for name, feed in feeds.items():
+        names.setdefault(frozenset(feed), []).append(name)
+    assert sorted(sorted(same) for same in names.values()
+                  if len(same) > 1) == []
