@@ -78,14 +78,20 @@ class ExecutionBackend:
     def prepare_vm(self, vm, static_words: int) -> None:
         """Called once per fresh VM, after the static image is loaded
         (``static_words`` = length of the static code).  Backends may
-        compile the static image here; the work survives
+        compile the static image here, or defer each piece until it
+        has run often enough to pay for its compile (``pycode``
+        installs counting stubs); either way the work survives
         ``reset_for_rerun`` and so amortizes across repeated runs."""
 
     def entry_installed(self, vm, entry) -> None:
         """Called by the code cache after a
         :class:`~repro.codecache.entry.CachedEntry` is placed,
         relocated and checksummed.  Backends compile their per-entry
-        artifact here and may record it in ``entry.artifacts``."""
+        artifact here, or defer it to the entry's executions, and may
+        record it in ``entry.artifacts``.  Compaction later moves the
+        entry's words and handlers together without calling this
+        hook, so whatever it installs must find its pc from its
+        argument."""
 
     def install_block(self, vm, instrs) -> int:
         """Install a non-cache code block (fallback tier); returns its

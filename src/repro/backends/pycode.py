@@ -6,12 +6,13 @@ This backend lowers each straight-line run of installed code (a
 *segment*: leader pc up to and including the first control transfer or
 runtime call) into **one** composed Python closure, generated as
 source, compiled with :func:`compile`, and installed as an overlay in
-``vm.handlers`` at the segment's leader pc.  Holes are already bound
--- the stitcher patched run-time constants into the instruction words,
-so they appear in the generated source as literals; const-branches
-were folded and unrolled loops flattened by the stitcher, so they
-arrive here as long straight-line segments, which is exactly what this
-backend is fastest at.
+``vm.handlers`` at the segment's leader pc once the segment has run
+often enough to pay for the compile (see "Lazy compilation" below).
+Holes are already bound -- the stitcher patched run-time constants
+into the instruction words, so they appear in the generated source as
+literals; const-branches were folded and unrolled loops flattened by
+the stitcher, so they arrive here as long straight-line segments,
+which is exactly what this backend is fastest at.
 
 Execution still flows through the same threaded loop (``pc =
 handlers[pc](pc)``); non-leader pcs keep their per-instruction rvm
@@ -67,26 +68,70 @@ Eviction safety comes from the VM's own lifecycle: ``write_code`` and
 overlays; the cache then re-runs :meth:`entry_installed` for whatever
 replaces them.
 
-Host-compile cost is kept off the steady path at three levels:
+Lazy compilation
+----------------
 
+Compiling a segment costs far more than running it once, so a
+segment compiles only when it has run enough to pay for the compile:
+the paper's Section 5 break-even rule, which
+:mod:`repro.runtime.tiering` applies to stitching, applied to this
+backend.  Every leader this backend would compile -- the static image
+in :meth:`PycodeBackend.prepare_vm`, each stitched entry in
+:meth:`PycodeBackend.entry_installed`, each entry's static
+continuation points -- first gets a *counting stub*: one handler,
+shared by the leaders of one installed image, that counts the
+leader's executions and runs its per-instruction rvm handler.  The
+``B``-th execution (``PycodeBackend.COMPILE_AFTER``) generates and
+compiles the segment, installs it over the stub and runs it; a leader
+whose segment cannot compile gets its per-instruction handler back
+for good.  A compiled segment's budget deferral ``origin`` is always
+the per-instruction handler, never a stub.  Stubs hold the VM and the
+backend only through weak references, dereferenced only at that
+switch, so nothing installed in a VM holds the VM.
+
+``B`` is derived, not tuned.  Measured on a 2-vCPU host over fresh
+``cold`` variants, generating and compiling a segment costs 15-17 us
+per instruction when its source is new and 4.6-4.8 us when the
+factory cache already holds it, while a compiled instruction runs
+0.22 us faster than its rvm handler (0.039 against 0.256 us, steady
+scalar matrix).  So a compile pays back after about 21 executions
+(factory hit) to 75 (new source).  A segment that has run 16 times
+is almost always a loop that will run many more; ``cold``'s
+pycode/rvm time ratio read 1.46 eager, 1.08 at ``B`` = 4 and 0.95 to
+1.03 from 8 to 64, and peak RSS 53 MB eager, 40 MB at 4 and 23-28 MB
+from 8 to 64.  A
+larger ``B`` gains nothing there but lengthens the transient of a
+program that is run many times (a segment that runs once per run
+compiles on run ``B``), so ``B`` = 16.  Fallback blocks
+(:meth:`PycodeBackend.block_installed`) compile eagerly: they are
+rebuilt every run and have no checksum to carry counts by.
+
+Host-compile cost is kept off the steady path at four levels:
+
+* lazy compilation (above) compiles only segments that run at least
+  ``B`` times;
 * compiled factories are memoized on their generated source
   (re-stitches of the same key produce identical source);
-* the static image is compiled once per VM and its overlays survive
-  ``reset_for_rerun`` (only run-time handlers are truncated);
-* a per-entry **plan cache** remembers, per installed image
-  ``(checksum, base, words, region)``, the full overlay recipe --
-  leader offsets, factories and capture offsets -- so when a fresh
-  :class:`~repro.codecache.cache.CodeCache` re-stitches the same key
-  to the same address on a later run, the overlays are replayed by a
-  handful of closure calls with no discovery and no source generation.
-  Owner/opcode cells persist across :meth:`VM.reset_for_rerun` (they
-  are zeroed in place), so replayed closures keep charging the right
-  counters; the cache is keyed to one VM and dropped when the engine
-  builds a new one.
+* the static image's stubs, counts and compiled overlays survive
+  ``reset_for_rerun`` (only run-time handlers are truncated), so a
+  segment that runs once per run compiles on run ``B``;
+* a per-entry **plan cache** remembers, per canonical entry image
+  ``(checksum, words, func, region)``, each leader's execution count
+  and compiled plan -- factory, capture offsets and counter cells --
+  so a re-stitch of the same key on a later run, a revival and a copy
+  at another base all replay the compiled segments with no discovery
+  and no source generation, and keep counting the rest where the last
+  install left off.  The checksum covers the base-independent image
+  (``CachedEntry.compute_checksum``) and generated code is
+  pc-relative, so one plan serves every base.  Owner/opcode cells
+  persist across :meth:`VM.reset_for_rerun` (they are zeroed in
+  place), so replayed closures keep charging the right counters; the
+  cache is kept per VM and dies with it.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import VMError
@@ -167,9 +212,11 @@ class _SegmentCodegen:
     def _reset(self) -> None:
         self.body: List[str] = []
         self.setup: List[str] = []
-        #: loop form only: raw register loads emitted before the loop.
+        #: loop form only: raw register loads emitted before the loop,
+        #: and the registers they load.
         self.preload: List[str] = []
-        self.captured_instrs: List[MInstr] = []
+        self.preloaded: set = set()
+        #: leader-relative offsets of the captured instructions.
         self.capture_ks: List[int] = []
         self.captured_fns: List[Callable] = []
         self.needs: set = set()
@@ -190,12 +237,11 @@ class _SegmentCodegen:
 
     # -- capture helpers ---------------------------------------------------
 
-    def _instr_ref(self, k: int, instr: MInstr) -> str:
-        name = "i%d" % len(self.captured_instrs)
-        self.captured_instrs.append(instr)
+    def _instr_ref(self, k: int) -> str:
+        """A local naming the word at leader-relative offset ``k``."""
+        name = "i%d" % len(self.capture_ks)
+        self.setup.append("%s = instrs[%d]" % (name, len(self.capture_ks)))
         self.capture_ks.append(k)
-        self.setup.append("%s = instrs[%d]"
-                          % (name, len(self.captured_instrs) - 1))
         return name
 
     def _fn_ref(self, fn: Callable) -> str:
@@ -214,6 +260,7 @@ class _SegmentCodegen:
         loop."""
         name = "r%d" % reg
         self.preload.append("%s = regs[%d]" % (name, reg))
+        self.preloaded.add(reg)
         self.cur[reg] = name
         self.kind[reg] = None
         return name
@@ -493,15 +540,15 @@ class _SegmentCodegen:
         op = instr.op
         if op == "call_rt":
             self.needs.add("call_rt")
-            out.append("rt[0](%s)" % self._instr_ref(k, instr))
+            out.append("rt[0](%s)" % self._instr_ref(k))
             out.append("return pc + %d" % (k + 1))
         elif op == "br":
-            ref = self._instr_ref(k, instr)
+            ref = self._instr_ref(k)
             out.append("_t = %s.target" % ref)
             self._check_target(out, "")
             out.append("return _t")
         elif op == "beq" or op == "bne":
-            ref = self._instr_ref(k, instr)
+            ref = self._instr_ref(k)
             cond = self._branch_cond(instr.ra, nonzero=op == "bne")
             if cond is None:
                 # numeric truthiness is exactly ``!= 0``.
@@ -513,7 +560,7 @@ class _SegmentCodegen:
             out.append("    return _t")
             out.append("return pc + %d" % (k + 1))
         elif op == "jsr":
-            ref = self._instr_ref(k, instr)
+            ref = self._instr_ref(k)
             out.append("regs[%d] = pc + %d" % (RA, k + 1))
             out.append("_t = %s.target" % ref)
             self._check_target(out, "")
@@ -529,7 +576,7 @@ class _SegmentCodegen:
             out.append("    raise VMError(\"pc out of range: %d\" % _t)")
             out.append("return _t")
         elif op == "jtab":
-            ref = self._instr_ref(k, instr)
+            ref = self._instr_ref(k)
             out.append("_ts, _d = %s.extra" % ref)
             out.append("_ix = int(regs[%d]) - %d" % (instr.ra, instr.imm))
             out.append("_t = _ts[_ix] if 0 <= _ix < len(_ts) else _d")
@@ -547,11 +594,11 @@ class _SegmentCodegen:
 
     # -- assembly ----------------------------------------------------------
 
-    def generate(self) -> Tuple[str, tuple, Tuple[int, ...], tuple,
-                                tuple, tuple]:
-        """Returns ``(source, instr captures, capture offsets, fn
-        captures, owner cells, opcode cells)``; capture offsets are
-        segment-leader-relative, for plan-cache replay."""
+    def generate(self) -> Tuple[str, Tuple[int, ...], tuple, tuple,
+                                tuple]:
+        """Returns ``(source, capture offsets, fn captures, owner
+        cells, opcode cells)``; the captured instructions are the
+        words at the leader-relative capture offsets."""
         if self.loop:
             return self._generate_loop()
         vm = self.vm
@@ -605,8 +652,7 @@ class _SegmentCodegen:
         lines.append("    seg._pycode_segment = True")
         lines.append("    return seg")
         source = "\n".join(lines) + "\n"
-        return (source, tuple(self.captured_instrs),
-                tuple(self.capture_ks), tuple(self.captured_fns),
+        return (source, tuple(self.capture_ks), tuple(self.captured_fns),
                 tuple(owner_cells), tuple(op_cells))
 
     def _factory_header(self, owner_cells, op_cells) -> List[str]:
@@ -725,11 +771,10 @@ class _SegmentCodegen:
         self._reset()
         head_lines, test_val, fused_cond, body_lines = emit_blocks()
 
-        term_ref = self._instr_ref(len(head) - 1, term)
+        term_ref = self._instr_ref(len(head) - 1)
         br_ref = None
         if body is not None:
-            br_ref = self._instr_ref(self.body_off + len(body) - 1,
-                                     body[-1])
+            br_ref = self._instr_ref(self.body_off + len(body) - 1)
         writeback = ["regs[%d] = %s" % (r, self.cur[r])
                      for r in self.dirty]
 
@@ -777,6 +822,13 @@ class _SegmentCodegen:
         lines.append("        n = 0")
         for line in self.preload:
             lines.append("        " + line)
+        # Every exit writes back every register the loop writes, so a
+        # register first written inside the loop must be bound even
+        # when the loop leaves before writing it (a zero-trip loop, a
+        # budget deferral on entry): bind it to its current value.
+        for reg in self.dirty:
+            if reg not in self.preloaded:
+                lines.append("        r%d = regs[%d]" % (reg, reg))
         lines.append("        while True:")
         if body is None:
             lines.append("            projected += %d" % cost_h)
@@ -863,9 +915,145 @@ class _SegmentCodegen:
 
     def _loop_result(self, lines: List[str]):
         source = "\n".join(lines) + "\n"
-        return (source, tuple(self.captured_instrs),
-                tuple(self.capture_ks), tuple(self.captured_fns),
+        return (source, tuple(self.capture_ks), tuple(self.captured_fns),
                 tuple(self._loop_ocells), tuple(self._loop_opcells))
+
+
+def _leaders(code, start: int, end: int,
+             entries: Sequence[int]) -> List[int]:
+    """The sorted segment leaders of ``[start, end)``: ``start``, the
+    given entry pcs, every in-range branch or jump-table target and
+    every pc after a terminator."""
+    leaders = set(pc for pc in entries if start <= pc < end)
+    for p in range(start, end):
+        op = code[p].op
+        if op not in _TERMINATORS:
+            continue
+        if op in ("br", "beq", "bne", "jsr"):
+            target = code[p].target
+            if start <= target < end:
+                leaders.add(target)
+        elif op == "jtab":
+            extra = code[p].extra
+            if isinstance(extra, tuple) and len(extra) == 2:
+                targets, default = extra
+                for target in list(targets) + [default]:
+                    if isinstance(target, int) and start <= target < end:
+                        leaders.add(target)
+        if p + 1 < end:
+            leaders.add(p + 1)
+    if start < end:
+        leaders.add(start)
+    return sorted(leaders)
+
+
+def _spans(leaders: List[int], end: int):
+    """``(leader, limit)`` pairs: a segment stops at the next leader."""
+    return zip(leaders, leaders[1:] + [end])
+
+
+def _counting_stub(place, origins: List[Handler], counts: List[int],
+                   after: int, fire) -> Handler:
+    """The one handler every armed leader of an installed image shares.
+
+    ``place.base`` is the image's current base (an entry's changes when
+    compaction moves it, and handlers move with their words), so the
+    stub finds its leader's offset from its pc.  A leader's first
+    ``after - 1`` executions run its per-instruction handler
+    ``origins[off]``; the ``after``-th calls ``fire(pc, off)``, which
+    installs the handler that runs from then on -- the compiled
+    segment, or the per-instruction handler when the segment does not
+    compile -- and returns it to run this execution too."""
+    def stub(pc):
+        off = pc - place.base
+        n = counts[off] + 1
+        counts[off] = n
+        if n < after:
+            return origins[off](pc)
+        return fire(pc, off)(pc)
+    stub._pycode_stub = True
+    return stub
+
+
+class _StaticImage:
+    """Lazy-compile state of one VM's static image: every pc's
+    per-instruction handler and execution count, and the segment limit
+    of every claimed pc (None for a continuation point, which runs to
+    its first terminator).  A claimed pc is never armed again.  It
+    must not hold its stub, which holds it."""
+
+    __slots__ = ("base", "origins", "counts", "limits")
+
+    def __init__(self, origins: List[Handler]):
+        self.base = 0
+        self.origins = origins
+        self.counts = [0] * len(origins)
+        self.limits: Dict[int, Optional[int]] = {}
+
+    def compile(self, backend: "PycodeBackend", vm, pc: int, off: int,
+                origin: Handler) -> Optional[Handler]:
+        end = len(self.origins)
+        limit = self.limits[pc]
+        plan = backend._compile_segment(
+            vm, pc, end if limit is None else limit, 0, end)
+        return None if plan is None \
+            else backend._instantiate(vm, pc, plan, origin)
+
+
+class _EntryImage:
+    """Lazy-compile state of one canonical stitched-entry image, shared
+    by every install of it: a re-stitch on a later run, a revival, a
+    copy at another base.  ``leaders`` are the offsets to arm or
+    replay (one whose segment does not compile leaves the list),
+    ``counts`` the executions per offset, ``plans`` the compiled
+    segments by offset and ``conts`` the static continuation pcs."""
+
+    __slots__ = ("words", "leaders", "limits", "counts", "plans", "conts")
+
+    def __init__(self, backend: "PycodeBackend", code, entry):
+        base, words = entry.base, entry.words
+        self.words = words
+        self.leaders: List[int] = []
+        self.limits: Dict[int, int] = {}
+        for leader, limit in _spans(
+                _leaders(code, base, base + words, (entry.entry_pc,)),
+                base + words):
+            if backend._armable(code, leader, limit):
+                self.leaders.append(leader - base)
+                self.limits[leader - base] = limit - base
+        self.counts = [0] * words
+        self.plans: Dict[int, tuple] = {}
+        self.conts = sorted(set(value for _index, kind, value
+                                in entry.relocs if kind == "absolute"))
+
+    def compile(self, backend: "PycodeBackend", vm, pc: int, off: int,
+                origin: Handler) -> Optional[Handler]:
+        plan = self.plans.get(off)
+        if plan is not None:  # compiled through another install
+            backend.plans_replayed += 1
+        else:
+            base = pc - off
+            plan = backend._compile_segment(
+                vm, pc, base + self.limits[off], base, base + self.words)
+            if plan is None:
+                if off in self.leaders:  # another live install's stub
+                    self.leaders.remove(off)  # may have got here first
+                return None
+            self.plans[off] = plan
+        return backend._instantiate(vm, pc, plan, origin)
+
+
+class _VMState:
+    """What the backend keeps for one VM: its static image and that
+    image's stub, and its entry images by canonical image (their plans
+    hold the VM's counter cells)."""
+
+    __slots__ = ("static", "stub", "entries")
+
+    def __init__(self):
+        self.static: Optional[_StaticImage] = None
+        self.stub: Optional[Handler] = None
+        self.entries: Dict[tuple, _EntryImage] = {}
 
 
 class PycodeBackend(ExecutionBackend):
@@ -877,126 +1065,156 @@ class PycodeBackend(ExecutionBackend):
     #: (a one-instruction superhandler saves nothing).
     MIN_SEGMENT = 2
 
+    #: a segment compiles on its ``COMPILE_AFTER``-th execution (see
+    #: "Lazy compilation" in the module docstring for the derivation).
+    COMPILE_AFTER = 16
+
     def __init__(self):
-        #: host-side stats, surfaced by the CLI summary and tests.
+        #: host-side stats, read by perfbench's tracer and the tests.
         self.segments_compiled = 0
         self.factory_cache_hits = 0
         self.plans_replayed = 0
-        #: (checksum, base, words, func, region_id) -> overlay recipe.
-        self._entry_plans: Dict[tuple, List[tuple]] = {}
-        self._plan_vm = None
+        #: VM -> _VMState; weak, so the backend never holds a VM.
+        self._vms: "weakref.WeakKeyDictionary" = \
+            weakref.WeakKeyDictionary()
+
+    @property
+    def stub_runs(self) -> int:
+        """Leader executions that went through a counting stub."""
+        images: list = []
+        for state in self._vms.values():
+            images += state.entries.values()
+            if state.static is not None:
+                images.append(state.static)
+        return sum(sum(image.counts) for image in images)
+
+    def _state(self, vm) -> _VMState:
+        state = self._vms.get(vm)
+        if state is None:
+            state = self._vms[vm] = _VMState()
+        return state
 
     # -- seam hooks --------------------------------------------------------
 
     def prepare_vm(self, vm, static_words: int) -> None:
-        self.compile_range(vm, 0, static_words)
-
-    def entry_installed(self, vm, entry) -> None:
-        if vm is not self._plan_vm:
-            self._entry_plans.clear()
-            self._plan_vm = vm
-        key = (entry.checksum, entry.base, entry.words,
-               entry.key.func, entry.key.region_id)
-        plans = self._entry_plans.get(key)
-        if plans is not None:
-            self._replay(vm, entry, plans)
-            return
-        end = entry.base + entry.words
-        seg_plans = self.compile_range(vm, entry.base, end,
-                                       entries=(entry.entry_pc,))
-        # Continuation segments in the static image: ``ext:`` branches
-        # back into the owning function and ``func:`` call targets
-        # land mid-segment of the static CFG; compile ad hoc from
-        # exactly those pcs (overlapping an existing static segment is
-        # sound -- see the module docstring).  Static overlays persist
-        # across reruns, so they need no plan-cache entry.
-        for _index, kind, value in entry.relocs:
-            if kind == "absolute" and 0 <= value < len(vm.code):
-                self.compile_at(vm, value)
-        self._entry_plans[key] = [
-            (leader - entry.base, factory, ks, fns, ocells, opcells)
-            for leader, factory, ks, fns, ocells, opcells in seg_plans]
-        entry.artifacts[self.name] = {
-            "segments": len(seg_plans),
-            "leaders": sorted(p[0] - entry.base for p in seg_plans),
-        }
-
-    def _replay(self, vm, entry, plans: List[tuple]) -> None:
-        """Reinstall a remembered overlay recipe: same image words at
-        the same base, so the factories and segment shapes are already
-        known -- only the capture objects (the freshly placed MInstr
-        words) and the deferral origins change."""
+        """Arm a counting stub at every static leader that can
+        compile."""
         code = vm.code
         handlers = vm.handlers
+        state = self._state(vm)
+        image = state.static = _StaticImage(handlers[:static_words])
+        stub = state.stub = self._stub(vm, image, image.origins, image)
+        for leader, limit in _spans(_leaders(code, 0, static_words, ()),
+                                    static_words):
+            if self._armable(code, leader, limit):
+                image.limits[leader] = limit
+                handlers[leader] = stub
+
+    def entry_installed(self, vm, entry) -> None:
+        """Replay the entry image's compiled segments, arm a stub at
+        its other leaders, and arm its static continuation points."""
+        images = self._state(vm).entries
+        key = (entry.checksum, entry.words,
+               entry.key.func, entry.key.region_id)
+        image = images.get(key)
+        if image is None:
+            image = images[key] = _EntryImage(self, vm.code, entry)
         base = entry.base
-        for off, factory, ks, fns, ocells, opcells in plans:
-            leader = base + off
-            origin = handlers[leader]
-            if getattr(origin, "_pycode_segment", False):
+        handlers = vm.handlers
+        stub = None
+        for off in image.leaders:
+            plan = image.plans.get(off)
+            if plan is not None:
+                handlers[base + off] = self._instantiate(
+                    vm, base + off, plan, handlers[base + off])
+                self.plans_replayed += 1
                 continue
-            captured = tuple(code[leader + k] for k in ks)
-            handlers[leader] = factory(vm, captured, fns, origin,
-                                       ocells, opcells)
-            self.plans_replayed += 1
-        entry.artifacts[self.name] = {
-            "segments": len(plans),
-            "leaders": sorted(p[0] for p in plans),
-        }
+            if stub is None:
+                stub = self._stub(vm, entry,
+                                  handlers[base:base + entry.words], image)
+            handlers[base + off] = stub
+        for pc in image.conts:
+            self._arm_at(vm, pc)
 
     def block_installed(self, vm, base: int, words: int,
                         entry_pc: int) -> None:
+        # Fallback blocks compile eagerly: they are rebuilt every run
+        # and have no checksum to carry counts from one run to the next.
         end = base + words
-        self.compile_range(vm, base, end, entries=(entry_pc,))
         code = vm.code
+        handlers = vm.handlers
+        for leader, limit in _spans(_leaders(code, base, end, (entry_pc,)),
+                                    end):
+            plan = self._compile_segment(vm, leader, limit, base, end)
+            if plan is not None:
+                handlers[leader] = self._instantiate(vm, leader, plan,
+                                                     handlers[leader])
         for p in range(base, end):
             instr = code[p]
-            if instr.op in ("br", "beq", "bne", "jsr"):
-                target = instr.target
-                if 0 <= target < len(code) and not base <= target < end:
-                    self.compile_at(vm, target)
+            if instr.op in ("br", "beq", "bne", "jsr") \
+                    and not base <= instr.target < end:
+                self._arm_at(vm, instr.target)
 
-    # -- segment discovery & compilation -----------------------------------
+    # -- lazy compilation --------------------------------------------------
 
-    def compile_range(self, vm, start: int, end: int,
-                      entries: Sequence[int] = ()) -> List[tuple]:
-        """Compile every segment in ``[start, end)``; returns one plan
-        tuple ``(leader, factory, capture offsets, fns, owner cells,
-        opcode cells)`` per overlay installed."""
+    def _arm_at(self, vm, pc: int) -> None:
+        """Arm a static continuation point: ``ext:`` branches back into
+        the owning function and ``func:`` call targets land mid-segment
+        of the static CFG, so ``pc`` gets a stub that compiles from
+        ``pc`` to the first terminator, whatever leaders it crosses
+        (overlapping a static segment is sound -- see the module
+        docstring).  A pc is claimed once: a static leader, an armed
+        or compiled point, or one that cannot compile is left alone."""
+        state = self._vms.get(vm)
+        image = state and state.static
+        if image is None or not 0 <= pc < len(image.origins) \
+                or pc in image.limits:
+            return
+        image.limits[pc] = None
+        if self._armable(vm.code, pc, len(image.origins)):
+            vm.handlers[pc] = state.stub
+
+    def _armable(self, code, leader: int, limit: int) -> bool:
+        """Whether the segment at ``leader`` can compile at all: it
+        starts with a straight-line op and has room for
+        ``MIN_SEGMENT`` instructions before ``limit``."""
+        return limit - leader >= self.MIN_SEGMENT \
+            and code[leader].op in _STRAIGHT_OPS
+
+    def _stub(self, vm, place, origins: List[Handler], image) -> Handler:
+        """A counting stub for ``image``'s leaders installed at
+        ``place.base``.  The VM's handlers hold the stub and this
+        backend holds the static one, so the stub holds both only
+        through weak references, dereferenced only when a leader
+        compiles."""
+        vm_ref = weakref.ref(vm)
+        backend_ref = weakref.ref(self)
+
+        def fire(pc: int, off: int) -> Handler:
+            vm = vm_ref()
+            backend = backend_ref()
+            handler = origins[off]
+            if backend is not None:
+                handler = image.compile(backend, vm, pc, off,
+                                        handler) or handler
+            vm.handlers[pc] = handler
+            return handler
+
+        return _counting_stub(place, origins, image.counts,
+                              self.COMPILE_AFTER, fire)
+
+    # -- segment compilation -----------------------------------------------
+
+    @staticmethod
+    def _instantiate(vm, leader: int, plan: tuple,
+                     origin: Handler) -> Handler:
+        """The superhandler of ``plan`` at ``leader``: the factory bound
+        to the words installed there, deferring to ``origin`` (always a
+        per-instruction handler, never a stub)."""
+        factory, ks, fns, ocells, opcells = plan
         code = vm.code
-        leaders = set(pc for pc in entries if start <= pc < end)
-        for p in range(start, end):
-            op = code[p].op
-            if op not in _TERMINATORS:
-                continue
-            if op in ("br", "beq", "bne", "jsr"):
-                target = code[p].target
-                if start <= target < end:
-                    leaders.add(target)
-            elif op == "jtab":
-                extra = code[p].extra
-                if isinstance(extra, tuple) and len(extra) == 2:
-                    targets, default = extra
-                    for target in list(targets) + [default]:
-                        if isinstance(target, int) \
-                                and start <= target < end:
-                            leaders.add(target)
-            if p + 1 < end:
-                leaders.add(p + 1)
-        if start < end:
-            leaders.add(start)
-        compiled: List[tuple] = []
-        for leader in sorted(leaders):
-            plan = self._compile_segment(vm, leader, end, leaders,
-                                         start=start)
-            if plan is not None:
-                compiled.append(plan)
-        return compiled
-
-    def compile_at(self, vm, pc: int) -> bool:
-        """Compile one ad-hoc segment starting at ``pc`` (run until
-        the first terminator, whatever leaders it crosses)."""
-        return self._compile_segment(
-            vm, pc, len(vm.code), frozenset()) is not None
+        return factory(vm, tuple(code[leader + k] for k in ks), fns,
+                       origin, ocells, opcells)
 
     def _find_loop_body(self, vm, leader: int, head_len: int,
                         term: MInstr, start: int, end: int):
@@ -1028,18 +1246,18 @@ class PycodeBackend(ExecutionBackend):
                 return instrs, b - leader
         return None
 
-    def _compile_segment(self, vm, leader: int, end: int,
-                         leaders, start: int = 0) -> Optional[tuple]:
-        handlers = vm.handlers
-        if getattr(handlers[leader], "_pycode_segment", False):
-            return None  # already overlaid
+    def _compile_segment(self, vm, leader: int, limit: int, start: int,
+                         end: int) -> Optional[tuple]:
+        """Generate and compile the segment at ``leader``: straight-line
+        code up to its first terminator or ``limit``, with a loop body
+        looked for inside ``[start, end)``.  Returns its plan
+        ``(factory, capture offsets, fns, owner cells, opcode cells)``
+        for :meth:`_instantiate`, or None when it does not compile."""
         code = vm.code
         instrs: List[MInstr] = []
         falls_through = True
         p = leader
-        while p < end:
-            if p > leader and p in leaders:
-                break  # next leader starts its own segment
+        while p < limit:
             instr = code[p]
             op = instr.op
             if op in _TERMINATORS:
@@ -1075,7 +1293,7 @@ class PycodeBackend(ExecutionBackend):
         gen = _SegmentCodegen(vm, leader, instrs, falls_through,
                               loop=loop, body_instrs=body_instrs,
                               body_off=body_off)
-        source, captured, ks, fns, ocells, opcells = gen.generate()
+        source, ks, fns, ocells, opcells = gen.generate()
         factory = _FACTORY_CACHE.get(source)
         if factory is None:
             namespace = dict(_EXEC_NAMESPACE)
@@ -1083,8 +1301,5 @@ class PycodeBackend(ExecutionBackend):
             factory = _FACTORY_CACHE[source] = namespace["_factory"]
         else:
             self.factory_cache_hits += 1
-        origin = handlers[leader]
-        handlers[leader] = factory(vm, captured, fns, origin,
-                                   ocells, opcells)
         self.segments_compiled += 1
-        return (leader, factory, ks, fns, ocells, opcells)
+        return factory, ks, fns, ocells, opcells

@@ -36,7 +36,7 @@ from .codecache import CacheConfig
 from .obs import trace as obs_trace
 from .runtime.config import RunConfig
 from .testing.ablate import (
-    format_reproducer, localize_divergence, shrink_program,
+    diverged_leg, format_reproducer, localize_divergence, shrink_program,
 )
 from .obs import health as obs_health
 from .testing.genprog import generate_program
@@ -403,7 +403,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             continue
         print("  localizing culprit pass ...")
         ablation = localize_divergence(program.source, bad.args,
-                                       max_cycles=args.max_cycles)
+                                       max_cycles=args.max_cycles,
+                                       leg=diverged_leg(bad),
+                                       config=config)
         print("  implicated: %s" % ablation.summary())
         print("  shrinking ...")
         before = len(program.source.splitlines())

@@ -7,7 +7,8 @@ When the oracle finds a divergence, two questions matter for triage:
    toggled off individually (plus the reachability analysis and the
    stitcher's value-based peepholes, the two dynamic-side
    optimizations), and reports every toggle that makes the divergence
-   vanish.
+   vanish.  A divergence of a leg on another backend that vanishes
+   when the leg runs on rvm names that backend instead.
 
 2. *What is the smallest program that still shows it?*
    :func:`shrink_program` greedily deletes statements from the
@@ -21,12 +22,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
+from ..backends import get_backend
+from ..machine.costs import StitcherCosts
 from ..opt.pipeline import OptOptions
+from ..runtime.config import RunConfig
 from .genprog import GenProgram
-from .oracle import OracleReport, run_oracle
+from .oracle import (
+    OracleReport, _compare, _interp_leg, _vm_leg, leg_backend, run_oracle,
+)
 
-__all__ = ["AblationResult", "localize_divergence", "shrink_program",
-           "format_reproducer"]
+__all__ = ["AblationResult", "diverged_leg", "localize_divergence",
+           "shrink_program", "format_reproducer"]
 
 #: The toggleable passes of the static optimization pipeline.
 OPT_PASSES = ("fold", "copyprop", "cse", "algebraic", "dce", "merge")
@@ -42,6 +48,8 @@ class AblationResult:
     reachability_implicated: bool = False
     #: True if disabling stitcher peepholes fixes it.
     peepholes_implicated: bool = False
+    #: the diverging leg's backend, when the leg agrees on rvm.
+    backend_implicated: str = ""
     #: True if the divergence survives every ablation (a baseline or
     #: front-end bug rather than an optimizer interaction).
     survives_all: bool = False
@@ -52,6 +60,8 @@ class AblationResult:
             parts.append("reachability")
         if self.peepholes_implicated:
             parts.append("stitcher-peepholes")
+        if self.backend_implicated:
+            parts.append("%s-backend" % self.backend_implicated)
         if not parts:
             return "none (survives every pass ablation)"
         return ", ".join(parts)
@@ -63,9 +73,40 @@ def _options_without(pass_name: str) -> OptOptions:
     return options
 
 
+def diverged_leg(report: OracleReport) -> str:
+    """The leg the report's first divergence is about: the side that
+    is not the interpreter."""
+    divergence = report.divergences[0]
+    return divergence.right if divergence.left == "interp" \
+        else divergence.left
+
+
+def _leg_agrees(source: str, args: List[int], leg: str, backend,
+                max_cycles: int,
+                stitcher_costs: Optional[StitcherCosts] = None) -> bool:
+    """Whether ``leg``'s mode on ``backend`` agrees with the
+    interpreter (one run, no invariant checks)."""
+    mode = "static" if leg == "static" else "dynamic"
+    outcome, _, _ = _vm_leg(
+        leg, source, args, mode, RunConfig(backend=backend),
+        stitcher_costs=stitcher_costs, runs=1, check_invariants=False,
+        max_cycles=max_cycles)
+    divergences: list = []
+    _compare(_interp_leg(source, args), outcome, divergences)
+    return not divergences
+
+
 def localize_divergence(source: str, args: List[int],
-                        max_cycles: int = 200_000_000) -> AblationResult:
-    """Toggle passes off one at a time; report which ones matter."""
+                        max_cycles: int = 200_000_000,
+                        leg: str = "dynamic",
+                        config=None) -> AblationResult:
+    """Toggle passes off one at a time; report which ones matter.
+
+    ``leg`` and ``config`` name the oracle leg that diverged and the
+    run configuration it ran under: the peephole probe reruns that
+    leg's mode on that leg's backend, and a divergence of a leg on
+    another backend that vanishes when the leg runs on rvm implicates
+    the backend instead of the peepholes."""
     result = AblationResult()
     for pass_name in OPT_PASSES:
         report = run_oracle(source, args,
@@ -77,25 +118,21 @@ def localize_divergence(source: str, args: List[int],
                         max_cycles=max_cycles)
     if report.ok:
         result.reachability_implicated = True
-    from ..machine.costs import StitcherCosts
-    costs = StitcherCosts()
-    costs.enable_peepholes = False
-    # Peepholes only affect the dynamic leg; reuse the oracle with the
-    # alternate cost model by compiling the dynamic leg directly.
-    from ..runtime.config import RunConfig
-    from .oracle import _vm_leg, _interp_leg, _compare
-    interp = _interp_leg(source, args)
-    dynamic, _, invariants = _vm_leg(
-        "dynamic", source, args, "dynamic", RunConfig(),
-        stitcher_costs=costs, runs=1, check_invariants=False,
-        max_cycles=max_cycles)
-    divergences: list = []
-    _compare(interp, dynamic, divergences)
-    if not divergences and not invariants:
-        result.peepholes_implicated = True
+    # Peepholes and backends only affect one leg: rerun it alone.
+    backend = leg_backend(leg, config)
+    name = get_backend(backend).name
+    if name != "rvm" and _leg_agrees(source, args, leg, "rvm",
+                                     max_cycles):
+        result.backend_implicated = name
+    else:
+        costs = StitcherCosts()
+        costs.enable_peepholes = False
+        result.peepholes_implicated = _leg_agrees(
+            source, args, leg, backend, max_cycles, stitcher_costs=costs)
     result.survives_all = not (result.culprit_passes
                                or result.reachability_implicated
-                               or result.peepholes_implicated)
+                               or result.peepholes_implicated
+                               or result.backend_implicated)
     return result
 
 

@@ -527,8 +527,9 @@ class ProgramGenerator:
         # loop), so it must be tainted even when the loop itself sits
         # in constant-friendly context.
         bound_scope = scope.child(tainted=True)
+        # The offset may be 0, so a loop can run zero times.
         bound = "((%s) & 3) + %d" % (self._var_expr(bound_scope, 1),
-                                     rng.randint(1, 3))
+                                     rng.randint(1, 3) - 1)
         inner = scope.child(tainted=True, const_ctrl=False)
         inner.ivars.append(ivar)
         inner.counters.append(ivar)

@@ -18,7 +18,11 @@ actions extension enabled.  A fourth standing leg repeats the dynamic
 configuration under the *other* registered execution backend (pycode
 when the primary is the default rvm, and vice versa), so every oracle
 run doubles as a bit-for-bit proof that the backend seam never
-changes a simulated observable.
+changes a simulated observable.  The cross-backend pycode leg compiles
+every segment on its first execution (:class:`FirstExecutionPycode`),
+so every executed segment runs generated code; a primary pycode leg
+runs the shipped compile threshold, so it covers the switch from
+per-instruction handlers to compiled segments mid-run.
 
 On top of value agreement, the oracle checks *stitch-report
 invariants* on every dynamic run:
@@ -42,7 +46,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
-from ..backends import get_backend
+from ..backends import PycodeBackend, get_backend
 from ..faults import NON_RAISING_SITES
 from ..frontend.errors import AnnotationError, CompileError
 from ..frontend.parser import parse
@@ -59,7 +63,34 @@ from ..runtime.tiering import TierPolicy
 Number = Union[int, float]
 
 __all__ = ["OracleOutcome", "Divergence", "OracleReport", "run_oracle",
-           "check_stitch_invariants"]
+           "check_stitch_invariants", "FirstExecutionPycode",
+           "leg_backend"]
+
+
+class FirstExecutionPycode(PycodeBackend):
+    """pycode that compiles each segment on its first execution, so
+    every segment a run executes runs as generated code: the oracle's
+    cross-backend leg, which keeps the fuzzer covering the code
+    generator whatever the shipped threshold.  Its name stays
+    ``pycode``."""
+
+    COMPILE_AFTER = 1
+
+
+def _cross_backend(primary: str):
+    """A fresh backend for the cross-backend leg of a run whose primary
+    backend is named ``primary``."""
+    return "rvm" if primary == "pycode" else FirstExecutionPycode()
+
+
+def leg_backend(leg: str, config=None):
+    """A fresh backend for rerunning oracle leg ``leg`` of a run under
+    ``config``: the cross-backend leg's own, else the config's."""
+    config = RunConfig.parse(config)
+    cross = _cross_backend(get_backend(config.backend).name)
+    if leg == "dynamic+%s" % get_backend(cross).name:
+        return cross
+    return config.backend
 
 
 @dataclass
@@ -67,11 +98,14 @@ class OracleOutcome:
     """What one execution leg observed (or how it failed)."""
 
     leg: str
-    # "ok" | "compile-error" | "trap" | "annotation-reject".  The last
-    # is an AnnotationError from the region splitter: a *legitimate*
-    # rejection of an unsupported region shape, not a divergence (the
-    # interpreter and static legs ignore annotations entirely, so they
-    # accept programs the dynamic path may refuse).
+    # "ok" | "compile-error" | "trap" | "annotation-reject" | "crash".
+    # "annotation-reject" is an AnnotationError from the region
+    # splitter: a *legitimate* rejection of an unsupported region
+    # shape, not a divergence (the interpreter and static legs ignore
+    # annotations entirely, so they accept programs the dynamic path
+    # may refuse).  "crash" is any other exception a run raised (a
+    # host fault, such as a backend's own bug): ``error`` names its
+    # type, and it diverges from every "ok" or "trap" leg.
     status: str
     value: Optional[int] = None
     output: List[Number] = field(default_factory=list)
@@ -202,6 +236,10 @@ def _vm_leg(leg: str, source: str, args: List[int], mode: str,
     except AnnotationError as exc:
         # Defensive: a stitch-time rejection counts the same way.
         return (OracleOutcome(leg, "annotation-reject",
+                              error="%s: %s" % (type(exc).__name__, exc)),
+                program, [])
+    except Exception as exc:  # a host fault: report it, do not die
+        return (OracleOutcome(leg, "crash",
                               error="%s: %s" % (type(exc).__name__, exc)),
                 program, [])
     invariant_failures: list = []
@@ -527,9 +565,10 @@ def run_oracle(source: str, args: List[int],
     faults spec, seeded by the run index unless the spec names
     ``@SEED``.  When ``backend_leg`` is true the cross-backend leg
     runs the *other* registered backend (``pycode`` when the primary
-    is ``rvm`` and vice versa) and is compared bit-for-bit against
-    both the interpreter and the primary dynamic leg, proving the
-    backend seam never changes a simulated observable.
+    is ``rvm`` and vice versa; see :func:`_cross_backend`) and is
+    compared bit-for-bit against both the interpreter and the primary
+    dynamic leg, proving the backend seam never changes a simulated
+    observable.
     """
     config = RunConfig.parse(config)
     eager = config.replace(tier="eager")
@@ -555,8 +594,8 @@ def run_oracle(source: str, args: List[int],
                                       failure))
 
     if backend_leg:
-        other = "pycode" if primary != "pycode" else "rvm"
-        leg_name = "dynamic+%s" % other
+        other = _cross_backend(primary)
+        leg_name = "dynamic+%s" % get_backend(other).name
         cross, _, cross_invariants = _vm_leg(
             leg_name, source, args, "dynamic", eager.replace(backend=other),
             opt_options=opt_options, use_reachability=use_reachability,

@@ -6,7 +6,10 @@ spend host time however it likes but must never change a simulated
 observable.  These tests pin that down across the configurations that
 stress the install/evict/fallback lifecycle: plain runs, bounded
 caches, injected faults, adaptive tiering, and the exact cycle count
-at a budget trap.
+at a budget trap.  Each parity test runs pycode twice over: at its
+shipped compile threshold, and compiling every segment on its first
+execution (:class:`FirstExecutionPycode`), so generated code runs for
+every segment the run executes.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from repro.bench.workloads import (
 from repro.machine.isa import ARG_BASE, MInstr, RV, ZERO
 from repro.machine.vm import VM, VMError
 from repro.runtime.engine import compile_program
+from repro.testing.oracle import FirstExecutionPycode
 
 from helpers import NaivePycode, NaiveRVM
 
@@ -56,6 +60,11 @@ REPORT_FIELDS = (
 CACHE_FIELDS = ("hits", "misses", "evictions", "compactions",
                 "invalidations", "restitches", "live_entries",
                 "live_code_words")
+
+
+def pycode_backends():
+    """pycode at its shipped threshold and at a threshold of 1."""
+    return ("pycode", FirstExecutionPycode())
 
 
 def full_snapshot(result) -> Dict[str, object]:
@@ -159,15 +168,16 @@ def test_pycode_matches_rvm(name: str, mode: str) -> None:
     the first run and on the cached-VM rerun."""
     workload = CASES[name]()
     rvm = compile_program(workload.source, mode=mode, backend="rvm")
-    pycode = compile_program(workload.source, mode=mode,
-                             backend="pycode")
     a = rvm.run()
-    b = pycode.run()
-    assert a.backend == "rvm" and b.backend == "pycode"
-    assert full_snapshot(a) == full_snapshot(b)
-    assert full_snapshot(rvm.run()) == full_snapshot(pycode.run())
-    if mode == "dynamic":
-        assert pycode.backend.segments_compiled > 0
+    assert a.backend == "rvm"
+    want = [full_snapshot(a), full_snapshot(rvm.run())]
+    for backend in pycode_backends():
+        pycode = compile_program(workload.source, mode=mode,
+                                 backend=backend)
+        b = pycode.run()
+        assert b.backend == "pycode"
+        assert [full_snapshot(b), full_snapshot(pycode.run())] == want
+    assert pycode.backend.segments_compiled > 0
 
 
 @pytest.mark.parametrize("spec", ["lru:2", "cost-aware:2",
@@ -179,10 +189,11 @@ def test_pycode_matches_rvm_under_cache_pressure(spec: str) -> None:
     workload = CASES["event_dispatcher"]()
     rvm = compile_program(workload.source, mode="dynamic",
                           cache=spec, backend="rvm")
-    pycode = compile_program(workload.source, mode="dynamic",
-                             cache=spec, backend="pycode")
-    for _ in range(2):
-        assert full_snapshot(rvm.run()) == full_snapshot(pycode.run())
+    want = [full_snapshot(rvm.run()) for _ in range(2)]
+    for backend in pycode_backends():
+        pycode = compile_program(workload.source, mode="dynamic",
+                                 cache=spec, backend=backend)
+        assert [full_snapshot(pycode.run()) for _ in range(2)] == want
 
 
 def test_pycode_matches_rvm_under_faults() -> None:
@@ -190,12 +201,12 @@ def test_pycode_matches_rvm_under_faults() -> None:
     fallback decisions, fault counts and final observables."""
     workload = CASES["calculator"]()
     snaps = []
-    for backend in ("rvm", "pycode"):
+    for backend in ("rvm",) + pycode_backends():
         program = compile_program(workload.source, mode="dynamic",
                                   backend=backend)
         result = program.run(faults="all:0.3@7")
         snaps.append(full_snapshot(result))
-    assert snaps[0] == snaps[1]
+    assert snaps[0] == snaps[1] == snaps[2]
 
 
 def test_pycode_matches_rvm_under_tiering() -> None:
@@ -203,13 +214,13 @@ def test_pycode_matches_rvm_under_tiering() -> None:
     entries, promotions and the resulting stitches agree."""
     workload = CASES["sparse_matvec"]()
     snaps = []
-    for backend in ("rvm", "pycode"):
+    for backend in ("rvm",) + pycode_backends():
         program = compile_program(workload.source, mode="dynamic",
                                   tier="threshold:2", backend=backend)
         runs = [full_snapshot(program.run(tier="threshold:2"))
                 for _ in range(2)]
         snaps.append(runs)
-    assert snaps[0] == snaps[1]
+    assert snaps[0] == snaps[1] == snaps[2]
 
 
 def test_budget_trap_parity() -> None:
@@ -219,7 +230,7 @@ def test_budget_trap_parity() -> None:
     exact."""
     workload = CASES["scalar_matrix"]()
     outcomes = []
-    for backend in ("rvm", "pycode"):
+    for backend in ("rvm",) + pycode_backends():
         program = compile_program(workload.source, mode="dynamic",
                                   backend=backend)
         try:
@@ -229,7 +240,7 @@ def test_budget_trap_parity() -> None:
         else:
             pytest.fail("budget of 20k cycles did not trap (%s)"
                         % backend)
-    assert outcomes[0] == outcomes[1]
+    assert outcomes[0] == outcomes[1] == outcomes[2]
     assert "cycle budget exceeded" in outcomes[0][0]
 
 
@@ -302,7 +313,8 @@ def test_data_memory_is_not_gc_tracked(backend: str) -> None:
 
 def test_unwritten_heap_word_reads_zero_on_every_path() -> None:
     """A never-written heap word reads 0 through the rvm threaded
-    handlers, the naive loop and a compiled pycode segment."""
+    handlers, the naive loop and a compiled pycode segment (compiled
+    on its first execution, so the run itself runs it)."""
     outcomes = []
     for path in ("threaded", "naive", "pycode"):
         vm = VM()
@@ -313,12 +325,13 @@ def test_unwritten_heap_word_reads_zero_on_every_path() -> None:
             MInstr("addq", rd=RV, ra=1, imm=7),
             MInstr("ret"),
         ])
+        pycode = FirstExecutionPycode()
         if path == "pycode":
-            PycodeBackend().prepare_vm(vm, len(vm.code))
-            assert getattr(vm.handlers[entry + 2], "_pycode_segment",
-                           False)
+            pycode.prepare_vm(vm, len(vm.code))
         backend = NaiveRVM(naive=path == "naive")
         outcomes.append((backend.execute(vm, entry), vm.cycles))
         assert VM.HEAP_BASE + 2 not in vm.memory
+        assert getattr(vm.handlers[entry + 2], "_pycode_segment",
+                       False) == (path == "pycode")
     assert outcomes[0] == outcomes[1] == outcomes[2]
     assert outcomes[0][0] == (7, 0.0)

@@ -21,10 +21,12 @@ import pytest
 
 from repro import RunConfig
 from repro.fuzz import (
-    _save_unshrunk, fuzz_one, random_config, reproducer_config,
+    _save_unshrunk, fuzz_one, main as fuzz_main, random_config,
+    reproducer_config,
 )
+from repro.testing.ablate import diverged_leg, localize_divergence
 from repro.testing.genprog import generate_program
-from repro.testing.oracle import run_oracle
+from repro.testing.oracle import FirstExecutionPycode, run_oracle
 
 CORPUS_DIR = Path(__file__).parent / "corpus"
 CORPUS_FILES = sorted(CORPUS_DIR.glob("*.c")) if CORPUS_DIR.is_dir() else []
@@ -177,6 +179,44 @@ def test_generated_loops_never_assign_their_counter() -> None:
                                        "\n".join(loop[2:])):
                     offenders.append((seed, iteration, match.group(1)))
     assert not offenders, offenders
+
+
+def _crash(self, vm, entry, int_args=None):
+    raise RuntimeError("backend fault")
+
+
+def test_crashing_leg_is_reported_and_saved(tmp_path: Path,
+                                            monkeypatch) -> None:
+    """A leg whose run raises something other than a VMError (a host
+    fault in a backend) is a ``crash`` outcome that diverges from the
+    interpreter: ``fuzz_one`` reports it instead of dying, and the
+    fuzz run localizes it to the backend, shrinks the program and
+    saves a reproducer."""
+    monkeypatch.setattr(FirstExecutionPycode, "execute", _crash)
+    config = RunConfig(backend="rvm")
+    _, bad, _ = fuzz_one(0, 0, max_stmts=3, config=config)
+    assert bad.outcomes["dynamic+pycode"].status == "crash"
+    assert diverged_leg(bad) == "dynamic+pycode"
+    assert fuzz_main(["--seed", "0", "--iters", "1", "--max-stmts", "3",
+                      "--config", "backend=rvm", "--trace-tail", "0",
+                      "--corpus-dir", str(tmp_path), "--quiet"]) == 1
+    [saved] = tmp_path.glob("*.c")
+    text = saved.read_text()
+    assert "dynamic+pycode crash (RuntimeError: backend fault)" in text
+    assert "// implicated: pycode-backend\n" in text
+
+
+def test_ablation_names_the_backend_a_divergence_needs(monkeypatch) -> None:
+    """A divergence only a pycode leg shows, and that rvm does not,
+    implicates the backend, not the stitcher's peepholes (a probe of
+    the rvm dynamic leg would always agree)."""
+    monkeypatch.setattr(FirstExecutionPycode, "execute", _crash)
+    source = "int main(int x) { int s = 0; int i;" \
+             " for (i = 0; i < x; i++) s = s + i; return s; }"
+    report = run_oracle(source, [3])
+    ablation = localize_divergence(source, [3], leg=diverged_leg(report))
+    assert ablation.backend_implicated == "pycode"
+    assert ablation.summary() == "pycode-backend"
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
