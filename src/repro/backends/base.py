@@ -34,8 +34,9 @@ The seam contract (see ``docs/BACKENDS.md``):
 * **Install state is shared.**  Every backend installs the same words
   at the same addresses through the same cache/arena path, so cache
   stats, entry pcs, compaction behavior and golden accounting stay
-  byte-identical.  Backend-specific artifacts ride alongside
-  (``CachedEntry.artifacts``) and die with the entry.
+  byte-identical.  A backend only overlays handlers on those words
+  from its install hooks; eviction and invalidation re-predecode the
+  slots, which drops the overlays with the words.
 * **Nothing installed in a VM holds the VM.**  Handlers reach runtime
   services as ``rt[0](instr)`` through the VM's run-scoped slot
   ``rt = vm._rt``, never through a captured ``vm`` or bound method of
@@ -77,33 +78,27 @@ class ExecutionBackend:
 
     def prepare_vm(self, vm, static_words: int) -> None:
         """Called once per fresh VM, after the static image is loaded
-        (``static_words`` = length of the static code).  Backends may
-        compile the static image here, or defer each piece until it
-        has run often enough to pay for its compile (``pycode``
-        installs counting stubs); either way the work survives
-        ``reset_for_rerun`` and so amortizes across repeated runs."""
+        (``static_words`` = length of the static code).  Whatever a
+        backend installs over the static image here survives
+        ``reset_for_rerun`` and so amortizes across repeated runs
+        (``pycode`` installs counting stubs that compile a segment
+        once it has run often enough to pay for its compile)."""
 
     def entry_installed(self, vm, entry) -> None:
         """Called by the code cache after a
         :class:`~repro.codecache.entry.CachedEntry` is placed,
-        relocated and checksummed.  Backends compile their per-entry
-        artifact here, or defer it to the entry's executions, and may
-        record it in ``entry.artifacts``.  Compaction later moves the
+        relocated and checksummed.  Compaction later moves the
         entry's words and handlers together without calling this
         hook, so whatever it installs must find its pc from its
         argument."""
 
-    def install_block(self, vm, instrs) -> int:
-        """Install a non-cache code block (fallback tier); returns its
-        base address.  Must behave exactly like ``vm.install_code`` as
-        far as addresses and accounting are concerned."""
-        return vm.install_code(instrs)
-
     def block_installed(self, vm, base: int, words: int,
                         entry_pc: int) -> None:
-        """Called after a block installed via :meth:`install_block` has
-        had its branch targets resolved (fallback blocks resolve labels
-        *after* installation)."""
+        """Called after a fallback block, installed with
+        ``vm.install_code``, has had its branch targets resolved
+        (fallback blocks resolve labels *after* installation).  The
+        block is rebuilt every run and its handlers are truncated by
+        ``reset_for_rerun``."""
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "<%s backend>" % self.name

@@ -75,19 +75,24 @@ Compiling a segment costs far more than running it once, so a
 segment compiles only when it has run enough to pay for the compile:
 the paper's Section 5 break-even rule, which
 :mod:`repro.runtime.tiering` applies to stitching, applied to this
-backend.  Every leader this backend would compile -- the static image
-in :meth:`PycodeBackend.prepare_vm`, each stitched entry in
-:meth:`PycodeBackend.entry_installed`, each entry's static
-continuation points -- first gets a *counting stub*: one handler,
-shared by the leaders of one installed image, that counts the
-leader's executions and runs its per-instruction rvm handler.  The
-``B``-th execution (``PycodeBackend.COMPILE_AFTER``) generates and
-compiles the segment, installs it over the stub and runs it; a leader
-whose segment cannot compile gets its per-instruction handler back
-for good.  A compiled segment's budget deferral ``origin`` is always
-the per-instruction handler, never a stub.  Stubs hold the VM and the
-backend only through weak references, dereferenced only at that
-switch, so nothing installed in a VM holds the VM.
+backend.  One path serves every image of installed code -- the static
+image (:meth:`PycodeBackend.prepare_vm`), each stitched entry
+(:meth:`PycodeBackend.entry_installed`) and each fallback block
+(:meth:`PycodeBackend.block_installed`): the image's compiled
+segments are replayed, and every other leader that can compile gets a
+*counting stub*, one handler shared by the leaders of one install,
+that counts the leader's executions and runs its per-instruction rvm
+handler.  The ``B``-th execution (``PycodeBackend.COMPILE_AFTER``)
+generates and compiles the segment, installs it over the stub and
+runs it; a leader whose segment cannot compile gets its
+per-instruction handler back for good.  A compiled segment's budget
+deferral ``origin`` is always the per-instruction handler, never a
+stub.  Stubs hold the VM and the backend only through weak
+references, dereferenced only at that switch, so nothing installed
+in a VM holds the VM.  Control that enters static code from an entry
+or a fallback block (an ``ext:`` branch back into the owning
+function, a ``func:`` call) lands on a static leader -- a function
+base, or the pc after a ``br`` -- so it needs no stub of its own.
 
 ``B`` is derived, not tuned.  Measured on a 2-vCPU host over fresh
 ``cold`` variants, generating and compiling a segment costs 15-17 us
@@ -102,9 +107,7 @@ pycode/rvm time ratio read 1.46 eager, 1.08 at ``B`` = 4 and 0.95 to
 from 8 to 64.  A
 larger ``B`` gains nothing there but lengthens the transient of a
 program that is run many times (a segment that runs once per run
-compiles on run ``B``), so ``B`` = 16.  Fallback blocks
-(:meth:`PycodeBackend.block_installed`) compile eagerly: they are
-rebuilt every run and have no checksum to carry counts by.
+compiles on run ``B``), so ``B`` = 16.
 
 Host-compile cost is kept off the steady path at four levels:
 
@@ -115,18 +118,23 @@ Host-compile cost is kept off the steady path at four levels:
 * the static image's stubs, counts and compiled overlays survive
   ``reset_for_rerun`` (only run-time handlers are truncated), so a
   segment that runs once per run compiles on run ``B``;
-* a per-entry **plan cache** remembers, per canonical entry image
-  ``(checksum, words, func, region)``, each leader's execution count
-  and compiled plan -- factory, capture offsets and counter cells --
-  so a re-stitch of the same key on a later run, a revival and a copy
-  at another base all replay the compiled segments with no discovery
-  and no source generation, and keep counting the rest where the last
-  install left off.  The checksum covers the base-independent image
+* each canonical entry image ``(checksum, words, func, region)`` is
+  kept per VM with each leader's execution count and compiled plan --
+  factory, capture offsets and counter cells -- so a re-stitch of the
+  same key on a later run, a revival and a copy at another base all
+  replay the compiled segments with no discovery and no source
+  generation, and keep counting the rest where the last install left
+  off.  The checksum covers the base-independent image
   (``CachedEntry.compute_checksum``) and generated code is
   pc-relative, so one plan serves every base.  Owner/opcode cells
   persist across :meth:`VM.reset_for_rerun` (they are zeroed in
   place), so replayed closures keep charging the right counters; the
-  cache is kept per VM and dies with it.
+  images are kept per VM and die with it.
+
+A fallback block is rebuilt every run and has no checksum to carry
+counts by, so each build gets a fresh image, held only by its stubs:
+its counts start over every run and it dies with its handlers at
+``reset_for_rerun``.
 """
 
 from __future__ import annotations
@@ -207,6 +215,9 @@ class _SegmentCodegen:
         #: loop-invariant regs whose coercion aliases may be hoisted
         #: out of the loop (filled by the first codegen pass).
         self.hoist_ok: frozenset = frozenset()
+        #: the owner and opcode counter cells the segment charges.
+        self.ocells: List[list] = []
+        self.opcells: List[list] = []
         self._reset()
 
     def _reset(self) -> None:
@@ -599,33 +610,42 @@ class _SegmentCodegen:
         """Returns ``(source, capture offsets, fn captures, owner
         cells, opcode cells)``; the captured instructions are the
         words at the leader-relative capture offsets."""
-        if self.loop:
-            return self._generate_loop()
-        vm = self.vm
-        seg_cost = 0
-        owner_cells: List[list] = []
-        owner_totals: List[List[int]] = []  # [cost, count] per cell
-        op_cells: List[list] = []
-        op_totals: List[int] = []
-        for instr in self.instrs:
-            seg_cost += instr.cost
-            ocell = vm._owner_cell(instr.owner)
-            for j, cell in enumerate(owner_cells):
-                if cell is ocell:
-                    owner_totals[j][0] += instr.cost
-                    owner_totals[j][1] += 1
-                    break
-            else:
-                owner_cells.append(ocell)
-                owner_totals.append([instr.cost, 1])
-            opcell = vm._op_cell(instr.op)
-            for j, cell in enumerate(op_cells):
-                if cell is opcell:
-                    op_totals[j] += 1
-                    break
-            else:
-                op_cells.append(opcell)
-                op_totals.append(1)
+        lines = self._generate_loop() if self.loop \
+            else self._generate_straight()
+        source = "\n".join(lines) + "\n"
+        return (source, tuple(self.capture_ks), tuple(self.captured_fns),
+                tuple(self.ocells), tuple(self.opcells))
+
+    def _charges(self, instrs: Sequence[MInstr]):
+        """The cost of ``instrs`` and their charges per counter cell:
+        ``({owner cell index: [cycles, instrs]}, {opcode cell index:
+        count})``, indexing ``self.ocells`` and ``self.opcells``, where
+        a cell is appended when first seen (so a loop's blocks share
+        them)."""
+        def index(cells: List[list], cell: list) -> int:
+            for j, known in enumerate(cells):
+                if known is cell:
+                    return j
+            cells.append(cell)
+            return len(cells) - 1
+
+        cost = 0
+        owners: Dict[int, List[int]] = {}
+        ops: Dict[int, int] = {}
+        for instr in instrs:
+            cost += instr.cost
+            j = index(self.ocells, self.vm._owner_cell(instr.owner))
+            totals = owners.setdefault(j, [0, 0])
+            totals[0] += instr.cost
+            totals[1] += 1
+            j = index(self.opcells, self.vm._op_cell(instr.op))
+            ops[j] = ops.get(j, 0) + 1
+        return cost, owners, ops
+
+    def _generate_straight(self) -> List[str]:
+        """Assemble the straight-line form: one bulk charge, then the
+        instructions."""
+        seg_cost, owners, ops = self._charges(self.instrs)
         for k, instr in enumerate(self.instrs):
             if instr.op in _TERMINATORS:
                 self._emit_writeback()
@@ -636,26 +656,24 @@ class _SegmentCodegen:
             self._emit_writeback()
             self.body.append("return pc + %d" % len(self.instrs))
 
-        lines = self._factory_header(owner_cells, op_cells)
+        lines = self._factory_header()
         lines.append("    def seg(pc):")
         lines.append("        projected = cyc[0] + %d" % seg_cost)
         lines.append("        if projected > maxc[0]:")
         lines.append("            return origin(pc)")
         lines.append("        cyc[0] = projected")
-        for j, (cost, count) in enumerate(owner_totals):
+        for j, (cost, count) in owners.items():
             lines.append("        oc%d[0] += %d" % (j, cost))
             lines.append("        oc%d[1] += %d" % (j, count))
-        for j, count in enumerate(op_totals):
+        for j, count in ops.items():
             lines.append("        opc%d[0] += %d" % (j, count))
         for line in self.body:
             lines.append("        " + line)
         lines.append("    seg._pycode_segment = True")
         lines.append("    return seg")
-        source = "\n".join(lines) + "\n"
-        return (source, tuple(self.capture_ks), tuple(self.captured_fns),
-                tuple(owner_cells), tuple(op_cells))
+        return lines
 
-    def _factory_header(self, owner_cells, op_cells) -> List[str]:
+    def _factory_header(self) -> List[str]:
         lines = ["def _factory(vm, instrs, fns, origin, ocells, opcells):"]
         lines.append("    regs = vm.regs")
         lines.append("    cyc = vm._cyc")
@@ -665,9 +683,9 @@ class _SegmentCodegen:
             lines.append("    memlen = vm.memory_words")
         if "call_rt" in self.needs:
             lines.append("    rt = vm._rt")
-        for j in range(len(owner_cells)):
+        for j in range(len(self.ocells)):
             lines.append("    oc%d = ocells[%d]" % (j, j))
-        for j in range(len(op_cells)):
+        for j in range(len(self.opcells)):
             lines.append("    opc%d = opcells[%d]" % (j, j))
         for line in self.setup:
             lines.append("    " + line)
@@ -703,41 +721,8 @@ class _SegmentCodegen:
         head = self.instrs
         body = self.body_instrs
         term = head[-1]
-        vm = self.vm
-        # -- per-block cell aggregation (cells shared across blocks) --
-        ocells: List[list] = []
-        opcells: List[list] = []
-
-        def agg(instrs):
-            cost = 0
-            ot: Dict[int, List[int]] = {}
-            pt: Dict[int, int] = {}
-            for i in instrs:
-                cost += i.cost
-                c = vm._owner_cell(i.owner)
-                for j, cc in enumerate(ocells):
-                    if cc is c:
-                        break
-                else:
-                    j = len(ocells)
-                    ocells.append(c)
-                e = ot.setdefault(j, [0, 0])
-                e[0] += i.cost
-                e[1] += 1
-                c2 = vm._op_cell(i.op)
-                for j2, cc in enumerate(opcells):
-                    if cc is c2:
-                        break
-                else:
-                    j2 = len(opcells)
-                    opcells.append(c2)
-                pt[j2] = pt.get(j2, 0) + 1
-            return cost, ot, pt
-
-        cost_h, oth, pth = agg(head)
-        cost_b, otb, ptb = agg(body or ())
-        self._loop_ocells = ocells
-        self._loop_opcells = opcells
+        cost_h, oth, pth = self._charges(head)
+        cost_b, otb, ptb = self._charges(body or ())
 
         def emit_blocks():
             """Emit head (minus terminator) and body (minus the final
@@ -783,19 +768,19 @@ class _SegmentCodegen:
             executions; ``corr`` backs the unexecuted block out of
             ``projected``."""
             ls = ["cyc[0] = projected" + (" - %d" % corr if corr else "")]
-            for j in range(len(ocells)):
+            for j in range(len(self.ocells)):
                 for slot in (0, 1):
                     per = oth.get(j, (0, 0))[slot] + otb.get(j, (0, 0))[slot]
                     fix = dh * oth.get(j, (0, 0))[slot] \
                         + db * otb.get(j, (0, 0))[slot]
                     ls.extend(_scaled_add("oc%d[%d]" % (j, slot), per, fix))
-            for j in range(len(opcells)):
+            for j in range(len(self.opcells)):
                 per = pth.get(j, 0) + ptb.get(j, 0)
                 fix = dh * pth.get(j, 0) + db * ptb.get(j, 0)
                 ls.extend(_scaled_add("opc%d[0]" % j, per, fix))
             return ls
 
-        lines = self._factory_header(ocells, opcells)
+        lines = self._factory_header()
         lines.append("    def seg(pc):")
         if body is not None and term.target == self.base_pc + self.body_off:
             # body on the taken side: re-validate both edges.
@@ -855,7 +840,7 @@ class _SegmentCodegen:
                     lines.append("            " + line)
             lines.append("    seg._pycode_segment = True")
             lines.append("    return seg")
-            return self._loop_result(lines)
+            return lines
 
         body_taken = term.target == self.base_pc + self.body_off
         taken_cmp = "==" if term.op == "beq" else "!="
@@ -911,12 +896,7 @@ class _SegmentCodegen:
         emit_exit("            ")
         lines.append("    seg._pycode_segment = True")
         lines.append("    return seg")
-        return self._loop_result(lines)
-
-    def _loop_result(self, lines: List[str]):
-        source = "\n".join(lines) + "\n"
-        return (source, tuple(self.capture_ks), tuple(self.captured_fns),
-                tuple(self._loop_ocells), tuple(self._loop_opcells))
+        return lines
 
 
 def _leaders(code, start: int, end: int,
@@ -952,108 +932,51 @@ def _spans(leaders: List[int], end: int):
     return zip(leaders, leaders[1:] + [end])
 
 
-def _counting_stub(place, origins: List[Handler], counts: List[int],
-                   after: int, fire) -> Handler:
-    """The one handler every armed leader of an installed image shares.
+class _Image:
+    """Lazy-compile state of one image of installed code: a VM's static
+    image, one canonical stitched-entry image (shared by every install
+    of it: a re-stitch on a later run, a revival, a copy at another
+    base) or one fallback block.  ``limits`` maps each leader offset
+    that may compile to its segment limit (a leader whose segment does
+    not compile leaves it, so no install arms it again), ``counts``
+    holds the executions per offset and ``plans`` the compiled
+    segments by offset.  ``base`` is where the image was built: the
+    static image and a fallback block never move, so each is its own
+    place, while an entry image is placed by each entry it serves."""
 
-    ``place.base`` is the image's current base (an entry's changes when
-    compaction moves it, and handlers move with their words), so the
-    stub finds its leader's offset from its pc.  A leader's first
-    ``after - 1`` executions run its per-instruction handler
-    ``origins[off]``; the ``after``-th calls ``fire(pc, off)``, which
-    installs the handler that runs from then on -- the compiled
-    segment, or the per-instruction handler when the segment does not
-    compile -- and returns it to run this execution too."""
-    def stub(pc):
-        off = pc - place.base
-        n = counts[off] + 1
-        counts[off] = n
-        if n < after:
-            return origins[off](pc)
-        return fire(pc, off)(pc)
-    stub._pycode_stub = True
-    return stub
+    __slots__ = ("base", "words", "limits", "counts", "plans")
 
-
-class _StaticImage:
-    """Lazy-compile state of one VM's static image: every pc's
-    per-instruction handler and execution count, and the segment limit
-    of every claimed pc (None for a continuation point, which runs to
-    its first terminator).  A claimed pc is never armed again.  It
-    must not hold its stub, which holds it."""
-
-    __slots__ = ("base", "origins", "counts", "limits")
-
-    def __init__(self, origins: List[Handler]):
-        self.base = 0
-        self.origins = origins
-        self.counts = [0] * len(origins)
-        self.limits: Dict[int, Optional[int]] = {}
-
-    def compile(self, backend: "PycodeBackend", vm, pc: int, off: int,
-                origin: Handler) -> Optional[Handler]:
-        end = len(self.origins)
-        limit = self.limits[pc]
-        plan = backend._compile_segment(
-            vm, pc, end if limit is None else limit, 0, end)
-        return None if plan is None \
-            else backend._instantiate(vm, pc, plan, origin)
-
-
-class _EntryImage:
-    """Lazy-compile state of one canonical stitched-entry image, shared
-    by every install of it: a re-stitch on a later run, a revival, a
-    copy at another base.  ``leaders`` are the offsets to arm or
-    replay (one whose segment does not compile leaves the list),
-    ``counts`` the executions per offset, ``plans`` the compiled
-    segments by offset and ``conts`` the static continuation pcs."""
-
-    __slots__ = ("words", "leaders", "limits", "counts", "plans", "conts")
-
-    def __init__(self, backend: "PycodeBackend", code, entry):
-        base, words = entry.base, entry.words
+    def __init__(self, backend: "PycodeBackend", code, base: int,
+                 words: int, entries: Sequence[int] = ()):
+        end = base + words
+        self.base = base
         self.words = words
-        self.leaders: List[int] = []
         self.limits: Dict[int, int] = {}
-        for leader, limit in _spans(
-                _leaders(code, base, base + words, (entry.entry_pc,)),
-                base + words):
+        for leader, limit in _spans(_leaders(code, base, end, entries),
+                                    end):
             if backend._armable(code, leader, limit):
-                self.leaders.append(leader - base)
                 self.limits[leader - base] = limit - base
         self.counts = [0] * words
         self.plans: Dict[int, tuple] = {}
-        self.conts = sorted(set(value for _index, kind, value
-                                in entry.relocs if kind == "absolute"))
 
     def compile(self, backend: "PycodeBackend", vm, pc: int, off: int,
                 origin: Handler) -> Optional[Handler]:
+        """The compiled segment of the leader at offset ``off``,
+        installed at ``pc``, or None when it does not compile."""
         plan = self.plans.get(off)
         if plan is not None:  # compiled through another install
             backend.plans_replayed += 1
-        else:
+        elif off in self.limits:
             base = pc - off
             plan = backend._compile_segment(
                 vm, pc, base + self.limits[off], base, base + self.words)
             if plan is None:
-                if off in self.leaders:  # another live install's stub
-                    self.leaders.remove(off)  # may have got here first
+                del self.limits[off]
                 return None
             self.plans[off] = plan
+        else:  # another install found that it does not compile
+            return None
         return backend._instantiate(vm, pc, plan, origin)
-
-
-class _VMState:
-    """What the backend keeps for one VM: its static image and that
-    image's stub, and its entry images by canonical image (their plans
-    hold the VM's counter cells)."""
-
-    __slots__ = ("static", "stub", "entries")
-
-    def __init__(self):
-        self.static: Optional[_StaticImage] = None
-        self.stub: Optional[Handler] = None
-        self.entries: Dict[tuple, _EntryImage] = {}
 
 
 class PycodeBackend(ExecutionBackend):
@@ -1074,105 +997,53 @@ class PycodeBackend(ExecutionBackend):
         self.segments_compiled = 0
         self.factory_cache_hits = 0
         self.plans_replayed = 0
-        #: VM -> _VMState; weak, so the backend never holds a VM.
-        self._vms: "weakref.WeakKeyDictionary" = \
+        #: leader executions through a counting stub, counted by the
+        #: stubs in this shared cell (the backend holds only the entry
+        #: images, not the static image or a fallback block's).
+        self._stub_runs = [0]
+        #: VM -> canonical entry image -> its _Image; weak, so the
+        #: backend never holds a VM.
+        self._entry_images: "weakref.WeakKeyDictionary" = \
             weakref.WeakKeyDictionary()
 
     @property
     def stub_runs(self) -> int:
-        """Leader executions that went through a counting stub."""
-        images: list = []
-        for state in self._vms.values():
-            images += state.entries.values()
-            if state.static is not None:
-                images.append(state.static)
-        return sum(sum(image.counts) for image in images)
-
-    def _state(self, vm) -> _VMState:
-        state = self._vms.get(vm)
-        if state is None:
-            state = self._vms[vm] = _VMState()
-        return state
+        """Leader executions that went through a counting stub: in a
+        static image, a stitched entry or a fallback block."""
+        return self._stub_runs[0]
 
     # -- seam hooks --------------------------------------------------------
 
     def prepare_vm(self, vm, static_words: int) -> None:
-        """Arm a counting stub at every static leader that can
-        compile."""
-        code = vm.code
-        handlers = vm.handlers
-        state = self._state(vm)
-        image = state.static = _StaticImage(handlers[:static_words])
-        stub = state.stub = self._stub(vm, image, image.origins, image)
-        for leader, limit in _spans(_leaders(code, 0, static_words, ()),
-                                    static_words):
-            if self._armable(code, leader, limit):
-                image.limits[leader] = limit
-                handlers[leader] = stub
+        """Arm the static image; its stubs, counts and compiled
+        segments survive ``reset_for_rerun``."""
+        image = _Image(self, vm.code, 0, static_words)
+        self._arm(vm, image, image)
 
     def entry_installed(self, vm, entry) -> None:
-        """Replay the entry image's compiled segments, arm a stub at
-        its other leaders, and arm its static continuation points."""
-        images = self._state(vm).entries
+        """Arm the entry's canonical image, one per VM and
+        ``(checksum, words, func, region)``, so every install of it
+        shares its counts and replays its plans."""
+        images = self._entry_images.get(vm)
+        if images is None:
+            images = self._entry_images[vm] = {}
         key = (entry.checksum, entry.words,
                entry.key.func, entry.key.region_id)
         image = images.get(key)
         if image is None:
-            image = images[key] = _EntryImage(self, vm.code, entry)
-        base = entry.base
-        handlers = vm.handlers
-        stub = None
-        for off in image.leaders:
-            plan = image.plans.get(off)
-            if plan is not None:
-                handlers[base + off] = self._instantiate(
-                    vm, base + off, plan, handlers[base + off])
-                self.plans_replayed += 1
-                continue
-            if stub is None:
-                stub = self._stub(vm, entry,
-                                  handlers[base:base + entry.words], image)
-            handlers[base + off] = stub
-        for pc in image.conts:
-            self._arm_at(vm, pc)
+            image = images[key] = _Image(self, vm.code, entry.base,
+                                         entry.words, (entry.entry_pc,))
+        self._arm(vm, image, entry)
 
     def block_installed(self, vm, base: int, words: int,
                         entry_pc: int) -> None:
-        # Fallback blocks compile eagerly: they are rebuilt every run
-        # and have no checksum to carry counts from one run to the next.
-        end = base + words
-        code = vm.code
-        handlers = vm.handlers
-        for leader, limit in _spans(_leaders(code, base, end, (entry_pc,)),
-                                    end):
-            plan = self._compile_segment(vm, leader, limit, base, end)
-            if plan is not None:
-                handlers[leader] = self._instantiate(vm, leader, plan,
-                                                     handlers[leader])
-        for p in range(base, end):
-            instr = code[p]
-            if instr.op in ("br", "beq", "bne", "jsr") \
-                    and not base <= instr.target < end:
-                self._arm_at(vm, instr.target)
+        """Arm a fresh image of the fallback block: blocks are rebuilt
+        every run, so its counts start over and it dies with its
+        handlers at ``reset_for_rerun``."""
+        image = _Image(self, vm.code, base, words, (entry_pc,))
+        self._arm(vm, image, image)
 
     # -- lazy compilation --------------------------------------------------
-
-    def _arm_at(self, vm, pc: int) -> None:
-        """Arm a static continuation point: ``ext:`` branches back into
-        the owning function and ``func:`` call targets land mid-segment
-        of the static CFG, so ``pc`` gets a stub that compiles from
-        ``pc`` to the first terminator, whatever leaders it crosses
-        (overlapping a static segment is sound -- see the module
-        docstring).  A pc is claimed once: a static leader, an armed
-        or compiled point, or one that cannot compile is left alone."""
-        state = self._vms.get(vm)
-        image = state and state.static
-        if image is None or not 0 <= pc < len(image.origins) \
-                or pc in image.limits:
-            return
-        image.limits[pc] = None
-        if self._armable(vm.code, pc, len(image.origins)):
-            vm.handlers[pc] = state.stub
 
     def _armable(self, code, leader: int, limit: int) -> bool:
         """Whether the segment at ``leader`` can compile at all: it
@@ -1181,27 +1052,62 @@ class PycodeBackend(ExecutionBackend):
         return limit - leader >= self.MIN_SEGMENT \
             and code[leader].op in _STRAIGHT_OPS
 
-    def _stub(self, vm, place, origins: List[Handler], image) -> Handler:
-        """A counting stub for ``image``'s leaders installed at
-        ``place.base``.  The VM's handlers hold the stub and this
-        backend holds the static one, so the stub holds both only
-        through weak references, dereferenced only when a leader
-        compiles."""
+    def _arm(self, vm, image: _Image, place) -> None:
+        """Install ``image`` at ``place.base``, whose handlers are
+        freshly predecoded: replay its compiled plans and arm one
+        counting stub at its other leaders."""
+        base = place.base
+        handlers = vm.handlers
+        stub = None
+        for off in image.limits:
+            plan = image.plans.get(off)
+            if plan is not None:
+                handlers[base + off] = self._instantiate(
+                    vm, base + off, plan, handlers[base + off])
+                self.plans_replayed += 1
+                continue
+            if stub is None:  # the offsets replayed so far get no stub
+                stub = self._stub(vm, image, place,
+                                  handlers[base:base + image.words])
+            handlers[base + off] = stub
+
+    def _stub(self, vm, image: _Image, place,
+              origins: List[Handler]) -> Handler:
+        """The counting stub of one install of ``image``.
+
+        ``place.base`` is the install's current base (an entry's moves
+        when compaction moves it, and handlers move with their words),
+        so the stub finds its leader's offset from its pc.  A leader's
+        first ``COMPILE_AFTER - 1`` executions run its per-instruction
+        handler ``origins[off]``; the next one compiles the segment,
+        installs it over the stub and runs it, and a leader whose
+        segment does not compile gets its per-instruction handler back
+        for good.  The VM's handlers hold the stub, so the stub holds
+        the VM and this backend only through weak references,
+        dereferenced only when a leader compiles."""
         vm_ref = weakref.ref(vm)
         backend_ref = weakref.ref(self)
+        counts = image.counts
+        after = self.COMPILE_AFTER
+        runs = self._stub_runs
 
-        def fire(pc: int, off: int) -> Handler:
-            vm = vm_ref()
-            backend = backend_ref()
+        def stub(pc):
+            runs[0] += 1
+            off = pc - place.base
+            n = counts[off] + 1
+            counts[off] = n
+            if n < after:
+                return origins[off](pc)
             handler = origins[off]
+            backend = backend_ref()
             if backend is not None:
-                handler = image.compile(backend, vm, pc, off,
+                handler = image.compile(backend, vm_ref(), pc, off,
                                         handler) or handler
-            vm.handlers[pc] = handler
-            return handler
+            vm_ref().handlers[pc] = handler
+            return handler(pc)
 
-        return _counting_stub(place, origins, image.counts,
-                              self.COMPILE_AFTER, fire)
+        stub._pycode_stub = True
+        return stub
 
     # -- segment compilation -----------------------------------------------
 

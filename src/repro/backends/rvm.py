@@ -311,9 +311,6 @@ class RVMBackend(ExecutionBackend):
 
     name = "rvm"
 
-    def predecode(self, vm, instr: MInstr) -> Handler:
-        return predecode(vm, instr)
-
     def run_threaded(self, vm, pc: int) -> Tuple[int, float]:
         """The fast path: ``pc = handlers[pc](pc)`` until the sentinel.
 

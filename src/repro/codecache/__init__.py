@@ -8,8 +8,8 @@ to be smeared across ``RuntimeServices``, the stitcher and the VM:
 * :mod:`~repro.codecache.entry` -- *relocatable* stitched entries: the
   stitcher emits a self-describing :class:`CachedEntry` (code words,
   per-word relocation records, constant pool, symbol fixups) instead
-  of writing absolute addresses straight into VM memory, and
-  :func:`install_entry` places or rebases an entry at any address;
+  of writing absolute addresses straight into VM memory, which the
+  cache places or rebases at any address;
 * :mod:`~repro.codecache.arena` -- a dedicated code arena inside the
   VM with a free list, so evicted entries' words are reused, plus a
   data-word arena for the linearized constant pools;
@@ -30,7 +30,7 @@ and never evicted, so all golden accounting tests hold unchanged.
 
 from .arena import CodeArena, PoolArena
 from .cache import CacheStats, CodeCache
-from .entry import CachedEntry, CacheKey, Relocation, install_entry
+from .entry import CachedEntry, CacheKey, Relocation
 from .keys import region_key
 from .policy import (
     CacheConfig, CachePolicy, CostAwarePolicy, LRUPolicy,
@@ -50,7 +50,6 @@ __all__ = [
     "PoolArena",
     "Relocation",
     "UnboundedPolicy",
-    "install_entry",
     "make_policy",
     "region_key",
 ]

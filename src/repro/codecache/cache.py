@@ -347,9 +347,7 @@ class CodeCache:
         entry.pool_base = pool_base
         entry.report.pool_base = pool_base
         entry.checksum = entry.compute_checksum()
-        # Backend artifact hook: the entry is placed, relocated and
-        # checksummed; whatever the backend compiles here rides in
-        # ``entry.artifacts`` and dies with the entry.
+        # Backend hook: the entry is placed, relocated and checksummed.
         self.backend.entry_installed(self.vm, entry)
 
     def compact(self) -> bool:

@@ -6,7 +6,7 @@ to land on.  A :class:`CachedEntry` instead carries everything needed
 to *place* the code anywhere: the instruction words, a relocation
 record for every word whose ``target`` depends on the final base
 address, the linearized constant pool, and the entry point as an
-offset.  :func:`install_entry` (and the cache's own installer) applies
+offset.  The cache's installer (:meth:`CodeCache._install`) applies
 the relocations after choosing an address -- and can re-apply them at
 a different address, which is what makes eviction, reuse and
 compaction of the code pool possible at all.
@@ -120,11 +120,6 @@ class CachedEntry:
     #: integrity checksum over the canonical image, stamped at install
     #: and verified on every cache hit (0 = not yet stamped).
     checksum: int = 0
-    #: per-backend host artifacts (backend name -> opaque payload),
-    #: attached by ``ExecutionBackend.entry_installed``.  They live and
-    #: die with the entry: eviction and invalidation drop the whole
-    #: object, so stale artifacts cannot outlive their words.
-    artifacts: Dict[str, object] = field(default_factory=dict)
     _canonical: Tuple = field(default=None, repr=False)  # type: ignore
     _crc: int = field(default=0, repr=False)
 
@@ -214,23 +209,3 @@ class CachedEntry:
             self._crc = zlib.crc32(payload) or 1
         return self._crc
 
-
-def install_entry(vm, entry: CachedEntry) -> CachedEntry:
-    """Append-install an entry at the end of code memory.
-
-    This is the historical install sequence, kept bit-compatible with
-    the pre-codecache stitcher for the default unbounded policy: the
-    constant pool is heap-allocated *before* the code is appended, so
-    all data and code addresses match the old behavior exactly.  The
-    bounded cache's installer (:meth:`CodeCache._install`) adds
-    free-list reuse and compaction on top of this.
-    """
-    entry.pool_words = max(1, len(entry.pool))
-    pool_base = vm.alloc(entry.pool_words)
-    for i, value in enumerate(entry.pool):
-        vm.store(pool_base + i, value)
-    base = vm.install_code(entry.code)
-    entry.place(base)
-    entry.pool_base = pool_base
-    entry.report.pool_base = pool_base
-    return entry

@@ -105,7 +105,9 @@ def allocate(func: Function,
         if param.name in starts:
             extend(param.name, 0)
 
-    intervals = sorted(starts, key=lambda n: (starts[n], ends[n]))
+    # The name breaks ties: ``starts`` fills in the iteration order of
+    # the liveness sets, which follows the process's string hashing.
+    intervals = sorted(starts, key=lambda n: (starts[n], ends[n], n))
     locations: Dict[str, Location] = {}
     active_int: List[Tuple[int, str, int]] = []   # (end, name, reg)
     active_float: List[Tuple[int, str, int]] = []

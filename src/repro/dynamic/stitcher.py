@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
 from ..codecache.entry import (
-    CachedEntry, CacheKey, Relocation, WalkStep, install_entry,
+    CachedEntry, CacheKey, Relocation, WalkStep,
 )
 from ..codegen.objects import (
     CompiledFunction, RegionCode, TemplateBlock, linearize_block,
@@ -547,8 +547,7 @@ class Stitcher:
     def _finalize(self) -> None:
         """Package the stitched code as a relocatable
         :class:`CachedEntry` -- no VM memory is touched here; the code
-        cache (or :func:`~repro.codecache.entry.install_entry`)
-        chooses the address and applies the relocations."""
+        cache chooses the address and applies the relocations."""
         if self.register_actions:
             self._apply_register_actions()
         # Elide branches to the immediately following instruction.
@@ -681,18 +680,3 @@ def charge_stitch(vm, region: RegionCode, cycles: int) -> None:
     vm.charge("stitcher:%s:%d" % (region.func_name, region.region_id),
               cycles)
 
-
-def stitch_region(vm, compiled: CompiledFunction, region: RegionCode,
-                  table_addr: int, costs: StitcherCosts,
-                  key: Tuple[Number, ...] = (),
-                  register_actions: bool = False,
-                  functions: Optional[Dict[str, CompiledFunction]] = None
-                  ) -> StitchReport:
-    """Stitch *and append-install* in one step; returns the report
-    (entry address inside).  This is the historical one-shot API, kept
-    for callers that do not run a code cache."""
-    entry = stitch_entry(vm, compiled, region, table_addr, costs, key,
-                         register_actions=register_actions,
-                         functions=functions)
-    install_entry(vm, entry)
-    return entry.report

@@ -47,7 +47,7 @@ engineered around (see ``docs/ROBUSTNESS.md``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from ..codegen.objects import CompiledFunction, RegionCode, TemplateBlock
 from ..errors import StitchError
@@ -279,7 +279,7 @@ class _FallbackBuilder:
                 self._emit_stub(name)
             else:
                 self._emit_block(name)
-        base = self.backend.install_block(self.vm, self.out)
+        base = self.vm.install_code(self.out)
         for n, instr in enumerate(self.out):
             label = instr.label
             if label is None:
@@ -296,8 +296,8 @@ class _FallbackBuilder:
                 instr.target = callee.base
             else:
                 instr.target = base + self.labels[label]
-        # Targets are resolved only now, so the backend's artifact
-        # pass runs after the loop above, not inside install_block.
+        # Targets are resolved only now, so the backend hook runs
+        # after the loop above.
         self.backend.block_installed(
             self.vm, base, len(self.out), base + self.labels[entry_label])
         return FallbackCode(

@@ -586,6 +586,10 @@ def run_oracle(source: str, args: List[int],
 
     _compare(interp, static, divergences)
     _compare(interp, dynamic, divergences)
+    # Once a leg has diverged from the interpreter, comparing another
+    # leg with it only names the healthy one.
+    dynamic_ok = not any("dynamic" in (d.left, d.right)
+                         for d in divergences)
     if not any(d.left == "interp" or d.right == "interp"
                for d in divergences):
         _compare(static, dynamic, divergences)
@@ -603,7 +607,8 @@ def run_oracle(source: str, args: List[int],
             max_cycles=max_cycles)
         outcomes[leg_name] = cross
         _compare(interp, cross, divergences)
-        if not any(leg_name in (d.left, d.right) for d in divergences):
+        if dynamic_ok and not any(leg_name in (d.left, d.right)
+                                  for d in divergences):
             _compare(dynamic, cross, divergences)
         for failure in cross_invariants:
             divergences.append(Divergence(
@@ -629,8 +634,8 @@ def run_oracle(source: str, args: List[int],
             max_cycles=max_cycles)
         outcomes["dynamic+tiered"] = tiered
         _compare(interp, tiered, divergences)
-        if not any("dynamic+tiered" in (d.left, d.right)
-                   for d in divergences):
+        if dynamic_ok and not any("dynamic+tiered" in (d.left, d.right)
+                                  for d in divergences):
             _compare(dynamic, tiered, divergences)
         for failure in tier_invariants:
             divergences.append(Divergence(

@@ -30,8 +30,9 @@ from repro.bench.workloads import (
 )
 from repro.machine.isa import ARG_BASE, MInstr, RV, ZERO
 from repro.machine.vm import VM, VMError
+from repro.runtime.config import RunConfig
 from repro.runtime.engine import compile_program
-from repro.testing.oracle import FirstExecutionPycode
+from repro.testing.oracle import FirstExecutionPycode, run_oracle
 
 from helpers import NaivePycode, NaiveRVM
 
@@ -221,6 +222,26 @@ def test_pycode_matches_rvm_under_tiering() -> None:
                 for _ in range(2)]
         snaps.append(runs)
     assert snaps[0] == snaps[1] == snaps[2]
+
+
+class _BrokenInstallRVM(RVMBackend):
+    """rvm whose every stitched install fails on the host."""
+
+    def entry_installed(self, vm, entry) -> None:
+        raise RuntimeError("install hook failed")
+
+
+def test_oracle_does_not_blame_a_healthy_cross_leg() -> None:
+    """A primary dynamic leg that crashes is reported against the
+    interpreter; the cross-backend leg, which agrees with the
+    interpreter, is not compared with it and so is never named."""
+    workload = CASES["calculator"]()
+    report = run_oracle(workload.source, [],
+                        config=RunConfig(backend=_BrokenInstallRVM()))
+    pairs = [(d.left, d.right) for d in report.divergences]
+    assert ("interp", "dynamic") in pairs
+    assert report.outcomes["dynamic+pycode"].status == "ok"
+    assert not [pair for pair in pairs if "dynamic+pycode" in pair]
 
 
 def test_budget_trap_parity() -> None:

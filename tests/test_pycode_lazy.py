@@ -5,17 +5,21 @@ pycode runs a segment through rvm's per-instruction handlers until its
 compilation" in :mod:`repro.backends.pycode`).  These tests hold the
 shipped threshold to the seam contract at the switch -- a loop that
 compiles mid-loop, a segment that compiles on a later run, an entry
-whose counts and plans outlive its words -- and pin the exits of
-compiled loops: a loop that runs zero times, or whose cycle budget
-runs out as it is entered, must end exactly as under rvm.
+whose counts and plans outlive its words, a fallback block whose
+counts start over every run -- and pin the exits of compiled loops: a
+loop that runs zero times, or whose cycle budget runs out as it is
+entered, must end exactly as under rvm.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 import pytest
 
 from repro import compile_program
 from repro.backends import PycodeBackend, RVMBackend
+from repro.backends.pycode import _leaders
 from repro.bench.cachepressure import SOURCE as PRESSURE
 from repro.codecache import CachedEntry, CacheKey
 from repro.dynamic.stitcher import StitchReport
@@ -236,7 +240,7 @@ def test_entry_counts_and_plans_carry_across_installs() -> None:
     for checksum, base in pycode.backend.installs:
         bases.setdefault(checksum, set()).add(base)
     assert any(len(seen) > 1 for seen in bases.values())
-    images = pycode.backend._vms[pycode._vm].entries
+    images = pycode.backend._entry_images[pycode._vm]
     assert len(images) == len(bases)
     assert pycode.backend.plans_replayed > 0
     assert compiled[-1] == compiled[-2]
@@ -304,3 +308,149 @@ def test_leader_that_does_not_compile_is_never_rearmed() -> None:
         run(entry)
     assert backend.stub_runs == B + 1
     assert backend.segments_compiled == 0
+
+
+# -- one lazy path for static code, entries and fallback blocks --------
+
+#: no entry reaches this many executions, so every region entry runs
+#: cold on the region's fallback block.
+ALL_COLD = "threshold:100000"
+
+
+class _CountingPycode(PycodeBackend):
+    """pycode that counts stub executions: right after each install
+    hook, every handler the hook armed with a stub is wrapped in a
+    counter, by pc and by kind of image; the stub replaces the wrapper
+    when its leader compiles.  ``blocks`` records each fallback block
+    as ``(base, words, armed pcs, handlers right after install)``."""
+
+    def __init__(self):
+        super().__init__()
+        self.by_pc: Counter = Counter()
+        self.by_kind: Counter = Counter()
+        self.blocks = []
+
+    def _wrap(self, vm, kind: str, start: int, end: int):
+        armed = []
+        for pc in range(start, end):
+            stub = vm.handlers[pc]
+            if _is_stub(stub):
+                vm.handlers[pc] = self._counted(kind, stub)
+                armed.append(pc)
+        return armed
+
+    def _counted(self, kind: str, stub):
+        def counted(pc):
+            self.by_pc[pc] += 1
+            self.by_kind[kind] += 1
+            return stub(pc)
+        counted._pycode_stub = True
+        return counted
+
+    def prepare_vm(self, vm, static_words: int) -> None:
+        super().prepare_vm(vm, static_words)
+        self._wrap(vm, "static", 0, static_words)
+
+    def entry_installed(self, vm, entry) -> None:
+        super().entry_installed(vm, entry)
+        self._wrap(vm, "entry", entry.base, entry.base + entry.words)
+
+    def block_installed(self, vm, base: int, words: int,
+                        entry_pc: int) -> None:
+        super().block_installed(vm, base, words, entry_pc)
+        fresh = vm.handlers[base:base + words]
+        self.blocks.append((base, words,
+                            self._wrap(vm, "fallback", base, base + words),
+                            fresh))
+
+
+def test_fallback_leaders_compile_on_their_bth_execution_in_the_run():
+    """Every entry of the cache-pressure program runs cold on the
+    fallback block.  Its leaders hold stubs right after install, and
+    each compiles on its B-th execution within the run, so a short run
+    leaves some on stubs and a long one compiles them all; observables
+    equal rvm's either way.  Each run builds a fresh image: the same
+    short run leaves the same leaders on stubs after a long one."""
+    rvm = compile_program(PRESSURE, backend="rvm", tier=ALL_COLD)
+    backend = _CountingPycode()
+    pycode = compile_program(PRESSURE, backend=backend, tier=ALL_COLD)
+    left = []
+    for n in (5, B - 1, B, B + 1, 40, 5):
+        backend.by_pc.clear()
+        backend.blocks.clear()
+        want = rvm.run("main", [n, 8, 7])
+        got = pycode.run("main", [n, 8, 7])
+        assert observables(got) == observables(want), n
+        [(base, words, armed, fresh)] = backend.blocks
+        assert armed
+        assert not any(_is_segment(handler) for handler in fresh)
+        handlers = pycode._vm.handlers
+        for pc in armed:
+            if _is_segment(handlers[pc]):
+                assert backend.by_pc[pc] == B, (n, pc)
+            else:
+                assert _is_stub(handlers[pc]), (n, pc)
+                assert backend.by_pc[pc] < B, (n, pc)
+        left.append(sum(_is_stub(handlers[pc]) for pc in armed))
+    assert left[0] == left[-1] > 0
+    assert left[4] == 0
+    assert backend.plans_replayed == 0
+
+
+def test_continuation_points_are_armed_static_leaders():
+    """Every absolute relocation target of every stitched entry, and
+    every target outside a fallback block of a branch inside it, is a
+    static leader that holds a stub or a compiled segment right after
+    the install, or a pc whose segment cannot compile: no install has
+    to arm a continuation point of its own."""
+    class Checking(PycodeBackend):
+        checked = 0
+
+        def prepare_vm(self, vm, static_words: int) -> None:
+            super().prepare_vm(vm, static_words)
+            self.static = static_words
+            self.leaders = set(_leaders(vm.code, 0, static_words, ()))
+
+        def check(self, vm, pc: int) -> None:
+            handler = vm.handlers[pc]
+            assert pc in self.leaders, pc
+            assert _is_stub(handler) or _is_segment(handler) \
+                or not self._armable(vm.code, pc, self.static), pc
+            self.checked += 1
+
+        def entry_installed(self, vm, entry) -> None:
+            super().entry_installed(vm, entry)
+            for _index, kind, value in entry.relocs:
+                if kind == "absolute":
+                    self.check(vm, value)
+
+        def block_installed(self, vm, base: int, words: int,
+                            entry_pc: int) -> None:
+            super().block_installed(vm, base, words, entry_pc)
+            for instr in vm.code[base:base + words]:
+                if instr.op in ("br", "beq", "bne", "jsr") \
+                        and not base <= instr.target < base + words:
+                    self.check(vm, instr.target)
+
+    runs = [(workload().source, "main", None)
+            for _name, workload in hostperf_workloads(quick=False)]
+    runs += [(PRESSURE, "main", [40, 8, 7])]
+    for source, func, args in runs:
+        for tier in ("eager", ALL_COLD):
+            backend = Checking()
+            program = compile_program(source, backend=backend, tier=tier)
+            for _ in range(2):
+                program.run(func, args)
+            assert backend.checked > 0
+
+
+def test_stub_runs_counts_every_kind_of_image():
+    """``stub_runs`` counts every leader execution through a stub: in
+    the static image, in a stitched entry and in a fallback block."""
+    backend = _CountingPycode()
+    program = compile_program(PRESSURE, backend=backend, cache="lru:2",
+                              tier="threshold:3")
+    for _ in range(2):
+        program.run("main", [40, 8, 7])
+    assert set(backend.by_kind) == {"static", "entry", "fallback"}
+    assert backend.stub_runs == sum(backend.by_kind.values())

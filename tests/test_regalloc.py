@@ -137,3 +137,60 @@ def test_spilled_program_still_correct():
     expected, _ = interp_run(source)
     program = compile_program(source, mode="static")
     assert program.run().value == expected
+
+
+#: prints, per program, every function's words and every region's
+#: template words by block label (a region's block order itself
+#: follows string hashing, so blocks are matched by label).
+DIGEST = r"""
+import json
+from repro import compile_program
+from repro.bench.workloads import all_workloads
+from repro.testing.genprog import generate_program
+
+def words(instrs):
+    return [(i.op, i.rd, i.ra, i.rb, i.imm, i.label, i.name,
+             repr(i.extra), i.owner) for i in instrs]
+
+sources = {w.name + str(n): w.source
+           for n, w in enumerate(all_workloads())}
+sources.update(("genprog%d" % seed, generate_program(seed).source)
+               for seed in range(12))
+out = {}
+for name, source in sorted(sources.items()):
+    try:
+        program = compile_program(source)
+    except Exception as exc:
+        out[name] = type(exc).__name__
+        continue
+    out[name] = {fn.name: dict(
+        [("code", words(fn.code))]
+        + [("%d:%s" % (region.region_id, label), words(block.instrs))
+           for region in fn.regions
+           for label, block in region.blocks.items()])
+        for fn in program.compiled.values()}
+print(json.dumps(out))
+"""
+
+
+def test_code_is_independent_of_the_hash_seed():
+    """Register numbers do not depend on the process's string hashing:
+    the Table 2 workloads and a few generated programs compile to the
+    same words under two hash seeds."""
+    import json
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    runs = [subprocess.Popen(
+        [sys.executable, "-c", DIGEST], stdout=subprocess.PIPE,
+        universal_newlines=True,
+        env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src))
+        for seed in ("1", "2")]
+    outs = [json.loads(run.communicate()[0]) for run in runs]
+    assert all(run.returncode == 0 for run in runs)
+    assert sum(isinstance(code, dict) for code in outs[0].values()) > 12
+    assert [name for name in outs[0] if outs[0][name] != outs[1][name]] \
+        == []
