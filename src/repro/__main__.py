@@ -182,11 +182,11 @@ def _run(args, source: str, config: RunConfig) -> int:
           % (result.value, result.cycles, result.backend))
 
     stats = result.cache_stats
-    if stats is not None and stats.bounded:
+    if stats is not None and stats.config.bounded:
         print("cache[%s]: %d hits, %d misses, %d evictions, "
               "%d compactions, %d invalidations, %d re-stitches "
               "(%d revived), %d live entries (%d words)"
-              % (stats.policy, stats.hits, stats.misses, stats.evictions,
+              % (stats.config.policy, stats.hits, stats.misses, stats.evictions,
                  stats.compactions, stats.invalidations, stats.restitches,
                  stats.revivals, stats.live_entries,
                  stats.live_code_words))

@@ -20,7 +20,7 @@ Select one with ``--config backend=pycode`` on the CLIs, or
 programmatically via ``compile_program(..., backend="pycode")`` (the
 ``backend`` field of :class:`~repro.runtime.config.RunConfig`).  :func:`get_backend`
 resolves names, ``None`` (the default backend) and already-built
-instances; :func:`register_backend` lets external code add more.
+instances.
 """
 
 from __future__ import annotations
@@ -42,11 +42,6 @@ _REGISTRY: Dict[str, Type[ExecutionBackend]] = {
 def available_backends() -> List[str]:
     """Registry names, sorted, for error messages and ``--help``."""
     return sorted(_REGISTRY)
-
-
-def register_backend(name: str, cls: Type[ExecutionBackend]) -> None:
-    """Add (or replace) a backend class under ``name``."""
-    _REGISTRY[name] = cls
 
 
 def get_backend(spec: Union[str, ExecutionBackend, None]) -> ExecutionBackend:
@@ -76,5 +71,4 @@ __all__ = [
     "RVMBackend",
     "available_backends",
     "get_backend",
-    "register_backend",
 ]

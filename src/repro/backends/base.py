@@ -86,8 +86,8 @@ class ExecutionBackend:
 
     def entry_installed(self, vm, entry) -> None:
         """Called by the code cache after a
-        :class:`~repro.codecache.entry.CachedEntry` is placed,
-        relocated and checksummed.  Compaction later moves the
+        :class:`~repro.codecache.entry.CachedEntry` is placed and
+        relocated.  Compaction later moves the
         entry's words and handlers together without calling this
         hook, so whatever it installs must find its pc from its
         argument."""

@@ -118,23 +118,23 @@ Host-compile cost is kept off the steady path at four levels:
 * the static image's stubs, counts and compiled overlays survive
   ``reset_for_rerun`` (only run-time handlers are truncated), so a
   segment that runs once per run compiles on run ``B``;
-* each canonical entry image ``(checksum, words, func, region)`` is
-  kept per VM with each leader's execution count and compiled plan --
+* each entry image, keyed by function, region and its
+  base-independent words (``CachedEntry.canonical_words``), is kept
+  per VM with each leader's execution count and compiled plan --
   factory, capture offsets and counter cells -- so a re-stitch of the
   same key on a later run, a revival and a copy at another base all
   replay the compiled segments with no discovery and no source
   generation, and keep counting the rest where the last install left
-  off.  The checksum covers the base-independent image
-  (``CachedEntry.compute_checksum``) and generated code is
+  off.  Equal canonical words are equal code, and generated code is
   pc-relative, so one plan serves every base.  Owner/opcode cells
   persist across :meth:`VM.reset_for_rerun` (they are zeroed in
   place), so replayed closures keep charging the right counters; the
   images are kept per VM and die with it.
 
-A fallback block is rebuilt every run and has no checksum to carry
-counts by, so each build gets a fresh image, held only by its stubs:
-its counts start over every run and it dies with its handlers at
-``reset_for_rerun``.
+A fallback block is rebuilt every run and is not a cache entry, so it
+has no canonical image to carry counts by: each build gets a fresh
+image, held only by its stubs, its counts start over every run and it
+dies with its handlers at ``reset_for_rerun``.
 """
 
 from __future__ import annotations
@@ -1022,13 +1022,13 @@ class PycodeBackend(ExecutionBackend):
 
     def entry_installed(self, vm, entry) -> None:
         """Arm the entry's canonical image, one per VM and
-        ``(checksum, words, func, region)``, so every install of it
+        ``(func, region, canonical words)``, so every install of it
         shares its counts and replays its plans."""
         images = self._entry_images.get(vm)
         if images is None:
             images = self._entry_images[vm] = {}
-        key = (entry.checksum, entry.words,
-               entry.key.func, entry.key.region_id)
+        key = (entry.key.func, entry.key.region_id,
+               entry.canonical_words())
         image = images.get(key)
         if image is None:
             image = images[key] = _Image(self, vm.code, entry.base,

@@ -12,16 +12,19 @@ to be smeared across ``RuntimeServices``, the stitcher and the VM:
   cache places or rebases at any address;
 * :mod:`~repro.codecache.arena` -- a dedicated code arena inside the
   VM with a free list, so evicted entries' words are reused, plus a
-  data-word arena for the linearized constant pools;
-* :mod:`~repro.codecache.policy` -- pluggable eviction policies behind
-  the :class:`CachePolicy` interface (``unbounded``, ``lru``,
-  ``cost-aware``) with capacity configurable in entries and in code
-  words (:class:`CacheConfig`);
+  data-word arena (over the same free list) for the linearized
+  constant pools;
+* :mod:`~repro.codecache.policy` -- the eviction policies
+  (``unbounded``, ``lru``, ``cost-aware``), each a victim function,
+  with capacity configurable in entries and in code words
+  (:class:`CacheConfig`);
 * :mod:`~repro.codecache.cache` -- the :class:`CodeCache` itself:
   keyed lookup, insertion with eviction, free-list compaction (using
   the relocation records) when fragmentation blocks an install, and
   invalidation when a region's run-time-constants table is re-filled
-  with different values.
+  with different values.  A hit checks, in O(1), that the entry's
+  first and last installed words are still its own objects; a word
+  mutated in place goes undetected.
 
 The default configuration (``unbounded``) reproduces the historical
 behavior bit for bit: entries are appended to the end of code memory
@@ -32,24 +35,16 @@ from .arena import CodeArena, PoolArena
 from .cache import CacheStats, CodeCache
 from .entry import CachedEntry, CacheKey, Relocation
 from .keys import region_key
-from .policy import (
-    CacheConfig, CachePolicy, CostAwarePolicy, LRUPolicy,
-    UnboundedPolicy, make_policy,
-)
+from .policy import CacheConfig
 
 __all__ = [
     "CacheConfig",
     "CacheKey",
-    "CachePolicy",
     "CacheStats",
     "CachedEntry",
     "CodeArena",
     "CodeCache",
-    "CostAwarePolicy",
-    "LRUPolicy",
     "PoolArena",
     "Relocation",
-    "UnboundedPolicy",
-    "make_policy",
     "region_key",
 ]

@@ -50,16 +50,15 @@ from typing import Dict, List, Optional, Tuple
 from ..errors import ArenaExhausted, VMError, mark_injected
 from .arena import CodeArena, PoolArena
 from .entry import CachedEntry, CacheKey
-from .policy import CacheConfig, make_policy
+from .policy import VICTIMS, CacheConfig
 
 
 @dataclass
 class CacheStats:
     """Post-run cache accounting (``RunResult.cache_stats``)."""
 
-    policy: str = "unbounded"
-    max_entries: Optional[int] = None
-    max_words: Optional[int] = None
+    #: the run's cache configuration (policy and capacity).
+    config: CacheConfig
     hits: int = 0
     misses: int = 0
     evictions: int = 0
@@ -87,11 +86,6 @@ class CacheStats:
     #: of the same key with the same table fingerprint (oracle
     #: failures), as pretty-printed cache keys.
     restitch_mismatches: List[str] = field(default_factory=list)
-
-    @property
-    def bounded(self) -> bool:
-        return self.policy != "unbounded" and (
-            self.max_entries is not None or self.max_words is not None)
 
 
 class _KeyRecord:
@@ -125,7 +119,6 @@ class CodeCache:
         #: execution backend notified after installs (its hooks are
         #: no-ops for rvm; see repro.backends.base).
         self.backend = backend
-        self.policy = make_policy(self.config)
         self.code_arena = CodeArena(vm)
         self.pool_arena = PoolArena(vm)
         #: live versions only.
@@ -162,18 +155,16 @@ class CodeCache:
                            base=entry.base, entries=len(self.entries),
                            code_words=self._cache_words)
             return None
-        self.policy.on_hit(entry, self.tick)
+        entry.last_use = self.tick
         return entry
 
     def _verify(self, entry: CachedEntry) -> bool:
-        """Integrity check on a hit: the stamped checksum against the
-        canonical image, plus an O(1) endpoint identity spot-check
-        against the installed words (catches filler overwrites and
-        mis-compaction without rehashing the whole entry)."""
+        """Integrity check on a hit, in O(1): the entry's first and
+        last installed words are still its own objects (catches filler
+        overwrites, a word replaced by another entry's and
+        mis-compaction).  A word mutated in place goes undetected."""
         if self.faults is not None \
                 and self.faults.should_fire("cache.checksum"):
-            return False
-        if entry.checksum and entry.checksum != entry.compute_checksum():
             return False
         code = self.vm.code
         words = entry.words
@@ -232,7 +223,7 @@ class CodeCache:
             record.evicted = None
         self._make_room(entry.words)
         self._install(entry)
-        self.policy.on_insert(entry, self.tick)
+        entry.last_use = self.tick
         self.entries[key] = entry
         self.log.event("cache.install", key.region, key.key,
                        base=entry.base, words=entry.words,
@@ -272,12 +263,13 @@ class CodeCache:
     def _make_room(self, incoming_words: int) -> None:
         if not self.config.bounded:
             return
+        victim = VICTIMS[self.config.policy]
         while self._over_capacity(incoming_words):
             candidates = [e for e in self.entries.values()
                           if not e.pinned]
             if not candidates:
                 break  # everything pinned: overflow softly
-            self._evict(self.policy.victim(candidates, self.tick))
+            self._evict(victim(candidates, self.tick))
 
     def _release(self, entry: CachedEntry) -> None:
         self.code_arena.release(entry.base, entry.words)
@@ -288,7 +280,7 @@ class CodeCache:
         self._release(entry)
         self.keys[entry.key].evicted = entry
         self.log.event("cache.evict", entry.key.region, entry.key.key,
-                       policy=self.policy.name, base=entry.base,
+                       policy=self.config.policy, base=entry.base,
                        words=entry.words)
 
     def invalidate_region(self, func: str, region_id: int) -> int:
@@ -346,8 +338,7 @@ class CodeCache:
         entry.place(base)
         entry.pool_base = pool_base
         entry.report.pool_base = pool_base
-        entry.checksum = entry.compute_checksum()
-        # Backend hook: the entry is placed, relocated and checksummed.
+        # Backend hook: the entry is placed and relocated.
         self.backend.entry_installed(self.vm, entry)
 
     def compact(self) -> bool:
@@ -399,9 +390,7 @@ class CodeCache:
         hits = sum(1 for event in log.entries if event.kind == "hit")
         live = sorted(self.entries.values(), key=lambda e: e.base)
         return CacheStats(
-            policy=self.config.policy,
-            max_entries=self.config.max_entries,
-            max_words=self.config.max_words,
+            config=self.config,
             hits=hits,
             misses=len(log.entries) - hits,
             evictions=log.count("cache.evict"),

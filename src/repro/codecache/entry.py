@@ -33,7 +33,6 @@ Relocation kinds:
 from __future__ import annotations
 
 import struct
-import zlib
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
@@ -117,11 +116,7 @@ class CachedEntry:
     #: at 0, which makes hotness-weighted eviction collapse to the
     #: historical cost-aware score.
     hotness: int = 0
-    #: integrity checksum over the canonical image, stamped at install
-    #: and verified on every cache hit (0 = not yet stamped).
-    checksum: int = 0
     _canonical: Tuple = field(default=None, repr=False)  # type: ignore
-    _crc: int = field(default=0, repr=False)
 
     @property
     def words(self) -> int:
@@ -145,7 +140,11 @@ class CachedEntry:
         identity invariant: two stitches of the same key against the
         same table must be word-identical *modulo relocation base*.
         Local targets are abstracted to entry-relative offsets; pool
-        references are already pool indices, hence position-free."""
+        references are already pool indices, hence position-free.
+        Every immediate in stitched code is an int (holes are patched
+        as ``int(value)`` or pool indices), so equal images are equal
+        words: pycode keys its per-VM entry images by this.  Memoized:
+        the image never changes after the stitch."""
         if self._canonical is None:
             tags = {index: (kind, value)
                     for index, kind, value in self.relocs}
@@ -197,15 +196,5 @@ class CachedEntry:
                            peepholes=dict(report.peepholes),
                            reg_actions=dict(report.reg_actions)),
             table_fingerprint=self.table_fingerprint, walk=self.walk,
-            pinned=self.pinned, _canonical=self._canonical,
-            _crc=self._crc)
-
-    def compute_checksum(self) -> int:
-        """CRC32 over the canonical (base-independent) image, so the
-        checksum survives compaction and rebasing.  Memoized: the
-        canonical image never changes after the stitch."""
-        if not self._crc:
-            payload = repr(self.canonical_words()).encode("utf-8")
-            self._crc = zlib.crc32(payload) or 1
-        return self._crc
+            pinned=self.pinned, _canonical=self._canonical)
 

@@ -1,11 +1,14 @@
-"""Pluggable cache policies and the cache configuration.
+"""Eviction policies and the cache configuration.
 
-The policy decides *which* entry to sacrifice when the cache is over
+A policy decides *which* entry to sacrifice when the cache is over
 capacity; the :class:`~repro.codecache.cache.CodeCache` decides *when*
-(insert time) and handles the mechanics (freeing, re-use, compaction).
-Policies only ever see evictable candidates -- pinned entries (those
-with ``jsr`` calls, which may have live frames) are filtered out
-before :meth:`CachePolicy.victim` is consulted.
+(insert time), stamps each entry's ``last_use`` on every insert and
+hit, and handles the mechanics (freeing, re-use, compaction).  A
+policy is a victim function ``victim(candidates, tick)`` in
+:data:`VICTIMS`, and only ever sees evictable candidates -- pinned
+entries (those with ``jsr`` calls, which may have live frames) are
+filtered out before it is called.  ``unbounded`` has none: an
+unbounded cache never evicts.
 
 All policies are deterministic: ties break on (last-use tick, base
 address), so a given program + configuration always evicts the same
@@ -21,6 +24,42 @@ from typing import List, Optional, Union
 from .entry import CachedEntry
 
 
+def lru_victim(candidates: List[CachedEntry], tick: int) -> CachedEntry:
+    """Evict the least recently used version."""
+    return min(candidates, key=lambda e: (e.last_use, e.base))
+
+
+def cost_aware_victim(candidates: List[CachedEntry],
+                      tick: int) -> CachedEntry:
+    """Evict the version that is cheapest to lose.
+
+    The break-even profiler's economics: an entry's retention value is
+    what it cost to stitch (``report.cycles``, which is exactly what a
+    re-stitch would cost again) scaled down by how long it has sat
+    idle.  Evicting the lowest ``stitch_cycles x recency`` first keeps
+    expensive, hot entries resident.
+
+    Adaptive tiering feeds hotness in: the tier controller keeps each
+    entry's ``hotness`` at its key's live entry count, and a hot
+    entry's retention value scales up accordingly -- evicting it would
+    forfeit more future hits than evicting an equally expensive cold
+    one.  ``hotness`` stays 0 in non-tiered runs, so the score (and
+    hence eviction order) is unchanged there.
+    """
+    def score(e: CachedEntry):
+        age = 1 + tick - e.last_use
+        return (e.report.cycles * (1 + e.hotness) / age,
+                e.last_use, e.base)
+    return min(candidates, key=score)
+
+
+#: policy name -> victim function, for every policy that evicts.
+VICTIMS = {"lru": lru_victim, "cost-aware": cost_aware_victim}
+
+#: every policy name :class:`CacheConfig` accepts.
+POLICIES = ("unbounded", *VICTIMS)
+
+
 @dataclass(frozen=True)
 class CacheConfig:
     """Code-cache configuration (engine / CLI / bench flags).
@@ -34,6 +73,11 @@ class CacheConfig:
     policy: str = "unbounded"
     max_entries: Optional[int] = None
     max_words: Optional[int] = None
+
+    def __post_init__(self):
+        if self.policy not in POLICIES:
+            raise ValueError("unknown cache policy %r (choose from %s)"
+                             % (self.policy, ", ".join(sorted(POLICIES))))
 
     @property
     def bounded(self) -> bool:
@@ -58,10 +102,6 @@ class CacheConfig:
         if not isinstance(spec, str):
             return spec or cls()
         parts = spec.split(":")
-        policy = parts[0] or "unbounded"
-        if policy not in POLICIES:
-            raise ValueError("unknown cache policy %r (choose from %s)"
-                             % (policy, ", ".join(sorted(POLICIES))))
         if len(parts) > 3:
             raise ValueError("bad cache spec %r" % spec)
         parts += [""] * (3 - len(parts))
@@ -71,84 +111,5 @@ class CacheConfig:
         except ValueError:
             raise ValueError("bad cache capacity in %r (want "
                              "POLICY[:ENTRIES[:WORDS]])" % spec) from None
-        return cls(policy=policy, max_entries=max_entries,
+        return cls(policy=parts[0] or "unbounded", max_entries=max_entries,
                    max_words=max_words)
-
-
-class CachePolicy:
-    """Strategy interface: recency bookkeeping + victim selection."""
-
-    name = "abstract"
-
-    def on_insert(self, entry: CachedEntry, tick: int) -> None:
-        entry.last_use = tick
-
-    def on_hit(self, entry: CachedEntry, tick: int) -> None:
-        entry.last_use = tick
-
-    def victim(self, candidates: List[CachedEntry],
-               tick: int) -> CachedEntry:
-        raise NotImplementedError
-
-
-class UnboundedPolicy(CachePolicy):
-    """Today's behavior: keep every version forever (the default)."""
-
-    name = "unbounded"
-
-    def victim(self, candidates: List[CachedEntry],
-               tick: int) -> CachedEntry:
-        raise RuntimeError("unbounded policy never evicts")
-
-
-class LRUPolicy(CachePolicy):
-    """Evict the least recently used version."""
-
-    name = "lru"
-
-    def victim(self, candidates: List[CachedEntry],
-               tick: int) -> CachedEntry:
-        return min(candidates, key=lambda e: (e.last_use, e.base))
-
-
-class CostAwarePolicy(CachePolicy):
-    """Evict the version that is cheapest to lose.
-
-    The break-even profiler's economics: an entry's retention value is
-    what it cost to stitch (``report.cycles``, which is exactly what a
-    re-stitch would cost again) scaled down by how long it has sat
-    idle.  Evicting the lowest ``stitch_cycles x recency`` first keeps
-    expensive, hot entries resident.
-
-    Adaptive tiering feeds hotness in: the tier controller keeps each
-    entry's ``hotness`` at its key's live entry count, and a hot
-    entry's retention value scales up accordingly -- evicting it would
-    forfeit more future hits than evicting an equally expensive cold
-    one.  ``hotness`` stays 0 in non-tiered runs, so the score (and
-    hence eviction order) is unchanged there.
-    """
-
-    name = "cost-aware"
-
-    def victim(self, candidates: List[CachedEntry],
-               tick: int) -> CachedEntry:
-        def score(e: CachedEntry):
-            age = 1 + tick - e.last_use
-            return (e.report.cycles * (1 + e.hotness) / age,
-                    e.last_use, e.base)
-        return min(candidates, key=score)
-
-
-POLICIES = {
-    "unbounded": UnboundedPolicy,
-    "lru": LRUPolicy,
-    "cost-aware": CostAwarePolicy,
-}
-
-
-def make_policy(config: CacheConfig) -> CachePolicy:
-    try:
-        return POLICIES[config.policy]()
-    except KeyError:
-        raise ValueError("unknown cache policy %r (choose from %s)"
-                         % (config.policy, ", ".join(sorted(POLICIES))))

@@ -7,7 +7,7 @@ golden tests that want to look at generated code without poking at
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..machine.isa import ALU_OPS, FALU_OPS, MInstr, reg_name
 from .objects import CompiledFunction, RegionCode, TemplateBlock
@@ -120,13 +120,4 @@ def format_region(region: RegionCode) -> str:
                                        region.free_registers))
     for name in sorted(region.blocks):
         lines.append(format_template_block(region.blocks[name]))
-    return "\n".join(lines)
-
-
-def format_stitched(vm, entry: int, end: Optional[int] = None) -> str:
-    """Disassemble installed (stitched) code from VM code memory."""
-    end = end if end is not None else len(vm.code)
-    lines = ["; stitched code @%d..%d" % (entry, end)]
-    for i in range(entry, end):
-        lines.append("  %4d  %s" % (i, format_instr(vm.code[i])))
     return "\n".join(lines)

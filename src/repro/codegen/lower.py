@@ -14,7 +14,7 @@ the un-split region body.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 from ..dynamic.regionops import RegionEnter, RegionLookup, RegionStitch
 from ..dynamic.splitter import RegionPlan
@@ -29,7 +29,7 @@ from ..ir.values import (
 )
 from ..machine.isa import (
     ARG_BASE, CPOOL, FREG_BASE, FRV, MInstr, NUM_ARG_REGS, RA, RV, SCRATCH,
-    SCRATCH2, SP, ZERO, fits_imm, is_float_reg,
+    SCRATCH2, SP, ZERO, fits_imm, is_float_reg, materialize_int,
 )
 from .objects import (
     BranchFixup, CompiledFunction, ElementAction, HoleDirective, RegionCode,
@@ -301,20 +301,6 @@ class FunctionLowerer:
 
     # -- operand helpers ---------------------------------------------------------
 
-    def _materialize_int(self, emitter: _Emitter, reg: int,
-                         value: int) -> None:
-        """Load an arbitrary 64-bit constant into ``reg``."""
-        if fits_imm(value):
-            emitter.emit(MInstr("lda", rd=reg, ra=ZERO, imm=value))
-            return
-        unsigned = value & ((1 << 64) - 1)
-        chunks = [(unsigned >> shift) & 0xFFFF for shift in (48, 32, 16, 0)]
-        while len(chunks) > 1 and chunks[0] == 0:
-            chunks.pop(0)
-        emitter.emit(MInstr("lda", rd=reg, ra=ZERO, imm=0))
-        for chunk in chunks:
-            emitter.emit(MInstr("ldih", rd=reg, imm=chunk))
-
     def _reload(self, emitter: _Emitter, temp: Temp, scratch: int) -> int:
         loc = self.alloc.locations[temp.name]
         if not loc.spilled:
@@ -332,10 +318,10 @@ class FunctionLowerer:
         if isinstance(value, Temp):
             return self._reload(emitter, value, scratch)
         if isinstance(value, IntConst):
-            self._materialize_int(emitter, scratch, value.value)
+            materialize_int(emitter.emit, scratch, value.value)
             return scratch
         if isinstance(value, GlobalAddr):
-            self._materialize_int(emitter, scratch,
+            materialize_int(emitter.emit, scratch,
                                   self.layout.addr_of(value.name))
             return scratch
         if isinstance(value, FloatConst):
@@ -344,7 +330,7 @@ class FunctionLowerer:
             if fits_imm(addr):
                 emitter.emit(MInstr("ldt", rd=freg, ra=ZERO, imm=addr))
             else:
-                self._materialize_int(emitter, scratch, addr)
+                materialize_int(emitter.emit, scratch, addr)
                 emitter.emit(MInstr("ldt", rd=freg, ra=scratch, imm=0))
             return freg
         raise CompileError("cannot lower operand %r here" % (value,))
@@ -407,7 +393,7 @@ class FunctionLowerer:
                     emitter.emit(MInstr("cmpeq", rd=SCRATCH2, ra=vreg,
                                         imm=case_value))
                 else:
-                    self._materialize_int(emitter, SCRATCH2, case_value)
+                    materialize_int(emitter.emit, SCRATCH2, case_value)
                     emitter.emit(MInstr("cmpeq", rd=SCRATCH2, ra=vreg,
                                         rb=SCRATCH2))
                 emitter.emit(MInstr("bne", ra=SCRATCH2, label=label))
@@ -438,7 +424,7 @@ class FunctionLowerer:
                 emitter.emit(MInstr("fmov", rd=FRV, ra=reg))
             else:
                 if isinstance(term.value, IntConst):
-                    self._materialize_int(emitter, RV, term.value.value)
+                    materialize_int(emitter.emit, RV, term.value.value)
                 else:
                     reg = self._value_reg(emitter, term.value, SCRATCH)
                     emitter.emit(MInstr("mov", rd=RV, ra=reg))
@@ -512,7 +498,7 @@ class FunctionLowerer:
             assert template is not None
             self._hole_operand(emitter, src, template, reg)
         elif isinstance(src, IntConst):
-            self._materialize_int(emitter, reg, src.value)
+            materialize_int(emitter.emit, reg, src.value)
         elif isinstance(src, (GlobalAddr, FloatConst)):
             out = self._value_reg(emitter, src, SCRATCH)
             if out != reg:
@@ -605,7 +591,7 @@ class FunctionLowerer:
             if fits_imm(target):
                 emitter.emit(MInstr(op, rd=reg, ra=ZERO, imm=target))
             else:
-                self._materialize_int(emitter, SCRATCH, target)
+                materialize_int(emitter.emit, SCRATCH, target)
                 emitter.emit(MInstr(op, rd=reg, ra=SCRATCH, imm=0))
         else:
             areg = self._value_reg(emitter, addr, SCRATCH)
@@ -632,7 +618,7 @@ class FunctionLowerer:
             if fits_imm(target):
                 emitter.emit(MInstr(op, rb=vreg, ra=ZERO, imm=target))
             else:
-                self._materialize_int(emitter, SCRATCH2, target)
+                materialize_int(emitter.emit, SCRATCH2, target)
                 emitter.emit(MInstr(op, rb=vreg, ra=SCRATCH2, imm=0))
         else:
             areg = self._value_reg(emitter, addr, SCRATCH2)
@@ -649,7 +635,7 @@ class FunctionLowerer:
                 src = self._template_value_reg(emitter, arg, SCRATCH, template)
                 emitter.emit(MInstr("fmov", rd=FARG_BASE + i, ra=src))
             elif isinstance(arg, IntConst):
-                self._materialize_int(emitter, ARG_BASE + i, arg.value)
+                materialize_int(emitter.emit, ARG_BASE + i, arg.value)
             else:
                 src = self._template_value_reg(emitter, arg, SCRATCH, template)
                 emitter.emit(MInstr("mov", rd=ARG_BASE + i, ra=src))
@@ -701,10 +687,10 @@ class FunctionLowerer:
             entry=plan.template_entry,
             key_count=len(plan.region.key_temps or []),
         )
-        for name in plan.template_blocks:
-            if name not in self.func.blocks:
-                continue
-            region_code.blocks[name] = self._lower_template_block(plan, name)
+        for name in self.func.blocks:
+            if name in plan.template_blocks:
+                region_code.blocks[name] = \
+                    self._lower_template_block(plan, name)
         region_code.promotable_arrays = self._promotable_arrays(
             plan, region_code)
         # Only explicitly reserved (and prologue-saved) registers are

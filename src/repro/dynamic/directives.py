@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from ..codegen.objects import RegionCode, TemplateBlock
+from ..codegen.objects import RegionCode
 from .table import SlotRef
 
 
@@ -89,34 +89,33 @@ def _layout_order(region: RegionCode) -> List[str]:
     fallthrough successors, then anything left (alphabetical)."""
     order: List[str] = []
     seen = set()
-
-    def visit(name: Optional[str]) -> None:
-        if name is None or name in seen or name not in region.blocks:
-            return
-        seen.add(name)
-        order.append(name)
-        block = region.blocks[name]
-        term = block.term
-        succs: List[str] = []
-        if term.kind == "const_branch":
-            if term.if_true is not None:
-                succs = [term.if_true, term.if_false or ""]
+    # Preorder walks on an explicit stack, from each root in turn.
+    walk: List[Optional[str]] = []
+    for root in [region.entry, *sorted(region.blocks)]:
+        walk.append(root)
+        while walk:
+            name = walk.pop()
+            if name is None or name in seen or name not in region.blocks:
+                continue
+            seen.add(name)
+            order.append(name)
+            block = region.blocks[name]
+            term = block.term
+            succs: List[str] = []
+            if term.kind == "const_branch":
+                if term.if_true is not None:
+                    succs = [term.if_true, term.if_false or ""]
+                else:
+                    succs = [l for _, l in term.cases]
+                    if term.default:
+                        succs.append(term.default)
             else:
-                succs = [l for _, l in term.cases]
-                if term.default:
-                    succs.append(term.default)
-        else:
-            succs = list(term.succs)
-        for fixup in block.fixups:
-            if not fixup.label.startswith("ext:"):
-                succs.append(fixup.label)
-        for succ in succs:
-            if succ and not succ.startswith("ext:"):
-                visit(succ)
-
-    visit(region.entry)
-    for name in sorted(region.blocks):
-        visit(name)
+                succs = list(term.succs)
+            for fixup in block.fixups:
+                if not fixup.label.startswith("ext:"):
+                    succs.append(fixup.label)
+            walk.extend(succ for succ in reversed(succs)
+                        if succ and not succ.startswith("ext:"))
     return order
 
 

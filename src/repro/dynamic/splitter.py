@@ -184,9 +184,6 @@ class _RegionSplitter:
 
     # -- step 1: residency ------------------------------------------------
 
-    def _is_const(self, value: Value) -> bool:
-        return self.analysis.is_const(value)
-
     def _is_const_name(self, name: str) -> bool:
         return name in self.analysis.const_names
 
@@ -821,11 +818,17 @@ class _RegionSplitter:
             (self._setup_name(loop.latch), self._setup_name(loop.header))
             for loop in self.plan.table.loops.values()
         }
-        colors: Dict[str, int] = {}
-
-        def dfs(node: str) -> None:
-            colors[node] = 1
-            for succ in self.func.blocks[node].successors():
+        if entry not in self.func.blocks:
+            return
+        # A depth-first search on an explicit stack of (block, its
+        # successors not yet tried); 1 marks a block on the stack.
+        blocks = self.func.blocks
+        colors: Dict[str, int] = {self.plan.setup_entry: 1}
+        dfs = [(self.plan.setup_entry,
+                iter(blocks[self.plan.setup_entry].successors()))]
+        while dfs:
+            node, succs = dfs[-1]
+            for succ in succs:
                 if succ not in self.plan.setup_blocks:
                     continue
                 if (node, succ) in back_edges:
@@ -839,20 +842,12 @@ class _RegionSplitter:
                         "non-unrolled, non-constant loop)"
                         % self.region.region_id)
                 if state == 0:
-                    dfs(succ)
-            colors[node] = 2
-
-        import sys
-        needed = 2 * len(self.func.blocks) + 100
-        limit = sys.getrecursionlimit()
-        if needed > limit:
-            sys.setrecursionlimit(needed)
-        try:
-            if entry in self.func.blocks:
-                dfs(self.plan.setup_entry)
-        finally:
-            if needed > limit:
-                sys.setrecursionlimit(limit)
+                    colors[succ] = 1
+                    dfs.append((succ, iter(blocks[succ].successors())))
+                    break
+            else:
+                colors[node] = 2
+                dfs.pop()
 
     # -- step 5: template rewriting -----------------------------------------
 
@@ -862,11 +857,6 @@ class _RegionSplitter:
         loop_id, index = slot
         return HoleRef(index, loop_id,
                        is_float=self.plan.table.float_names.get(name, False))
-
-    def _remap_template_value(self, value: Value) -> Value:
-        if isinstance(value, Temp) and self._is_const_name(value.name):
-            return self._hole_for(value.name)
-        return value
 
     def _rewrite_templates(self) -> None:
         func = self.func

@@ -25,7 +25,7 @@ Fault-site catalog (see ``docs/ROBUSTNESS.md``):
 ``arena.pool``        constant-pool arena allocation at install
 ``arena.code``        code arena placement at install
 ``cache.compact``     the compaction pass
-``cache.checksum``    cached-entry checksum verification on a hit
+``cache.checksum``    the hit-time check of a cached entry
 ``tier.flip``         an adaptive tiering promotion decision
 ``queue.drop``        an async stitch-queue enqueue (job silently lost)
 ``stitch.hang``       an async stitch job's landing (job wedges)
@@ -33,7 +33,7 @@ Fault-site catalog (see ``docs/ROBUSTNESS.md``):
 
 All sites except ``cache.checksum``, ``tier.flip``, ``queue.drop``
 and ``stitch.hang`` raise; ``cache.checksum`` instead makes the
-verification *report a mismatch*, exercising the
+hit check *report a mismatch*, exercising the
 invalidate-and-restitch recovery path, and ``tier.flip`` *inverts* a
 tiering promotion decision (promote what would stay cold, or vice
 versa) -- an economically wrong but semantically neutral perturbation

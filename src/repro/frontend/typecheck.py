@@ -16,9 +16,9 @@ from typing import Dict, List, Optional, Set, Tuple
 from . import astnodes as ast
 from .errors import AnnotationError, TypeError_
 from .types import (
-    FLOAT, INT, UINT, VOID, ArrayType, FloatType, IntType, PointerType,
+    FLOAT, INT, VOID, ArrayType, FloatType, IntType, PointerType,
     StructType, Type, VoidType, common_arithmetic_type, decay, is_arithmetic,
-    is_integer, is_pointerish,
+    is_integer,
 )
 
 
@@ -700,24 +700,22 @@ def check(program: ast.Program) -> CheckedProgram:
 
 def _mark_addr_taken(checked: CheckedProgram) -> None:
     """Record locals whose address escapes (AddrOf of a Var)."""
-
-    def walk_expr(expr: ast.Expr, info: FunctionInfo) -> None:
-        if isinstance(expr, ast.AddrOf) and isinstance(expr.operand, ast.Var):
-            if expr.operand.name in info.locals:
-                info.addr_taken.add(expr.operand.name)
-        for child in _expr_children(expr):
-            walk_expr(child, info)
-
-    def walk_stmt(stmt: ast.Stmt, info: FunctionInfo) -> None:
-        for child in _stmt_children(stmt):
-            if isinstance(child, ast.Expr):
-                walk_expr(child, info)
-            else:
-                walk_stmt(child, info)
-
     for decl in checked.program.decls:
-        if isinstance(decl, ast.FuncDecl) and decl.body is not None:
-            walk_stmt(decl.body, checked.functions[decl.name])
+        if not isinstance(decl, ast.FuncDecl) or decl.body is None:
+            continue
+        info = checked.functions[decl.name]
+        # A preorder walk of the body on an explicit stack.
+        walk: List[ast.Node] = [decl.body]
+        while walk:
+            node = walk.pop()
+            if isinstance(node, ast.Expr):
+                if isinstance(node, ast.AddrOf) \
+                        and isinstance(node.operand, ast.Var) \
+                        and node.operand.name in info.locals:
+                    info.addr_taken.add(node.operand.name)
+                walk.extend(reversed(_expr_children(node)))
+            else:
+                walk.extend(reversed(_stmt_children(node)))
 
 
 def _expr_children(expr: ast.Expr) -> List[ast.Expr]:

@@ -45,9 +45,6 @@ class BasicBlock:
             result.append(instr)
         return result
 
-    def non_phi_instrs(self) -> List[Instr]:
-        return [i for i in self.instrs if not isinstance(i, Phi)]
-
     def successors(self) -> List[str]:
         if self.terminator is None:
             return []
@@ -161,9 +158,6 @@ class Function:
 
     def type_of(self, temp: Temp) -> str:
         return self.temp_types.get(temp.name, "int")
-
-    def set_type(self, temp: Temp, kind: str) -> None:
-        self.temp_types[temp.name] = kind
 
     # -- traversal --------------------------------------------------------
 

@@ -67,13 +67,6 @@ def is_speculatable(op: str) -> bool:
     return op in BINOPS | UNOPS and op not in TRAPPING_OPS
 
 
-def result_is_float(op: str) -> bool:
-    """True if a binary/unary operator produces a floating-point value."""
-    if op in COMPARISON_OPS:
-        return False
-    return op in FLOAT_BINOPS or op in ("fneg", "itof")
-
-
 # ---------------------------------------------------------------------------
 # Instruction classes
 # ---------------------------------------------------------------------------

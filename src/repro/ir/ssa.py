@@ -101,9 +101,26 @@ def to_ssa(func: Function) -> None:
             return FloatConst(0.0)
         return IntConst(0)
 
-    def rename_block(name: str) -> None:
+    # Parameters are "defined" at entry with their own names.
+    for param in func.params:
+        stacks.setdefault(param.name, []).append(param)
+
+    # A preorder walk of the dominator tree on an explicit stack (a
+    # self-recursive nested function would tie a reference cycle
+    # through its own closure cell, keeping the IR alive until the
+    # cyclic collector runs).  An item is (block, None) to rename the
+    # block, or (block, pushed) to pop the versions it pushed once its
+    # subtree is done.
+    assert func.entry is not None
+    walk: List[Tuple[str, Optional[List[str]]]] = [(func.entry, None)]
+    while walk:
+        name, pushed = walk.pop()
+        if pushed is not None:
+            for var in pushed:
+                stacks[var].pop()
+            continue
         block = func.blocks[name]
-        pushed: List[str] = []
+        pushed = []
 
         region = region_entries.get(name)
         if region is not None:
@@ -138,41 +155,10 @@ def to_ssa(func: Function) -> None:
                 if isinstance(arg, Temp) and arg.name == var:
                     phi.args[name] = lookup(var)
 
-        for child in dom.children[name]:
-            rename_block(child)
-
-        for var in pushed:
-            stacks[var].pop()
-
-    # Parameters are "defined" at entry with their own names.
-    for param in func.params:
-        stacks.setdefault(param.name, []).append(param)
-
-    assert func.entry is not None
-    # Use an explicit stack to avoid Python recursion limits on deep CFGs.
-    _rename_iterative(func, dom, rename_block)
+        walk.append((name, pushed))
+        walk.extend((child, None) for child in reversed(dom.children[name]))
 
     eliminate_dead_phis(func)
-
-
-def _rename_iterative(func: Function, dom: DominatorTree, rename_block) -> None:
-    """Drive ``rename_block`` without deep native recursion.
-
-    ``rename_block`` itself recurses over dominator-tree children; for
-    very deep trees raise Python's recursion limit temporarily.
-    """
-    import sys
-
-    limit = sys.getrecursionlimit()
-    needed = 2 * len(func.blocks) + 100
-    if needed > limit:
-        sys.setrecursionlimit(needed)
-    try:
-        assert func.entry is not None
-        rename_block(func.entry)
-    finally:
-        if needed > limit:
-            sys.setrecursionlimit(limit)
 
 
 def _set_def(instr: Instr, new: Temp) -> None:

@@ -103,8 +103,3 @@ def wrap_int(value: int) -> int:
 def to_unsigned(value: int) -> int:
     """Reinterpret a signed 64-bit integer as unsigned."""
     return value & _INT_MASK
-
-
-def is_constant(value: Value) -> bool:
-    """Return True for literal (compile-time constant) operands."""
-    return isinstance(value, (IntConst, FloatConst, GlobalAddr))

@@ -33,7 +33,7 @@ Float registers are numbered 32..63 internally (``FREG_BASE + n``).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 FREG_BASE = 32
 
@@ -197,3 +197,20 @@ class MInstr:
         if self.name is not None:
             parts.append("[%s]" % self.name)
         return " ".join(parts)
+
+
+def materialize_int(emit: Callable[[MInstr], object], reg: int,
+                    value: int) -> None:
+    """Emit, through ``emit``, a load of an arbitrary 64-bit constant
+    into ``reg``: one ``lda`` when it fits the immediate field, else an
+    ``lda`` of 0 and one ``ldih`` per significant 16-bit chunk."""
+    if fits_imm(value):
+        emit(MInstr("lda", rd=reg, ra=ZERO, imm=value))
+        return
+    unsigned = value & ((1 << 64) - 1)
+    chunks = [(unsigned >> shift) & 0xFFFF for shift in (48, 32, 16, 0)]
+    while len(chunks) > 1 and chunks[0] == 0:
+        chunks.pop(0)
+    emit(MInstr("lda", rd=reg, ra=ZERO, imm=0))
+    for chunk in chunks:
+        emit(MInstr("ldih", rd=reg, imm=chunk))

@@ -16,7 +16,7 @@ value" treatment the paper prescribes.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 from ..ir.builder import FrameAddr
 from ..ir.cfg import Function
@@ -32,14 +32,18 @@ def common_subexpression_elimination(func: Function) -> int:
     dom = DominatorTree(func)
     replaced = 0
     region_entries = {region.entry for region in func.regions}
-
-    def visit(block_name: str, table: Dict[Tuple, Value]) -> None:
-        nonlocal replaced
+    # A preorder walk of the dominator tree on an explicit stack; each
+    # block starts from a copy of its dominator's table.
+    walk: List[Tuple[str, Dict[Tuple, Value]]] = [(func.entry, {})]
+    while walk:
+        block_name, table = walk.pop()
         if block_name in region_entries:
             # Do not reuse pre-region values inside the region: a value
             # recomputed from annotated constants *inside* the region is
             # a run-time constant there, the hoisted copy is not.
             table = {}
+        else:
+            table = dict(table)
         block = func.blocks[block_name]
         new_instrs = []
         for instr in block.instrs:
@@ -52,19 +56,8 @@ def common_subexpression_elimination(func: Function) -> int:
                 table[key] = instr.defs()
             new_instrs.append(instr)
         block.instrs = new_instrs
-        for child in dom.children[block_name]:
-            visit(child, dict(table))
-
-    import sys
-    needed = 2 * len(func.blocks) + 100
-    limit = sys.getrecursionlimit()
-    if needed > limit:
-        sys.setrecursionlimit(needed)
-    try:
-        visit(func.entry, {})
-    finally:
-        if needed > limit:
-            sys.setrecursionlimit(limit)
+        walk.extend((child, table)
+                    for child in reversed(dom.children[block_name]))
     return replaced
 
 

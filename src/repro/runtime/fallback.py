@@ -52,7 +52,7 @@ from typing import Dict, List
 from ..codegen.objects import CompiledFunction, RegionCode, TemplateBlock
 from ..errors import StitchError
 from ..machine.isa import (
-    MInstr, SCRATCH, SCRATCH2, ZERO, fits_imm,
+    MInstr, SCRATCH, SCRATCH2, fits_imm, materialize_int,
 )
 
 #: SlotRef context: loop id (None = top-level table) -> address of the
@@ -108,27 +108,13 @@ class _FallbackBuilder:
         instr.owner = self.owner
         self.out.append(instr)
 
-    def _mat(self, reg: int, value: int) -> None:
-        """Load an arbitrary constant into ``reg`` (lower.py's
-        materialization idiom; heap cell addresses never fit imm)."""
-        if fits_imm(value):
-            self._emit(MInstr("lda", rd=reg, ra=ZERO, imm=value))
-            return
-        unsigned = value & ((1 << 64) - 1)
-        chunks = [(unsigned >> shift) & 0xFFFF for shift in (48, 32, 16, 0)]
-        while len(chunks) > 1 and chunks[0] == 0:
-            chunks.pop(0)
-        self._emit(MInstr("lda", rd=reg, ra=ZERO, imm=0))
-        for chunk in chunks:
-            self._emit(MInstr("ldih", rd=reg, imm=chunk))
-
     def _slot_context(self, reg: int, loop_id) -> None:
         """Emit: ``reg`` = current table base (loop_id None) or current
         iteration record (unrolled loop) -- one cell load."""
         if loop_id is None:
-            self._mat(reg, self.table_cell)
+            materialize_int(self._emit, reg, self.table_cell)
         else:
-            self._mat(reg, self.cursor_cells[loop_id])
+            materialize_int(self._emit, reg, self.cursor_cells[loop_id])
         self._emit(MInstr("ldq", rd=reg, ra=reg, imm=0))
 
     # -- control-flow labeling ---------------------------------------------
@@ -172,7 +158,7 @@ class _FallbackBuilder:
             self._slot_context(SCRATCH2, plan.loop_id)
             self._emit(MInstr("ldq", rd=SCRATCH2, ra=SCRATCH2,
                               imm=plan.next_offset))
-        self._mat(SCRATCH, cursor)
+        materialize_int(self._emit, SCRATCH, cursor)
         self._emit(MInstr("stq", ra=SCRATCH, rb=SCRATCH2, imm=0))
         self._emit(MInstr("br", label=self._header_body_label(plan.header)))
 
@@ -261,7 +247,7 @@ class _FallbackBuilder:
                 self._emit(MInstr("cmpeq", rd=SCRATCH2, ra=SCRATCH,
                                   imm=case_value))
             else:
-                self._mat(SCRATCH2, case_value)
+                materialize_int(self._emit, SCRATCH2, case_value)
                 self._emit(MInstr("cmpeq", rd=SCRATCH2, ra=SCRATCH,
                                   rb=SCRATCH2))
             self._emit(MInstr("bne", ra=SCRATCH2,

@@ -313,7 +313,7 @@ def check_stitch_invariants(program: Program, result) -> List[str]:
     # the unbounded policy, so any run with checksum failures must use
     # the live-ranges scan too.
     narrowed = cache_stats is not None and (
-        cache_stats.bounded
+        cache_stats.config.bounded
         or getattr(cache_stats, "checksum_failures", 0) > 0)
     if narrowed:
         live_pcs = [pc for base, words in cache_stats.live_blocks
@@ -349,13 +349,13 @@ def check_stitch_invariants(program: Program, result) -> List[str]:
             % ", ".join(cache_stats.restitch_mismatches[:4]))
     # The cache bound: only the documented soft overflow, where every
     # live entry but the newest is pinned, may exceed ``max_entries``.
-    if cache_stats is not None and cache_stats.bounded \
-            and cache_stats.max_entries is not None \
-            and cache_stats.live_entries > cache_stats.max_entries \
+    if cache_stats is not None and cache_stats.config.bounded \
+            and cache_stats.config.max_entries is not None \
+            and cache_stats.live_entries > cache_stats.config.max_entries \
             and cache_stats.live_entries - cache_stats.live_pinned > 1:
         failures.append(
             "cache bound: %d live entries > max %d, %d of them unpinned"
-            % (cache_stats.live_entries, cache_stats.max_entries,
+            % (cache_stats.live_entries, cache_stats.config.max_entries,
                cache_stats.live_entries - cache_stats.live_pinned))
     # Region-entry accounting: the runtime logs every entry exactly
     # once (hit, stitch, fallback, cold or queued), so per region the

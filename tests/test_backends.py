@@ -19,10 +19,9 @@ from typing import Dict
 
 import pytest
 
-import repro.backends as backends_mod
 from repro.backends import (
     DEFAULT_BACKEND, PycodeBackend, RVMBackend, available_backends,
-    get_backend, register_backend,
+    get_backend,
 )
 from repro.bench.workloads import (
     calculator_workload, event_dispatcher_workload, record_sorter_workload,
@@ -126,24 +125,6 @@ def test_backend_instance_passes_through() -> None:
     assert result.value == 15
     assert result.backend == "pycode"
     assert program.backend is backend
-
-
-def test_register_backend_round_trip() -> None:
-    class TaggedRVM(RVMBackend):
-        name = "tagged-rvm"
-
-    register_backend("tagged-rvm", TaggedRVM)
-    try:
-        assert "tagged-rvm" in available_backends()
-        program = compile_program("int main(int x) { return x - 2; }",
-                                  backend="tagged-rvm")
-        result = program.run("main", [9])
-        assert result.value == 7
-        assert result.backend == "tagged-rvm"
-    finally:
-        backends_mod._REGISTRY.pop("tagged-rvm", None)
-    with pytest.raises(ValueError):
-        get_backend("tagged-rvm")
 
 
 # -- rvm identity -----------------------------------------------------

@@ -61,6 +61,8 @@ def test_cache_config_parse():
     assert CacheConfig.parse("lru::2048") == CacheConfig("lru", None, 2048)
     with pytest.raises(ValueError):
         CacheConfig.parse("fifo:2")
+    with pytest.raises(ValueError, match="unknown cache policy"):
+        CacheConfig("fifo", 2)
     with pytest.raises(ValueError):
         CacheConfig.parse("lru:1:2:3")
 

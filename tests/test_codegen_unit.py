@@ -3,11 +3,11 @@ lowering, prologue/epilogue shape, float pools, the asm printer."""
 
 from repro import compile_program
 from repro.codegen.asmprinter import (
-    format_function, format_instr, format_region, format_template_block,
+    format_function, format_instr, format_region,
 )
 from repro.codegen.lower import DataLayout, FunctionLowerer, _Emitter
 from repro.ir.ssa import from_ssa, to_ssa
-from repro.machine.isa import MInstr, RA, SP, ZERO
+from repro.machine.isa import MInstr, RA, SP, materialize_int
 from repro.machine.vm import VM
 
 from helpers import build, interp_run
@@ -27,14 +27,8 @@ def lower_main(source):
 
 
 def materialize(value):
-    layout = DataLayout()
-    module = build("int main() { return 0; }")
-    func = module.functions["main"]
-    to_ssa(func)
-    from_ssa(func)
-    lowerer = FunctionLowerer(func, layout)
     emitter = _Emitter("test")
-    lowerer._materialize_int(emitter, 1, value)
+    materialize_int(emitter.emit, 1, value)
     emitter.emit(MInstr("mov", rd=0, ra=1))
     emitter.emit(MInstr("ret"))
     vm = VM(memory_words=1 << 16)

@@ -18,11 +18,13 @@ from repro import (
     ArenaExhausted, BreakerConfig, FaultPlan, ReproError, StitchBudget,
     StitchBudgetExceeded, StitchError, VMError, compile_program,
 )
+from repro.backends import PycodeBackend, RVMBackend
+from repro.bench.workloads import calculator_workload
 from repro.errors import RegionNotFound, mark_injected
 from repro.faults import FAULT_SITES
 from repro.machine.vm import VM
 from repro.runtime.guards import RegionBreaker
-from repro.testing.oracle import run_oracle
+from repro.testing.oracle import _vm_globals, run_oracle
 
 #: Keyed region (fresh key per call => every entry attempts a stitch)
 #: with an unrolled loop, so fallback code must run a real loop over
@@ -271,6 +273,46 @@ def test_checksum_failure_invalidates_and_restitches():
     # Checksum faults recover by re-stitch, not by fallback.
     assert not result.fallbacks
     assert result.fault_counts == {"cache.checksum": 1}
+
+
+class _ReplacesWord:
+    """Test-local backend mixin: after every install, a stray write
+    replaces one of the entry's endpoint words (``word`` 0, the first,
+    or -1, the last) with a copy of it.  The copy runs the same, but it
+    is no longer the entry's own word."""
+
+    def __init__(self, word: int):
+        super().__init__()
+        self.word = word
+
+    def entry_installed(self, vm, entry) -> None:
+        super().entry_installed(vm, entry)
+        pc = entry.base + self.word % entry.words
+        vm.code[pc] = vm.code[pc].copy()
+
+
+@pytest.mark.parametrize("word", [0, -1], ids=["first", "last"])
+@pytest.mark.parametrize("backend", [RVMBackend, PycodeBackend],
+                         ids=["rvm", "pycode"])
+def test_hit_on_a_replaced_endpoint_word_restitches(backend, word):
+    """The hit-time check compares the entry's first and last installed
+    words with its own: with either replaced after every install, every
+    hit fails it, is logged and re-stitches, and the run computes what
+    a clean run computes."""
+    source = calculator_workload().source
+    clean = compile_program(source, backend=backend())
+    want = clean.run()
+    replaced = type("Replaced", (_ReplacesWord, backend), {})(word)
+    program = compile_program(source, backend=replaced)
+    got = program.run()
+    assert (got.value, got.output) == (want.value, want.output)
+    assert _vm_globals(program) == _vm_globals(clean)
+    stats = got.cache_stats
+    assert stats.hits == 0
+    assert stats.checksum_failures == want.cache_stats.hits > 0
+    assert len(got.stitch_reports) \
+        == len(want.stitch_reports) + want.cache_stats.hits
+    assert not got.fallbacks
 
 
 # -- faults disabled => bit-identical -----------------------------------------

@@ -3,11 +3,14 @@
 Nothing installed in a VM holds the VM: ``call_rt`` handlers reach the
 runtime through the VM's run-scoped slot, and ``Program.run``
 uninstalls the run's region services and the stitch queue's deadline
-hook when the run ends, trap or not.  So a dropped ``Program``, its VM
-and every run's services go the moment their last reference does, and
-the cyclic collector finds nothing of them left to free.  Each case
-runs a program twice with the collector off, drops it, and checks
-both.
+hook when the run ends, trap or not.  The compiler's tree and graph
+walks run on explicit stacks, not self-recursive nested functions,
+each of which would tie a reference cycle through its own closure
+cell and keep the compile IR alive.  So a dropped ``Program``, its VM,
+its IR and every run's services go the moment their last reference
+does, and the cyclic collector finds nothing of them left to free.
+Each case compiles a program and runs it twice with the collector
+off, drops it, and checks both.
 """
 
 from __future__ import annotations
@@ -40,14 +43,14 @@ def _run(program, args, max_cycles):
 
 def traps_after_freeing(source, args=(), max_cycles=4_000_000_000,
                         **compile_options):
-    """Compile ``source``, run it twice with the collector disabled,
+    """Compile ``source`` and run it twice with the collector disabled,
     then drop the program and its results: assert that the program and
     its VM are gone and that a collection finds no cyclic garbage.
     Returns the runs' trap messages."""
-    program = compile_program(source, **compile_options)
     gc.collect()
     gc.disable()
     try:
+        program = compile_program(source, **compile_options)
         outcomes = [_run(program, args, max_cycles) for _ in range(2)]
         traps = [outcome for outcome in outcomes
                  if isinstance(outcome, str)]

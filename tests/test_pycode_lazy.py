@@ -211,7 +211,7 @@ class _RecordingPycode(PycodeBackend):
         self.installs = []
 
     def entry_installed(self, vm, entry) -> None:
-        self.installs.append((entry.checksum, entry.base))
+        self.installs.append((entry.canonical_words(), entry.base))
         super().entry_installed(vm, entry)
 
 
@@ -237,8 +237,8 @@ def test_entry_counts_and_plans_carry_across_installs() -> None:
         compiled.append(pycode.backend.segments_compiled)
     assert revivals and compactions
     bases = {}
-    for checksum, base in pycode.backend.installs:
-        bases.setdefault(checksum, set()).add(base)
+    for image, base in pycode.backend.installs:
+        bases.setdefault(image, set()).add(base)
     assert any(len(seen) > 1 for seen in bases.values())
     images = pycode.backend._entry_images[pycode._vm]
     assert len(images) == len(bases)
@@ -269,7 +269,6 @@ def _install(vm, backend, words):
                         pool=[], entry_offset=0,
                         report=StitchReport("f", 0))
     entry.place(vm.install_code(words))
-    entry.checksum = entry.compute_checksum()
     backend.entry_installed(vm, entry)
     return entry
 

@@ -139,9 +139,8 @@ def test_spilled_program_still_correct():
     assert program.run().value == expected
 
 
-#: prints, per program, every function's words and every region's
-#: template words by block label (a region's block order itself
-#: follows string hashing, so blocks are matched by label).
+#: prints, per program, every function's words, every region's
+#: template words by block label and every region's block order.
 DIGEST = r"""
 import json
 from repro import compile_program
@@ -167,16 +166,19 @@ for name, source in sorted(sources.items()):
         [("code", words(fn.code))]
         + [("%d:%s" % (region.region_id, label), words(block.instrs))
            for region in fn.regions
-           for label, block in region.blocks.items()])
+           for label, block in region.blocks.items()]
+        + [("%d:order" % region.region_id, list(region.blocks))
+           for region in fn.regions])
         for fn in program.compiled.values()}
 print(json.dumps(out))
 """
 
 
 def test_code_is_independent_of_the_hash_seed():
-    """Register numbers do not depend on the process's string hashing:
-    the Table 2 workloads and a few generated programs compile to the
-    same words under two hash seeds."""
+    """Register numbers and template block order do not depend on the
+    process's string hashing: the Table 2 workloads and a few generated
+    programs compile to the same words, with each region's blocks in
+    the same order, under two hash seeds."""
     import json
     import os
     import subprocess

@@ -18,7 +18,7 @@ import pytest
 
 from repro import BreakerConfig, FaultPlan, compile_program
 from repro.bench.cachepressure import compile_pressure_program
-from repro.codecache.policy import CostAwarePolicy
+from repro.codecache.policy import cost_aware_victim
 from repro.runtime.tiering import (
     TIER_COUNTER_CYCLES, TIER_DECIDE_CYCLES, TierPolicy,
 )
@@ -441,18 +441,17 @@ def test_cost_aware_eviction_protects_hot_entries():
     """Equal stitch cost and recency: the entry the tier controller
     has seen run hot survives; with hotness all zero (every non-tiered
     run) the historical order is untouched."""
-    policy = CostAwarePolicy()
     cold = _Entry(base=0, cycles=100, last_use=5)
     hot = _Entry(base=10, cycles=100, last_use=5, hotness=3)
-    assert policy.victim([cold, hot], tick=6) is cold
-    assert policy.victim([hot, cold], tick=6) is cold
+    assert cost_aware_victim([cold, hot], tick=6) is cold
+    assert cost_aware_victim([hot, cold], tick=6) is cold
     # hotness can outweigh a modest stitch-cost advantage...
     pricey_cold = _Entry(base=0, cycles=150, last_use=5)
-    assert policy.victim([pricey_cold, hot], tick=6) is pricey_cold
+    assert cost_aware_victim([pricey_cold, hot], tick=6) is pricey_cold
     # ...and all-zero hotness degrades to the historical score.
     a = _Entry(base=0, cycles=100, last_use=5)
     b = _Entry(base=10, cycles=100, last_use=7)
-    assert policy.victim([a, b], tick=8) is a
+    assert cost_aware_victim([a, b], tick=8) is a
 
 
 def test_tiered_bounded_cache_preserves_results():
