@@ -1,12 +1,14 @@
-"""Hand-rolled lexer for MiniC.
+"""Lexer for MiniC: one master regular expression.
 
 Produces a flat list of :class:`Token`.  Keywords include the paper's
 annotations (``dynamicRegion``, ``unrolled``, ``dynamic``, ``key``) as
-first-class tokens.
+first-class tokens.  docs/LANGUAGE.md ("Lexical structure") gives the
+rules.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import List
 
@@ -21,19 +23,42 @@ KEYWORDS = frozenset(
     ]
 )
 
-#: Multi-character operators, longest first so maximal munch works.
-_MULTI_OPS = [
-    "<<=", ">>=",
-    "->", "++", "--", "<<", ">>", "<=", ">=", "==", "!=", "&&", "||",
-    "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=",
-]
+#: Blanks before a token, then one alternative per token class, tried
+#: in this order.  A token's start is therefore its end minus its
+#: length, and line breaks only ever fall in ``space``, ``comment``,
+#: ``block`` and ``string`` matches.  An unterminated ``/*`` or string
+#: matches only its opener, and ``bad`` takes any other character, so
+#: the matches tile the source.  ``\d`` is a Unicode decimal digit,
+#: which is what ``int`` and ``float`` accept; ``\w`` is
+#: ``str.isalnum()`` or ``_``.  The identifier class also admits numeric
+#: characters such as ``²`` and ``½`` as a first character, which
+#: :func:`tokenize` then rejects.  Operators are listed longest first,
+#: so maximal munch holds.
+_TOKEN = re.compile(r"""
+    [ \t]*
+  (?:
+    (?P<space>[ \t\r\n]+)
+  | (?P<ident>[^\W\d]\w*)
+  | (?P<hex>0[xX][\da-fA-F]*)
+  | (?P<float>(?:\d+\.(?!\.)\d*|\.\d+)(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+)
+  | (?P<int>\d+)
+  | (?P<comment>//[^\n]*)
+  | (?P<block>/\*(?:[\s\S]*?\*/)?)
+  | (?P<string>"(?:[^"\\]*(?:\\[\s\S][^"\\]*)*")?)
+  | (?P<op><<=|>>=|->|\+\+|--|<<|>>|<=|>=|==|!=|&&|\|\||[-+*/%&|^]=
+         |[-+*/%<>=!&|^~?:;,.(){}\[\]])
+  | (?P<bad>[\s\S])
+  )""", re.VERBOSE)
 
-_SINGLE_OPS = set("+-*/%<>=!&|^~?:;,.(){}[]")
+_ESCAPE = re.compile(r"\\([\s\S])")
+_ESCAPES = {"n": "\n", "t": "\t"}
+
+_CONVERT = {"int": int, "float": float, "hex": lambda text: int(text, 16)}
 
 
 @dataclass
 class Token:
-    kind: str  # "int", "float", "ident", "kw", "op", "eof"
+    kind: str  # "int", "float", "ident", "kw", "op", "string", "eof"
     text: str
     line: int
     col: int
@@ -43,114 +68,75 @@ class Token:
         return "Token(%s, %r)" % (self.kind, self.text)
 
 
+def _stray_digit(source: str, end: int, exponent: bool) -> str:
+    """The digit that is not a decimal digit (``²``) which a number
+    ending at ``end`` runs into, directly or, when it may still take an
+    exponent, as that exponent (``1e²``); ``""`` if there is none."""
+    tail = source[end:end + 3]
+    if tail[:1].isdigit():
+        return tail[0]
+    if exponent and tail[:1] in ("e", "E"):
+        digit = tail[2:3] if tail[1:2] in ("+", "-") else tail[1:2]
+        if digit.isdigit():
+            return digit
+    return ""
+
+
 def tokenize(source: str) -> List[Token]:
     """Split MiniC source into tokens; raises LexError on bad input."""
     tokens: List[Token] = []
-    i = 0
+    append = tokens.append
     line = 1
-    col = 1
-    n = len(source)
-
-    def advance(count: int) -> None:
-        nonlocal i, line, col
-        for _ in range(count):
-            if i < n and source[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        ch = source[i]
-        if ch in " \t\r\n":
-            advance(1)
+    line_start = 0  # index of the current line's first character
+    for m in _TOKEN.finditer(source):
+        kind = m.lastgroup
+        text = m.group(kind)
+        end = m.end()
+        col = end - len(text) - line_start + 1
+        if kind == "op":
+            if text == "." and source[end:end + 1].isdigit():
+                raise LexError("invalid digit %r in number" % source[end],
+                               line, col)
+            append(Token("op", text, line, col, text))
             continue
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                advance(1)
+        if kind == "ident":
+            first = text[0]
+            if first != "_" and not first.isalpha():
+                if first.isdigit():
+                    raise LexError("invalid digit %r in number" % first,
+                                   line, col)
+                raise LexError("unexpected character %r" % first, line, col)
+            append(Token("kw" if text in KEYWORDS else "ident", text, line,
+                         col, text))
             continue
-        if source.startswith("/*", i):
-            start_line, start_col = line, col
-            advance(2)
-            while i < n and not source.startswith("*/", i):
-                advance(1)
-            if i >= n:
-                raise LexError("unterminated comment", start_line, start_col)
-            advance(2)
+        if kind == "int" or kind == "float" or kind == "hex":
+            stray = _stray_digit(source, end,
+                                 kind != "hex" and "e" not in text
+                                 and "E" not in text)
+            if stray:
+                raise LexError("invalid digit %r in number" % stray, line, col)
+            try:
+                value = _CONVERT[kind](text)
+            except ValueError:
+                raise LexError("malformed number %r" % text, line,
+                               col) from None
+            append(Token("float" if kind == "float" else "int", text, line,
+                         col, value))
             continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and source[i + 1].isdigit()):
-            start_line, start_col = line, col
-            j = i
-            is_float = False
-            if source.startswith("0x", i) or source.startswith("0X", i):
-                j = i + 2
-                while j < n and (source[j].isdigit() or source[j].lower() in "abcdef"):
-                    j += 1
-                text = source[i:j]
-                value: object = int(text, 16)
-            else:
-                while j < n and source[j].isdigit():
-                    j += 1
-                if j < n and source[j] == "." and not source.startswith("..", j):
-                    is_float = True
-                    j += 1
-                    while j < n and source[j].isdigit():
-                        j += 1
-                if j < n and source[j] in "eE":
-                    k = j + 1
-                    if k < n and source[k] in "+-":
-                        k += 1
-                    if k < n and source[k].isdigit():
-                        is_float = True
-                        j = k
-                        while j < n and source[j].isdigit():
-                            j += 1
-                text = source[i:j]
-                value = float(text) if is_float else int(text)
-            kind = "float" if is_float else "int"
-            tokens.append(Token(kind, text, start_line, start_col, value))
-            advance(j - i)
-            continue
-        if ch.isalpha() or ch == "_":
-            start_line, start_col = line, col
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            text = source[i:j]
-            kind = "kw" if text in KEYWORDS else "ident"
-            tokens.append(Token(kind, text, start_line, start_col, text))
-            advance(j - i)
-            continue
-        if ch == '"':
-            start_line, start_col = line, col
-            j = i + 1
-            chars: List[str] = []
-            while j < n and source[j] != '"':
-                if source[j] == "\\" and j + 1 < n:
-                    esc = source[j + 1]
-                    chars.append({"n": "\n", "t": "\t", "\\": "\\", '"': '"'}.get(esc, esc))
-                    j += 2
-                else:
-                    chars.append(source[j])
-                    j += 1
-            if j >= n:
-                raise LexError("unterminated string", start_line, start_col)
-            tokens.append(Token("string", source[i:j + 1], start_line, start_col,
-                                "".join(chars)))
-            advance(j + 1 - i)
-            continue
-        matched = None
-        for op in _MULTI_OPS:
-            if source.startswith(op, i):
-                matched = op
-                break
-        if matched is None and ch in _SINGLE_OPS:
-            matched = ch
-        if matched is None:
-            raise LexError("unexpected character %r" % ch, line, col)
-        tokens.append(Token("op", matched, line, col, matched))
-        advance(len(matched))
-
-    tokens.append(Token("eof", "", line, col))
+        if kind == "string":
+            if len(text) == 1:
+                raise LexError("unterminated string", line, col)
+            append(Token("string", text, line, col, _ESCAPE.sub(
+                lambda esc: _ESCAPES.get(esc.group(1), esc.group(1)),
+                text[1:-1])))
+        elif kind == "block" and len(text) == 2:
+            raise LexError("unterminated comment", line, col)
+        elif kind == "bad":
+            raise LexError("unexpected character %r" % text, line, col)
+        # space, comments and strings: count the line breaks they hold
+        newlines = text.count("\n")
+        if newlines:
+            line += newlines
+            line_start = source.rindex("\n", 0, end) + 1
+    tokens.append(Token("eof", "", line, len(source) - line_start + 1))
     return tokens

@@ -108,6 +108,23 @@ def test_compile_error_reported(tmp_path):
     assert "compile error" in proc.stderr
 
 
+def test_malformed_number_is_a_one_line_compile_error(tmp_path):
+    path = tmp_path / "bad.c"
+    path.write_text("int main() { return 0x; }")
+    proc = run_cli(str(path))
+    assert proc.returncode == 1
+    assert proc.stderr == "compile error: 1:21: malformed number '0x'\n"
+
+
+def test_deep_nesting_is_a_one_line_compile_error(tmp_path):
+    path = tmp_path / "deep.c"
+    path.write_text("int main() { return %s1%s; }" % ("(" * 2000, ")" * 2000))
+    proc = run_cli(str(path))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("compile error: 1:")
+    assert proc.stderr.endswith(": nesting too deep\n")
+
+
 def test_missing_file():
     proc = run_cli("/nonexistent/path.c")
     assert proc.returncode == 2
