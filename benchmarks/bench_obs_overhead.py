@@ -16,17 +16,21 @@ ways:
   a :class:`repro.obs.timeseries.TimeSeriesSampler` installed at its
   default cadence (the ``obs export`` / ``--metrics-out`` path).
 
-The relative differences are the disabled-path and sampling-path
-overheads.  CI runs this with ``--gate 2 --sampling-gate 5`` and fails
-if shipped is more than 2% slower than bare, or sampling more than 5%
-(the ISSUE/paper budget: observability must be free when off and
-cheap when sampling).
+Each round runs the three variants back to back, and a round's
+relative differences ``(shipped - bare) / bare`` and ``(sampling -
+bare) / bare`` are its paired overheads.  The disabled-path and
+sampling-path overheads are the medians of those paired overheads over
+all rounds: pairing cancels the host's drift between rounds, and the
+median ignores the rounds a neighbour's load landed on.  CI runs this
+with ``--gate 2 --sampling-gate 5`` and fails if shipped is more than
+2% slower than bare, or sampling more than 5% (the observability
+budget: free when off and cheap when sampling).
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_obs_overhead.py
     PYTHONPATH=src python benchmarks/bench_obs_overhead.py \
-        --gate 2 --sampling-gate 5
+        --runs 400 --gate 2 --sampling-gate 5
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ import argparse
 import json
 import sys
 import time
+from statistics import median
 from pathlib import Path
 from typing import Dict, List
 
@@ -76,26 +81,29 @@ def measure(runs: int) -> Dict[str, Dict[str, float]]:
         workload = builder()
         program = compile_program(workload.source, mode="dynamic")
         program.run()  # warm: build VM, load, first stitch
-        # Strictly alternate shipped/bare/sampling runs (best-of each)
-        # so CPU frequency drift hits every variant equally; sequential
-        # blocks here showed phantom multi-percent "overheads".
-        shipped = bare = sampling = float("inf")
+        # Strictly alternate shipped/bare/sampling runs and compare
+        # each round's runs with each other, so CPU frequency drift
+        # hits every variant equally; sequential blocks here showed
+        # phantom multi-percent "overheads".
+        shipped: List[float] = []
+        bare: List[float] = []
+        sampling: List[float] = []
         try:
             for _ in range(runs):
                 _RegionRuntime.lookup = shipped_lookup
                 t0 = time.perf_counter()
                 program.run()
-                shipped = min(shipped, time.perf_counter() - t0)
+                shipped.append(time.perf_counter() - t0)
                 _RegionRuntime.lookup = _bare_lookup
                 t0 = time.perf_counter()
                 program.run()
-                bare = min(bare, time.perf_counter() - t0)
+                bare.append(time.perf_counter() - t0)
                 _RegionRuntime.lookup = shipped_lookup
                 obs_registry.enable()
                 obs_ts.install(obs_ts.TimeSeriesSampler())
                 t0 = time.perf_counter()
                 program.run()
-                sampling = min(sampling, time.perf_counter() - t0)
+                sampling.append(time.perf_counter() - t0)
                 obs_ts.install(None)
                 obs_registry.reset()
                 obs_registry.disable()
@@ -103,26 +111,28 @@ def measure(runs: int) -> Dict[str, Dict[str, float]]:
             _RegionRuntime.lookup = shipped_lookup
             obs_ts.install(None)
             obs_registry.disable()
-        overhead = (shipped - bare) / bare * 100.0 if bare > 0 else 0.0
-        s_overhead = (sampling - bare) / bare * 100.0 if bare > 0 else 0.0
+        overhead = median((s - b) / b for s, b in zip(shipped, bare)) * 100
+        s_overhead = median(
+            (s - b) / b for s, b in zip(sampling, bare)) * 100
         rows[name] = {
-            "shipped_s": round(shipped, 6),
-            "bare_s": round(bare, 6),
-            "sampling_s": round(sampling, 6),
+            "shipped_s": round(median(shipped), 6),
+            "bare_s": round(median(bare), 6),
+            "sampling_s": round(median(sampling), 6),
             "overhead_pct": round(overhead, 3),
             "sampling_overhead_pct": round(s_overhead, 3),
         }
         print("%-22s shipped %8.4fs  bare %8.4fs  sampling %8.4fs  "
               "overhead %+6.2f%%  sampling %+6.2f%%"
-              % (name, shipped, bare, sampling, overhead, s_overhead))
+              % (name, median(shipped), median(bare), median(sampling),
+                 overhead, s_overhead))
     return rows
 
 
 def main(argv: List[str] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--runs", type=int, default=25,
-                        help="steady-state repetitions per variant "
-                             "(best-of; default 25)")
+                        help="interleaved rounds, one run of each "
+                             "variant a round (default 25)")
     parser.add_argument("--gate", type=float, default=None, metavar="PCT",
                         help="exit 1 if any workload's disabled-path "
                              "overhead exceeds PCT percent")

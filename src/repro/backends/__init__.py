@@ -7,7 +7,7 @@ backend-neutral.  Two backends ship:
 
 ``rvm``
     The default and the semantic oracle: per-instruction predecoded
-    closures plus the threaded/naive dispatch loops
+    handlers plus the threaded/naive dispatch loops
     (:mod:`repro.backends.rvm`).
 
 ``pycode``

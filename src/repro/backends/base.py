@@ -13,7 +13,7 @@ backend-neutral forms only:
 
 The backend decides what *host artifact* those become.  The ``rvm``
 backend is the bit-exact semantic oracle: per-instruction predecoded
-closures driven by the threaded dispatch loop.  The ``pycode`` backend
+handlers driven by the threaded dispatch loop.  The ``pycode`` backend
 overlays composed-closure "superhandlers" on top of the same installed
 words (see :mod:`repro.backends.pycode`).
 
@@ -28,9 +28,10 @@ The seam contract (see ``docs/BACKENDS.md``):
   only for non-ok runs).
 * **Runtime-service boundaries are exact.**  Whenever a ``call_rt``
   handler (region lookup, stitch, allocation, printing) runs,
-  ``vm.cycles`` and the owner cells must hold exactly the value the
-  ``rvm`` backend would show at that instruction -- tiering policies
-  and the time-series sampler read them mid-run.
+  ``vm.cycles`` and the VM's count cells (one per ``(owner, opcode,
+  cost)``, so ``vm.owner_cycles(owner)``) must hold exactly the values
+  the ``rvm`` backend would show at that instruction -- tiering
+  policies and the time-series sampler read them mid-run.
 * **Install state is shared.**  Every backend installs the same words
   at the same addresses through the same cache/arena path, so cache
   stats, entry pcs, compaction behavior and golden accounting stay

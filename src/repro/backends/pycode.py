@@ -45,18 +45,19 @@ Bit-identical accounting
 ------------------------
 
 A segment charges its cycles in bulk: the generated prologue adds the
-segment's total cost to the cycle counter and each owner/opcode cell
-exactly once.  Totals after the segment equal the rvm backend's
-per-instruction charges, and because **runtime calls terminate
-segments**, every ``call_rt`` handler (region lookup/stitch, tiering
-decisions, the time-series sampler, allocation, printing) observes
-exactly the same mid-run cycle counts as under rvm.  The cycle budget
-is prechecked against the segment total; if the segment would cross
-the budget, the superhandler defers to the saved per-instruction
-handler chain, which charges instruction-by-instruction and traps at
-exactly the pc rvm would trap at -- the precheck runs before any
-register is localized, so the deferred chain starts from pristine
-state.
+segment's total cost to the cycle counter and, once per distinct
+``(owner, opcode, cost)``, that key's execution count to its VM count
+cell (see :mod:`repro.machine.vm`).  Totals after the segment equal
+the rvm backend's per-instruction charges, and because **runtime calls
+terminate segments**, every ``call_rt`` handler (region lookup/stitch,
+tiering decisions, the time-series sampler, allocation, printing)
+observes exactly the same mid-run cycle counts as under rvm.  The
+cycle budget is prechecked against the segment total; if the segment
+would cross the budget, the superhandler defers to the saved
+per-instruction handler chain, which charges instruction-by-instruction
+and traps at exactly the pc rvm would trap at -- the precheck runs
+before any register is localized, so the deferred chain starts from
+pristine state.
 
 Relocation safety comes from pc-relativity: superhandlers compute
 every internal pc as ``pc + k`` from their call argument and read
@@ -121,15 +122,15 @@ Host-compile cost is kept off the steady path at four levels:
 * each entry image, keyed by function, region and its
   base-independent words (``CachedEntry.canonical_words``), is kept
   per VM with each leader's execution count and compiled plan --
-  factory, capture offsets and counter cells -- so a re-stitch of the
+  factory, capture offsets and count cells -- so a re-stitch of the
   same key on a later run, a revival and a copy at another base all
   replay the compiled segments with no discovery and no source
   generation, and keep counting the rest where the last install left
   off.  Equal canonical words are equal code, and generated code is
-  pc-relative, so one plan serves every base.  Owner/opcode cells
-  persist across :meth:`VM.reset_for_rerun` (they are zeroed in
-  place), so replayed closures keep charging the right counters; the
-  images are kept per VM and die with it.
+  pc-relative, so one plan serves every base.  Count cells persist
+  across :meth:`VM.reset_for_rerun` (they are zeroed in place), so
+  replayed closures keep charging the right counters; the images are
+  kept per VM and die with it.
 
 A fallback block is rebuilt every run and is not a cache entry, so it
 has no canonical image to carry counts by: each build gets a fresh
@@ -215,9 +216,9 @@ class _SegmentCodegen:
         #: loop-invariant regs whose coercion aliases may be hoisted
         #: out of the loop (filled by the first codegen pass).
         self.hoist_ok: frozenset = frozenset()
-        #: the owner and opcode counter cells the segment charges.
-        self.ocells: List[list] = []
-        self.opcells: List[list] = []
+        #: the ``(owner, opcode, cost)`` keys of the count cells the
+        #: segment charges -> their index among its cells.
+        self.keys: Dict[Tuple[str, str, int], int] = {}
         self._reset()
 
     def _reset(self) -> None:
@@ -605,47 +606,35 @@ class _SegmentCodegen:
 
     # -- assembly ----------------------------------------------------------
 
-    def generate(self) -> Tuple[str, Tuple[int, ...], tuple, tuple,
-                                tuple]:
-        """Returns ``(source, capture offsets, fn captures, owner
-        cells, opcode cells)``; the captured instructions are the
-        words at the leader-relative capture offsets."""
+    def generate(self) -> Tuple[str, Tuple[int, ...], tuple, tuple]:
+        """Returns ``(source, capture offsets, fn captures, count
+        cells)``; the captured instructions are the words at the
+        leader-relative capture offsets."""
         lines = self._generate_loop() if self.loop \
             else self._generate_straight()
         source = "\n".join(lines) + "\n"
+        cells = tuple(self.vm._count_cell(*key) for key in self.keys)
         return (source, tuple(self.capture_ks), tuple(self.captured_fns),
-                tuple(self.ocells), tuple(self.opcells))
+                cells)
 
     def _charges(self, instrs: Sequence[MInstr]):
-        """The cost of ``instrs`` and their charges per counter cell:
-        ``({owner cell index: [cycles, instrs]}, {opcode cell index:
-        count})``, indexing ``self.ocells`` and ``self.opcells``, where
-        a cell is appended when first seen (so a loop's blocks share
-        them)."""
-        def index(cells: List[list], cell: list) -> int:
-            for j, known in enumerate(cells):
-                if known is cell:
-                    return j
-            cells.append(cell)
-            return len(cells) - 1
-
+        """The cost of ``instrs`` and their executions per count cell,
+        ``{cell index: count}``, where a cell gets the next index when
+        first seen (so a loop's blocks share them)."""
         cost = 0
-        owners: Dict[int, List[int]] = {}
-        ops: Dict[int, int] = {}
+        counts: Dict[int, int] = {}
+        keys = self.keys
         for instr in instrs:
             cost += instr.cost
-            j = index(self.ocells, self.vm._owner_cell(instr.owner))
-            totals = owners.setdefault(j, [0, 0])
-            totals[0] += instr.cost
-            totals[1] += 1
-            j = index(self.opcells, self.vm._op_cell(instr.op))
-            ops[j] = ops.get(j, 0) + 1
-        return cost, owners, ops
+            j = keys.setdefault((instr.owner, instr.op, instr.cost),
+                                len(keys))
+            counts[j] = counts.get(j, 0) + 1
+        return cost, counts
 
     def _generate_straight(self) -> List[str]:
         """Assemble the straight-line form: one bulk charge, then the
         instructions."""
-        seg_cost, owners, ops = self._charges(self.instrs)
+        seg_cost, counts = self._charges(self.instrs)
         for k, instr in enumerate(self.instrs):
             if instr.op in _TERMINATORS:
                 self._emit_writeback()
@@ -662,11 +651,8 @@ class _SegmentCodegen:
         lines.append("        if projected > maxc[0]:")
         lines.append("            return origin(pc)")
         lines.append("        cyc[0] = projected")
-        for j, (cost, count) in owners.items():
-            lines.append("        oc%d[0] += %d" % (j, cost))
-            lines.append("        oc%d[1] += %d" % (j, count))
-        for j, count in ops.items():
-            lines.append("        opc%d[0] += %d" % (j, count))
+        for j, count in counts.items():
+            lines.append("        kc%d[0] += %d" % (j, count))
         for line in self.body:
             lines.append("        " + line)
         lines.append("    seg._pycode_segment = True")
@@ -674,7 +660,7 @@ class _SegmentCodegen:
         return lines
 
     def _factory_header(self) -> List[str]:
-        lines = ["def _factory(vm, instrs, fns, origin, ocells, opcells):"]
+        lines = ["def _factory(vm, instrs, fns, origin, kcells):"]
         lines.append("    regs = vm.regs")
         lines.append("    cyc = vm._cyc")
         lines.append("    maxc = vm._maxc")
@@ -683,10 +669,8 @@ class _SegmentCodegen:
             lines.append("    memlen = vm.memory_words")
         if "call_rt" in self.needs:
             lines.append("    rt = vm._rt")
-        for j in range(len(self.ocells)):
-            lines.append("    oc%d = ocells[%d]" % (j, j))
-        for j in range(len(self.opcells)):
-            lines.append("    opc%d = opcells[%d]" % (j, j))
+        for j in range(len(self.keys)):
+            lines.append("    kc%d = kcells[%d]" % (j, j))
         for line in self.setup:
             lines.append("    " + line)
         return lines
@@ -721,8 +705,8 @@ class _SegmentCodegen:
         head = self.instrs
         body = self.body_instrs
         term = head[-1]
-        cost_h, oth, pth = self._charges(head)
-        cost_b, otb, ptb = self._charges(body or ())
+        cost_h, counts_h = self._charges(head)
+        cost_b, counts_b = self._charges(body or ())
 
         def emit_blocks():
             """Emit head (minus terminator) and body (minus the final
@@ -768,16 +752,10 @@ class _SegmentCodegen:
             executions; ``corr`` backs the unexecuted block out of
             ``projected``."""
             ls = ["cyc[0] = projected" + (" - %d" % corr if corr else "")]
-            for j in range(len(self.ocells)):
-                for slot in (0, 1):
-                    per = oth.get(j, (0, 0))[slot] + otb.get(j, (0, 0))[slot]
-                    fix = dh * oth.get(j, (0, 0))[slot] \
-                        + db * otb.get(j, (0, 0))[slot]
-                    ls.extend(_scaled_add("oc%d[%d]" % (j, slot), per, fix))
-            for j in range(len(self.opcells)):
-                per = pth.get(j, 0) + ptb.get(j, 0)
-                fix = dh * pth.get(j, 0) + db * ptb.get(j, 0)
-                ls.extend(_scaled_add("opc%d[0]" % j, per, fix))
+            for j in range(len(self.keys)):
+                in_head, in_body = counts_h.get(j, 0), counts_b.get(j, 0)
+                ls.extend(_scaled_add("kc%d[0]" % j, in_head + in_body,
+                                      dh * in_head + db * in_body))
             return ls
 
         lines = self._factory_header()
@@ -1117,10 +1095,10 @@ class PycodeBackend(ExecutionBackend):
         """The superhandler of ``plan`` at ``leader``: the factory bound
         to the words installed there, deferring to ``origin`` (always a
         per-instruction handler, never a stub)."""
-        factory, ks, fns, ocells, opcells = plan
+        factory, ks, fns, kcells = plan
         code = vm.code
         return factory(vm, tuple(code[leader + k] for k in ks), fns,
-                       origin, ocells, opcells)
+                       origin, kcells)
 
     def _find_loop_body(self, vm, leader: int, head_len: int,
                         term: MInstr, start: int, end: int):
@@ -1157,8 +1135,8 @@ class PycodeBackend(ExecutionBackend):
         """Generate and compile the segment at ``leader``: straight-line
         code up to its first terminator or ``limit``, with a loop body
         looked for inside ``[start, end)``.  Returns its plan
-        ``(factory, capture offsets, fns, owner cells, opcode cells)``
-        for :meth:`_instantiate`, or None when it does not compile."""
+        ``(factory, capture offsets, fns, count cells)`` for
+        :meth:`_instantiate`, or None when it does not compile."""
         code = vm.code
         instrs: List[MInstr] = []
         falls_through = True
@@ -1199,7 +1177,7 @@ class PycodeBackend(ExecutionBackend):
         gen = _SegmentCodegen(vm, leader, instrs, falls_through,
                               loop=loop, body_instrs=body_instrs,
                               body_off=body_off)
-        source, ks, fns, ocells, opcells = gen.generate()
+        source, ks, fns, kcells = gen.generate()
         factory = _FACTORY_CACHE.get(source)
         if factory is None:
             namespace = dict(_EXEC_NAMESPACE)
@@ -1208,4 +1186,4 @@ class PycodeBackend(ExecutionBackend):
         else:
             self.factory_cache_hits += 1
         self.segments_compiled += 1
-        return factory, ks, fns, ocells, opcells
+        return factory, ks, fns, kcells

@@ -6,14 +6,16 @@ This is the historical execution engine extracted out of
 here:
 
 * :func:`predecode` -- specialize one installed :class:`MInstr` into a
-  threaded handler closure.  The ~20 near-identical ``def handler(pc)``
-  bodies the VM used to inline are deduplicated into a *table-driven
+  threaded handler.  The ~20 near-identical ``def handler(pc)`` bodies
+  the VM used to inline are deduplicated into a *table-driven
   builder*: every opcode contributes only its semantic body (a few
   source lines); one shared template supplies the accounting prelude
-  (charge cost to the owner/opcode cells, check the cycle budget) and
-  the closure scaffolding.  The factories are generated once at import
-  time with :func:`exec`, so per-instruction predecode cost is a dict
-  probe plus one factory call -- the same as the hand-written version.
+  (add the cost to the cycle total, bump the instruction's count cell,
+  check the cycle budget) and binds everything the body reads as
+  default arguments, so a handler holds no closure cell.  The factories
+  are generated once at import time with :func:`exec`, so
+  per-instruction predecode cost is a dict probe plus one factory
+  call -- the same as the hand-written version.
 
 * :class:`RVMBackend` -- the naive decode loop and the threaded
   dispatch loop as two methods of one backend class.  Every run uses
@@ -29,7 +31,8 @@ an import cycle.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Tuple
+from types import CodeType
+from typing import Callable, Dict, List, Tuple
 
 from ..errors import VMError
 from ..ir.semantics import EvalTrap, binop_impl  # noqa: F401 (exec ns)
@@ -50,11 +53,12 @@ Handler = Callable[[int], int]
 # Each entry is (setup, body): ``setup`` runs once at predecode time
 # (extra per-instruction bindings beyond the standard ones), ``body``
 # is the handler's semantics after the shared accounting prelude.
-# Bodies end with a ``return`` of the next pc.
+# Bodies end with a ``return`` of the next pc.  ``%(binds)s`` becomes
+# one default argument per factory name the prelude and body read.
 # ---------------------------------------------------------------------------
 
 _FACTORY_TEMPLATE = """\
-def _factory(vm, instr, cyc, maxc, ocell, opcell):
+def _factory(vm, instr, cyc, maxc, count):
     regs = vm.regs
     memory = vm.memory
     memlen = vm.memory_words
@@ -64,12 +68,10 @@ def _factory(vm, instr, cyc, maxc, ocell, opcell):
     rb = instr.rb
     imm = instr.imm
 %(setup)s
-    def handler(pc):
+    def handler(pc%(binds)s):
         total = cyc[0] + cost
         cyc[0] = total
-        ocell[0] += cost
-        ocell[1] += 1
-        opcell[0] += 1
+        count[0] += 1
         if total > maxc[0]:
             raise VMError("cycle budget exceeded")
 %(body)s
@@ -237,14 +239,24 @@ def _build_factories() -> Dict[str, Callable]:
     }
     factories: Dict[str, Callable] = {}
     for spec, (setup, body) in _HANDLER_TABLE.items():
-        source = _FACTORY_TEMPLATE % {
-            "setup": _indent(setup, 4),
-            "body": _indent(body, 8),
-        }
+        parts = {"setup": _indent(setup, 4), "body": _indent(body, 8),
+                 "binds": ""}
+        # Compile once with closures to learn which names the handler
+        # reads, then bind exactly those as defaults.
+        factory_code = _code_consts(compile(
+            _FACTORY_TEMPLATE % parts, "<probe>", "exec"))[0]
+        names = _code_consts(factory_code)[0].co_freevars
+        parts["binds"] = "".join(", %s=%s" % (name, name) for name in names)
         namespace = dict(namespace_base)
-        exec(compile(source, "<rvm-handler:%s>" % spec, "exec"), namespace)
+        exec(compile(_FACTORY_TEMPLATE % parts, "<rvm-handler:%s>" % spec,
+                     "exec"), namespace)
         factories[spec] = namespace["_factory"]
     return factories
+
+
+def _code_consts(code: CodeType) -> List[CodeType]:
+    return [const for const in code.co_consts
+            if isinstance(const, CodeType)]
 
 
 _FACTORIES = _build_factories()
@@ -269,7 +281,7 @@ for _op in FALU_OPS:
 def _wrap_rd_zero(regs, inner: Handler) -> Handler:
     """r31 reads as zero: perform the operation (traps and memory
     faults still fire) but discard the result."""
-    def handler(pc: int) -> int:
+    def handler(pc: int, inner=inner, regs=regs) -> int:
         next_pc = inner(pc)
         regs[ZERO] = 0
         return next_pc
@@ -279,9 +291,9 @@ def _wrap_rd_zero(regs, inner: Handler) -> Handler:
 def predecode(vm, instr: MInstr) -> Handler:
     """Specialize one installed instruction into a threaded handler.
 
-    Every handler charges its pre-bound cost to the pre-bound owner and
-    opcode cells, checks the cycle budget, performs the operation and
-    returns the next pc.
+    Every handler adds its bound cost to the cycle total, bumps the
+    bound count cell of its ``(owner, opcode, cost)``, checks the cycle
+    budget, performs the operation and returns the next pc.
     """
     op = instr.op
     spec = _SPEC_BY_OP.get(op)
@@ -293,8 +305,7 @@ def predecode(vm, instr: MInstr) -> Handler:
         else:
             spec = "unknown"
     handler = _FACTORIES[spec](vm, instr, vm._cyc, vm._maxc,
-                               vm._owner_cell(instr.owner),
-                               vm._op_cell(op))
+                               vm._count_cell(instr.owner, op, instr.cost))
     if instr.rd == ZERO and op in RD_WRITING_OPS:
         handler = _wrap_rd_zero(vm.regs, handler)
     return handler
@@ -338,11 +349,11 @@ class RVMBackend(ExecutionBackend):
 
         This is the dispatch loop the predecoded handlers replaced.  It
         is retained deliberately, as the oracle for the fast path: each
-        step charges the same pre-assigned cost to the same owner and
-        opcode cells, checks the same budget, raises the same faults
-        with the same messages, reads never-written memory as 0 and
-        discards results written to r31, so both dispatchers must
-        produce bit-identical accounting.
+        step charges the same pre-assigned cost, bumps the same count
+        cell, checks the same budget, raises the same faults with the
+        same messages, reads never-written memory as 0 and discards
+        results written to r31, so both dispatchers must produce
+        bit-identical accounting.
         """
         regs = vm.regs
         memory = vm.memory
@@ -356,13 +367,9 @@ class RVMBackend(ExecutionBackend):
             instr = code[pc]
             op = instr.op
             cost = instr.cost
-            ocell = vm._owner_cell(instr.owner)
-            opcell = vm._op_cell(op)
             total = cyc[0] + cost
             cyc[0] = total
-            ocell[0] += cost
-            ocell[1] += 1
-            opcell[0] += 1
+            vm._count_cell(instr.owner, op, cost)[0] += 1
             if total > maxc[0]:
                 raise VMError("cycle budget exceeded")
             rd = instr.rd

@@ -255,7 +255,11 @@ class TypeChecker:
         assert self._info is not None
         if name in self._scope.names:
             raise TypeError_("redeclaration of %s" % name, line, col)
-        count = self._rename_counts.get(name, 0)
+        # A local never takes a global's name: the builder looks names
+        # up in locals first, so a closed block's ``g`` would otherwise
+        # shadow the global ``g`` for the rest of the function.
+        count = self._rename_counts.get(
+            name, 1 if name in self._result.globals else 0)
         self._rename_counts[name] = count + 1
         new_name = name if count == 0 else "%s$%d" % (name, count)
         self._scope.names[name] = new_name

@@ -10,23 +10,26 @@ Execution fast path
 -------------------
 
 Instructions are *predecoded* when installed: :meth:`VM.install_code`
-resolves each :class:`MInstr` into a specialized closure with its
-operands, cycle cost, owner counters and opcode counter pre-bound
-(immediate and register ALU forms get distinct handlers), stored in a
-``handlers`` list parallel to ``code``.  The interpreter loop is then
-threaded dispatch -- ``pc = handlers[pc](pc)`` -- instead of an
-opcode-comparison chain with four accounting dict lookups per
-instruction.  Branch targets (``instr.target`` / ``instr.extra``) are
-still read at execution time because the loader and the stitcher
-resolve labels *after* installing code.
+resolves each :class:`MInstr` into a specialized handler function whose
+operands, cycle cost and count cell are bound as default arguments,
+evaluated once at predecode (immediate and register ALU forms get
+distinct handlers), stored in a ``handlers`` list parallel to
+``code``.  An installed instruction is one function and one defaults
+tuple: no closure cell.  The interpreter loop is then threaded
+dispatch -- ``pc = handlers[pc](pc)`` -- instead of an
+opcode-comparison chain.  Branch targets (``instr.target`` /
+``instr.extra``) are still read at execution time because the loader
+and the stitcher resolve labels *after* installing code.
 
-Accounting is kept in per-owner and per-opcode counter cells (plain
-lists, mutated in place by the handlers); ``cycles``,
-``cycles_by_owner``, ``instrs_by_owner`` and ``op_counts`` are
-reconstructed from the cells on access, bit-identical to what the
-per-instruction dict updates used to produce.  The simulated cost
-model is therefore completely independent of the host-side speed of
-the dispatch implementation.
+Each executed instruction records one event: it adds its cost to the
+cycle total and bumps one *count cell*, shared by every instruction
+with the same ``(owner, opcode, cost)`` and created when the first of
+them is predecoded.  ``cycles_by_owner``, ``instrs_by_owner`` and
+``op_counts`` are derived from those counts (plus what :meth:`VM.charge`
+adds) on access, with owners and opcodes in the order they were first
+seen, bit-identical to what per-instruction dict updates used to
+produce.  The simulated cost model is therefore completely independent
+of the host-side speed of the dispatch implementation.
 
 Runtime services (``call_rt``) cover allocation, printing, the pure
 math builtins, and the two dynamic-compilation hooks
@@ -83,7 +86,7 @@ class VM:
     below its top), so a large address space costs nothing until it is
     written.  Ints and floats are not tracked by the cyclic GC, and
     neither is a plain dict holding only them, so no collection walks
-    data memory.  Predecoded handlers capture the dict object: it is
+    data memory.  Predecoded handlers bind the dict object: it is
     cleared in place, never rebound.
     """
 
@@ -97,16 +100,19 @@ class VM:
         #: predecoded handlers, parallel to ``code``.
         self.handlers: List[Handler] = []
         self.regs: List[Number] = [0] * 64
-        # Accounting lives in single-element list cells so predecoded
-        # handlers can mutate them without attribute lookups; the
-        # public counters are reconstructed by the properties below.
+        # Accounting lives in single-element list cells so handlers
+        # can mutate them without attribute lookups; the public
+        # counters are derived by the properties below.
         self._cyc = [0]
         self._maxc = [max_cycles]
-        #: owner -> [cycles, instrs, charged?] (charged? marks owners
-        #: touched by charge() so zero-cycle charges still surface).
-        self._owner_cells: Dict[str, List] = {}
-        #: opcode -> [executed count].
-        self._op_cells: Dict[str, List[int]] = {}
+        #: (owner, opcode, cost) -> [executions]: the one count cell an
+        #: executed instruction bumps.
+        self._counts: Dict[Tuple[str, str, int], List[int]] = {}
+        #: owner -> [cycles, instrs, charged?, [(cost, count cell)...]]:
+        #: what charge() added (charged? marks owners touched by it, so
+        #: zero-cycle charges still surface) and the owner's count
+        #: cells, in the order owners were first seen.
+        self._owners: Dict[str, list] = {}
         self.output: List[Number] = []
         #: the heap frontier: ``alloc`` bumps it.
         self.heap_next = self.HEAP_BASE
@@ -134,32 +140,58 @@ class VM:
     def max_cycles(self, value: int) -> None:
         self._maxc[0] = value
 
+    def _owner_totals(self):
+        """``(owner, cycles, instrs, charged?)`` per owner, in the
+        order owners were first seen."""
+        for owner, (cycles, instrs, charged, cells) in self._owners.items():
+            for cost, cell in cells:
+                cycles += cost * cell[0]
+                instrs += cell[0]
+            yield owner, cycles, instrs, charged
+
     @property
     def cycles_by_owner(self) -> Dict[str, int]:
-        return {owner: cell[0] for owner, cell in self._owner_cells.items()
-                if cell[1] or cell[2]}
+        return {owner: cycles
+                for owner, cycles, instrs, charged in self._owner_totals()
+                if instrs or charged}
 
     @property
     def instrs_by_owner(self) -> Dict[str, int]:
-        return {owner: cell[1] for owner, cell in self._owner_cells.items()
-                if cell[1]}
+        return {owner: instrs
+                for owner, _, instrs, _ in self._owner_totals() if instrs}
 
     @property
     def op_counts(self) -> Dict[str, int]:
         """Executed-instruction histogram by opcode (cost-model input)."""
-        return {op: cell[0] for op, cell in self._op_cells.items()
-                if cell[0]}
+        counts: Dict[str, int] = {}
+        for (_, op, _), cell in self._counts.items():
+            counts[op] = counts.get(op, 0) + cell[0]
+        return {op: count for op, count in counts.items() if count}
 
-    def _owner_cell(self, owner: str) -> List:
-        cell = self._owner_cells.get(owner)
-        if cell is None:
-            cell = self._owner_cells[owner] = [0, 0, False]
-        return cell
+    def owner_cycles(self, owner: str) -> int:
+        """The cycles charged to ``owner`` so far (0 if never seen)."""
+        record = self._owners.get(owner)
+        if record is None:
+            return 0
+        total = record[0]
+        for cost, cell in record[3]:
+            total += cost * cell[0]
+        return total
 
-    def _op_cell(self, op: str) -> List[int]:
-        cell = self._op_cells.get(op)
+    def _owner(self, owner: str) -> list:
+        record = self._owners.get(owner)
+        if record is None:
+            record = self._owners[owner] = [0, 0, False, []]
+        return record
+
+    def _count_cell(self, owner: str, op: str, cost: int) -> List[int]:
+        """The count cell of ``(owner, op, cost)``, created (and its
+        owner registered) on first sight."""
+        key = (owner, op, cost)
+        cell = self._counts.get(key)
         if cell is None:
-            cell = self._op_cells[op] = [0]
+            cell = self._counts[key] = [0]
+            self._owner(owner)[3].append((cost, cell))
         return cell
 
     # -- code & memory -----------------------------------------------------
@@ -250,12 +282,11 @@ class VM:
 
     def charge(self, owner: str, cycles: int, instrs: int = 0) -> None:
         """Attribute synthetic work (e.g. the stitcher's) to ``owner``."""
-        cell = self._owner_cell(owner)
+        record = self._owner(owner)
         self._cyc[0] += cycles
-        cell[0] += cycles
-        cell[2] = True
-        if instrs:
-            cell[1] += instrs
+        record[0] += cycles
+        record[1] += instrs
+        record[2] = True
 
     # -- re-run support ----------------------------------------------------
 
@@ -274,12 +305,12 @@ class VM:
         for i in range(64):
             regs[i] = 0
         self._cyc[0] = 0
-        for cell in self._owner_cells.values():
+        for cell in self._counts.values():
             cell[0] = 0
-            cell[1] = 0
-            cell[2] = False
-        for op_cell in self._op_cells.values():
-            op_cell[0] = 0
+        for record in self._owners.values():
+            record[0] = 0
+            record[1] = 0
+            record[2] = False
         self.output = []
         self.memory.clear()
         self.heap_next = self.HEAP_BASE

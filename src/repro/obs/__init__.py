@@ -20,7 +20,7 @@ Three layers, all zero-dependency and all disabled (free) by default:
 * :mod:`repro.obs.history` -- the perf-trajectory flight recorder
   (``BENCH_<name>.json`` entries + best-of-last-N regression gates);
 * :mod:`repro.obs.profiler` / :mod:`repro.obs.breakeven` -- post-run
-  views over the VM's per-owner counter cells: simulated-cycle
+  views over the VM's per-owner accounting: simulated-cycle
   profiles and the paper's Table 2 break-even economics per region.
 
 CLI: ``python -m repro.obs report`` (break-even tables over the bench

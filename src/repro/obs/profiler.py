@@ -1,8 +1,9 @@
 """VM profiler: per-owner / per-region simulated-cycle profiles.
 
-The RVM's predecoded threaded dispatch keeps its accounting in
-per-owner counter cells (see :mod:`repro.machine.vm`); this module
-turns a run's copy of them (a :class:`~repro.runtime.engine.RunResult`)
+The RVM's predecoded threaded dispatch counts each executed
+instruction in one count cell per ``(owner, opcode, cost)`` and derives
+per-owner totals from them (see :mod:`repro.machine.vm`); this module
+turns a run's copy of those totals (a :class:`~repro.runtime.engine.RunResult`)
 into structured profiles: cycles and instruction counts grouped by owner *kind*
 (function body, region set-up, stitched code, stitcher, dispatch glue,
 static-mode region body) and aggregated per dynamic region.
@@ -82,7 +83,7 @@ class RegionProfile:
 class Profile:
     """A whole run's owner-cell accounting, structured."""
 
-    #: owner tag -> (cycles, instrs), verbatim from the counter cells.
+    #: owner tag -> (cycles, instrs), verbatim from the run's accounting.
     owners: Dict[str, Tuple[int, int]]
     #: owner kind -> (cycles, instrs) totals.
     by_kind: Dict[str, Tuple[int, int]]

@@ -46,6 +46,9 @@ def fold_constants(func: Function) -> int:
         round_changes = 0
         for name in func.rpo():
             block = func.blocks[name]
+            # Phis stay a leading run: a phi folded to an Assign joins
+            # the rest of the block, after every surviving phi.
+            new_phis = []
             new_instrs = []
             for instr in block.instrs:
                 if known:
@@ -84,8 +87,10 @@ def fold_constants(func: Function) -> int:
                             new_instrs.append(Assign(instr.dst, first))
                             round_changes += 1
                             continue
+                    new_phis.append(instr)
+                    continue
                 new_instrs.append(instr)
-            block.instrs = new_instrs
+            block.instrs = new_phis + new_instrs
             term = block.terminator
             if term is not None and known:
                 term.replace_uses(known)

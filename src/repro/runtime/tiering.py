@@ -274,17 +274,13 @@ class TierController:
     def count(self, func: str, region_id: int, key: Key) -> int:
         return self._state((func, region_id)).counts.get(key, 0)
 
-    def _fallback_owner_cycles(self, region: RegionId) -> int:
-        cell = self.vm._owner_cells.get("fallback:%s:%d" % region)
-        return cell[0] if cell is not None else 0
-
     def _settle(self, region: RegionId, state: _RegionState) -> None:
         """Attribute fallback cycles accrued since the last settlement
         to the key whose execution produced them.  Region entries never
         nest into the same region (the fallback tier's documented
         reentrancy limit), so by the time the region is entered again
         the pending execution has fully completed."""
-        current = self._fallback_owner_cycles(region)
+        current = self.vm.owner_cycles("fallback:%s:%d" % region)
         pending = state.pending
         if pending is not None:
             cell = state.measured.get(pending)

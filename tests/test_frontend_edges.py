@@ -35,6 +35,27 @@ def test_deeply_nested_blocks():
     assert run("int main() { int x = 0; %s return x; }" % body) == 1
 
 
+#: a global read after a block that declared a local of its name, and
+#: a local of that name still in scope, which wins over the global.
+SHADOWING = {
+    "int g = 5; int main() { { int g = 1; } return g; }": 5,
+    "int g = 5; int main() { int g = 1; { int h = g; } return g; }": 1,
+    "int g = 5; int main() { { int g = 1; g = 7; } g = g + 1; return g; }":
+        6,
+    "int g = 5; int f(int g) { return g + 1; }"
+    " int main() { return f(10) + g; }": 16,
+}
+
+
+@pytest.mark.parametrize("backend", ("rvm", "pycode"))
+@pytest.mark.parametrize("mode", ("static", "dynamic"))
+@pytest.mark.parametrize("source", sorted(SHADOWING))
+def test_a_closed_local_does_not_shadow_a_global(source, mode, backend):
+    assert run(source) == SHADOWING[source]
+    program = compile_program(source, mode=mode, backend=backend)
+    assert program.run().value == SHADOWING[source]
+
+
 def test_comment_between_tokens():
     assert run("int main() { return 1 /*x*/ + /*y*/ 2; }") == 3
 

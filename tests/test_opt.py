@@ -3,7 +3,9 @@ semantics (checked through the reference interpreter)."""
 
 import copy
 
-from repro.ir.instructions import Assign, BinOp, CondBr, Load, Switch
+import pytest
+
+from repro.ir.instructions import Assign, BinOp, CondBr, Load, Phi, Switch
 from repro.ir.ssa import to_ssa
 from repro.opt.copyprop import copy_propagation
 from repro.opt.cse import common_subexpression_elimination
@@ -12,9 +14,10 @@ from repro.opt.fold import fold_constants
 from repro.opt.pipeline import OptOptions, optimize
 from repro.opt.simplify import merge_blocks, simplify_algebraic
 from repro.ir.values import IntConst
+from repro.runtime.engine import compile_program
 from repro.runtime.interp import Interpreter
 
-from helpers import build
+from helpers import build, interp_run
 
 
 def prepare(source, func="main"):
@@ -91,6 +94,36 @@ def test_fold_through_phi_of_identical():
     fold_constants(f)
     assert Interpreter(module).run("main", [1]) == 7
     assert Interpreter(module).run("main", [0]) == 7
+
+
+#: a constant-folded ``&&`` over nested conditionals: folding a phi of
+#: identical arguments in ``ljoin4`` used to leave its Assign ahead of
+#: the next phi, whose argument from a later-removed predecessor then
+#: survived until ``simplify_phis`` crashed on it.
+FOLDED_AND_OVER_CONDITIONALS = (
+    "int main() { int x = 1; int b = 0; "
+    "b += (1 && !x * (b += ((b < 3 ? x : b) < 3 ? x : b))); return b; }")
+
+
+def test_fold_keeps_phis_at_the_head_of_their_block():
+    module, f = prepare(FOLDED_AND_OVER_CONDITIONALS)
+    optimize(f, OptOptions(max_rounds=1))
+    assert fold_constants(f)  # the second round's fold
+    for block in f.blocks.values():
+        heads = [isinstance(instr, Phi) for instr in block.instrs]
+        assert heads == sorted(heads, reverse=True), block.name
+    f.verify()
+    optimize(f)
+    assert Interpreter(module).run("main") == 1
+
+
+@pytest.mark.parametrize("backend", ("rvm", "pycode"))
+@pytest.mark.parametrize("mode", ("static", "dynamic"))
+def test_folded_and_over_conditionals_compiles(mode, backend):
+    assert interp_run(FOLDED_AND_OVER_CONDITIONALS) == (1, [])
+    program = compile_program(FOLDED_AND_OVER_CONDITIONALS, mode=mode,
+                              backend=backend)
+    assert program.run().value == 1
 
 
 # -- copy propagation ---------------------------------------------------------

@@ -54,6 +54,18 @@ def test_shadowing_renames():
     assert "y" in names and "y$1" in names
 
 
+def test_a_local_never_takes_a_global_name():
+    checked = check_src("""
+        int g;
+        int f(int g) {
+            { int g = 2; }
+            return g;
+        }
+    """)
+    assert set(checked.functions["f"].locals) == {"g$1", "g$2"}
+    assert checked.functions["f"].params[0][0] == "g$1"
+
+
 def test_duplicate_function():
     with pytest.raises(TypeError_):
         check_src("int f() { return 0; } int f() { return 1; }")
