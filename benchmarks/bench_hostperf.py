@@ -31,16 +31,19 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from pathlib import Path
 from typing import Callable, List
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-if not any(Path(p).resolve() == REPO_ROOT / "src"
-           for p in sys.path if p):
+# An explicit PYTHONPATH names the tree to measure; without one, this
+# checkout's src/ is measured.
+if not os.environ.get("PYTHONPATH"):
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
+import repro  # noqa: E402
 from repro.machine.vm import VM  # noqa: E402
 from repro.obs.history import hostperf_rows, hostperf_workloads  # noqa: E402
 from repro.runtime.engine import compile_program  # noqa: E402
@@ -94,6 +97,7 @@ def rvm_rt_share(builder: Callable, steady_runs: int) -> float:
 
 
 def main(argv: List[str] = None) -> int:
+    print("repro: %s" % Path(repro.__file__).resolve().parent)
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true",
                         help="smoke mode: two workloads, one timed "

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from statistics import median
@@ -44,10 +45,12 @@ from pathlib import Path
 from typing import Dict, List
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-if not any(Path(p).resolve() == REPO_ROOT / "src"
-           for p in sys.path if p):
+# An explicit PYTHONPATH names the tree to measure; without one, this
+# checkout's src/ is measured.
+if not os.environ.get("PYTHONPATH"):
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
+import repro  # noqa: E402
 from repro.codecache import CacheKey, region_key  # noqa: E402
 from repro.machine.isa import CPOOL  # noqa: E402
 from repro.obs import timeseries as obs_ts  # noqa: E402
@@ -129,6 +132,7 @@ def measure(runs: int) -> Dict[str, Dict[str, float]]:
 
 
 def main(argv: List[str] = None) -> int:
+    print("repro: %s" % Path(repro.__file__).resolve().parent)
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--runs", type=int, default=25,
                         help="interleaved rounds, one run of each "

@@ -32,21 +32,25 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Dict, List
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-if not any(Path(p).resolve() == REPO_ROOT / "src"
-           for p in sys.path if p):
+# An explicit PYTHONPATH names the tree to measure; without one, this
+# checkout's src/ is measured.
+if not os.environ.get("PYTHONPATH"):
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
+import repro  # noqa: E402
 from repro.bench.stitchqueue import (  # noqa: E402
     check_hang, hang_gate, measure,
 )
 
 
 def main(argv: List[str] = None) -> int:
+    print("repro: %s" % Path(repro.__file__).resolve().parent)
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--gate", type=float, default=15.0,
                         metavar="PCT",

@@ -175,42 +175,45 @@ class FunctionLowerer:
         """Function-wide maps for register-action tagging: which temps
         hold frame-array base addresses, which hold element addresses
         (base + constant index), and per-temp use counts."""
-        func = self.func
         self._use_counts: Dict[str, int] = {}
         self._frame_base_temps: Dict[str, int] = {}
         self._frame_base_block: Dict[str, str] = {}
-        for name, block in func.blocks.items():
+        use_counts = self._use_counts
+        # One walk; element additions are matched to their bases after
+        # it, since a base may be defined in a later block.
+        adds: List[Tuple[str, BinOp]] = []
+        for name, block in self.func.blocks.items():
             for instr in block.all_instrs():
                 for value in instr.uses():
-                    if isinstance(value, Temp):
-                        self._use_counts[value.name] = \
-                            self._use_counts.get(value.name, 0) + 1
-                if isinstance(instr, FrameAddr):
+                    if value.__class__ is Temp:
+                        use_counts[value.name] = \
+                            use_counts.get(value.name, 0) + 1
+                cls = instr.__class__
+                if cls is FrameAddr:
                     self._frame_base_temps[instr.dst.name] = instr.offset
                     self._frame_base_block[instr.dst.name] = name
+                elif cls is BinOp and instr.op == "add":
+                    adds.append((name, instr))
         #: elem temp -> (array frame offset, slot or None, const index).
         self._elem_temps: Dict[str, Tuple[int, Optional[Tuple], int]] = {}
         self._elem_block: Dict[str, str] = {}
-        for name, block in func.blocks.items():
-            for instr in block.all_instrs():
-                if not (isinstance(instr, BinOp) and instr.op == "add"):
-                    continue
-                lhs, rhs = instr.lhs, instr.rhs
-                if isinstance(rhs, Temp) and rhs.name in self._frame_base_temps:
-                    lhs, rhs = rhs, lhs
-                if not (isinstance(lhs, Temp)
-                        and lhs.name in self._frame_base_temps):
-                    continue
-                array = self._frame_base_temps[lhs.name]
-                if isinstance(rhs, HoleRef):
-                    self._elem_temps[instr.dst.name] = (
-                        array, (rhs.loop_id, rhs.index), 0)
-                elif isinstance(rhs, IntConst):
-                    self._elem_temps[instr.dst.name] = (
-                        array, None, rhs.value)
-                else:
-                    continue
-                self._elem_block[instr.dst.name] = name
+        for name, instr in adds:
+            lhs, rhs = instr.lhs, instr.rhs
+            if isinstance(rhs, Temp) and rhs.name in self._frame_base_temps:
+                lhs, rhs = rhs, lhs
+            if not (isinstance(lhs, Temp)
+                    and lhs.name in self._frame_base_temps):
+                continue
+            array = self._frame_base_temps[lhs.name]
+            if isinstance(rhs, HoleRef):
+                self._elem_temps[instr.dst.name] = (
+                    array, (rhs.loop_id, rhs.index), 0)
+            elif isinstance(rhs, IntConst):
+                self._elem_temps[instr.dst.name] = (
+                    array, None, rhs.value)
+            else:
+                continue
+            self._elem_block[instr.dst.name] = name
 
     # -- owners & layout ------------------------------------------------------
 
@@ -315,7 +318,10 @@ class FunctionLowerer:
     def _value_reg(self, emitter: _Emitter, value: Value,
                    scratch: int) -> int:
         """Bring ``value`` into a register (possibly ``scratch``)."""
-        if isinstance(value, Temp):
+        if value.__class__ is Temp:
+            loc = self.alloc.locations[value.name]
+            if loc.spill_slot is None:
+                return loc.reg  # type: ignore[return-value]
             return self._reload(emitter, value, scratch)
         if isinstance(value, IntConst):
             materialize_int(emitter.emit, scratch, value.value)
@@ -443,29 +449,10 @@ class FunctionLowerer:
 
     def _lower_instr(self, emitter: _Emitter, instr,
                      template: Optional[TemplateBlock]) -> None:
-        if isinstance(instr, Assign):
-            self._lower_assign(emitter, instr, template)
-        elif isinstance(instr, BinOp):
-            self._lower_binop(emitter, instr, template)
-        elif isinstance(instr, UnOp):
-            self._lower_unop(emitter, instr, template)
-        elif isinstance(instr, Load):
-            self._lower_load(emitter, instr, template)
-        elif isinstance(instr, Store):
-            self._lower_store(emitter, instr, template)
-        elif isinstance(instr, FrameAddr):
-            reg, post = self._def_reg(instr.dst)
-            emitter.emit(MInstr("lda", rd=reg, ra=SP, imm=instr.offset))
-            if post:
-                emitter.emit(post)
-        elif isinstance(instr, Call):
-            self._lower_call(emitter, instr, template)
-        elif isinstance(instr, RegionLookup):
-            self._lower_region_lookup(emitter, instr)
-        elif isinstance(instr, RegionStitch):
-            self._lower_region_stitch(emitter, instr)
-        else:
+        lower = _INSTR_LOWERERS.get(instr.__class__)
+        if lower is None:
             raise CompileError("cannot lower instruction %r" % instr)
+        lower(self, emitter, instr, template)
 
     def _hole_operand(self, emitter: _Emitter, value: HoleRef,
                       template: TemplateBlock, dest_reg: int) -> int:
@@ -574,6 +561,13 @@ class FunctionLowerer:
         if post:
             emitter.emit(post)
 
+    def _lower_frame_addr(self, emitter: _Emitter, instr: FrameAddr,
+                          template: Optional[TemplateBlock]) -> None:
+        reg, post = self._def_reg(instr.dst)
+        emitter.emit(MInstr("lda", rd=reg, ra=SP, imm=instr.offset))
+        if post:
+            emitter.emit(post)
+
     def _lower_load(self, emitter: _Emitter, instr: Load,
                     template: Optional[TemplateBlock]) -> None:
         reg, post = self._def_reg(instr.dst)
@@ -651,8 +645,8 @@ class FunctionLowerer:
             if post:
                 emitter.emit(post)
 
-    def _lower_region_lookup(self, emitter: _Emitter,
-                             instr: RegionLookup) -> None:
+    def _lower_region_lookup(self, emitter: _Emitter, instr: RegionLookup,
+                             template: Optional[TemplateBlock]) -> None:
         for i, key in enumerate(instr.keys):
             src = self._value_reg(emitter, key, SCRATCH)
             emitter.emit(MInstr("mov", rd=ARG_BASE + i, ra=src))
@@ -663,8 +657,8 @@ class FunctionLowerer:
         if post:
             emitter.emit(post)
 
-    def _lower_region_stitch(self, emitter: _Emitter,
-                             instr: RegionStitch) -> None:
+    def _lower_region_stitch(self, emitter: _Emitter, instr: RegionStitch,
+                             template: Optional[TemplateBlock]) -> None:
         src = self._value_reg(emitter, instr.table, SCRATCH)
         emitter.emit(MInstr("mov", rd=ARG_BASE, ra=src))
         for i, key in enumerate(instr.keys):
@@ -859,6 +853,20 @@ class FunctionLowerer:
                         if not is_addr_use:
                             candidates.discard(array)
         return sorted(candidates)
+
+
+#: IR instruction class -> its ``FunctionLowerer`` method.
+_INSTR_LOWERERS = {
+    Assign: FunctionLowerer._lower_assign,
+    BinOp: FunctionLowerer._lower_binop,
+    UnOp: FunctionLowerer._lower_unop,
+    Load: FunctionLowerer._lower_load,
+    Store: FunctionLowerer._lower_store,
+    FrameAddr: FunctionLowerer._lower_frame_addr,
+    Call: FunctionLowerer._lower_call,
+    RegionLookup: FunctionLowerer._lower_region_lookup,
+    RegionStitch: FunctionLowerer._lower_region_stitch,
+}
 
 
 def lower_module(module, layout: DataLayout,

@@ -62,48 +62,45 @@ def allocate(func: Function,
         float_pool if float_pool is not None else FLOAT_ALLOCATABLE)
     live_in, live_out = liveness(func)
 
-    # Linearize: entry first, then definition order.
+    # Linearize: entry first, then definition order.  One walk visits
+    # each block's live-in set at its first position, its instructions
+    # in order and its live-out set at its last position, so positions
+    # never decrease: a temp's interval runs from where it is first
+    # seen to where it is last seen.
     block_order = [func.entry] + [n for n in func.blocks if n != func.entry]
-    positions: Dict[str, Tuple[int, int]] = {}
-    counter = 0
-    instr_pos: List[int] = []
-    for name in block_order:
-        start = counter
-        counter += max(1, len(func.blocks[name].all_instrs()))
-        positions[name] = (start, counter - 1)
-
     starts: Dict[str, int] = {}
     ends: Dict[str, int] = {}
-
-    def extend(temp_name: str, pos: int) -> None:
-        if temp_name not in starts:
-            starts[temp_name] = pos
-            ends[temp_name] = pos
-        else:
-            starts[temp_name] = min(starts[temp_name], pos)
-            ends[temp_name] = max(ends[temp_name], pos)
-
+    pos = 0
     for name in block_order:
-        block_start, block_end = positions[name]
+        instrs = func.blocks[name].all_instrs()
+        block_end = pos + max(1, len(instrs)) - 1
         for temp_name in live_in[name]:
-            extend(temp_name, block_start)
-        for temp_name in live_out[name]:
-            extend(temp_name, block_end)
-        pos = block_start
-        for instr in func.blocks[name].all_instrs():
+            if temp_name not in starts:
+                starts[temp_name] = pos
+            ends[temp_name] = pos
+        for instr in instrs:
             for value in instr.uses():
                 if isinstance(value, Temp):
-                    extend(value.name, pos)
+                    if value.name not in starts:
+                        starts[value.name] = pos
+                    ends[value.name] = pos
             dst = instr.defs()
             if dst is not None:
-                extend(dst.name, pos)
+                if dst.name not in starts:
+                    starts[dst.name] = pos
+                ends[dst.name] = pos
             pos += 1
+        for temp_name in live_out[name]:
+            if temp_name not in starts:
+                starts[temp_name] = block_end
+            ends[temp_name] = block_end
+        pos = block_end + 1
 
     # Parameters are live from position 0 (they arrive in arg registers
     # and are copied out by the prologue).
     for param in func.params:
         if param.name in starts:
-            extend(param.name, 0)
+            starts[param.name] = 0
 
     # The name breaks ties: ``starts`` fills in the iteration order of
     # the liveness sets, which follows the process's string hashing.

@@ -228,43 +228,33 @@ class _FunctionBuilder:
     # -- statements -------------------------------------------------------------
 
     def _stmt(self, stmt: ast.Stmt) -> None:
-        if isinstance(stmt, ast.Block):
+        # Blocks and labels recurse here directly, and the table calls a
+        # statement's method from this frame, so each nesting link costs
+        # the frames the parser's depth limit charges for it.
+        cls = stmt.__class__
+        if cls is ast.Block:
             for inner in stmt.stmts:
                 self._stmt(inner)
-        elif isinstance(stmt, ast.VarDecl):
-            self._var_decl(stmt)
-        elif isinstance(stmt, ast.ExprStmt):
+            return
+        lower = _STMT_LOWERERS.get(cls)
+        if lower is not None:
+            lower(self, stmt)
+        elif cls is ast.ExprStmt:
             self._expr(stmt.expr)
-        elif isinstance(stmt, ast.If):
-            self._if(stmt)
-        elif isinstance(stmt, ast.While):
-            self._while(stmt)
-        elif isinstance(stmt, ast.DoWhile):
-            self._do_while(stmt)
-        elif isinstance(stmt, ast.For):
-            self._for(stmt)
-        elif isinstance(stmt, ast.UnrolledWhile):
-            self._unrolled_while(stmt)
-        elif isinstance(stmt, ast.Switch):
-            self._switch(stmt)
-        elif isinstance(stmt, ast.Break):
+        elif cls is ast.Break:
             self._jump_out(self._break_stack, "break", stmt)
-        elif isinstance(stmt, ast.Continue):
+        elif cls is ast.Continue:
             self._jump_out(self._continue_stack, "continue", stmt)
-        elif isinstance(stmt, ast.Return):
-            self._return(stmt)
-        elif isinstance(stmt, ast.Goto):
+        elif cls is ast.Goto:
             target = self._label_block(stmt.label)
             assert self._block is not None
             if self._block.terminator is None:
                 self._block.append(Jump(target.name))
             self._switch_to(self._new_block("dead"))
-        elif isinstance(stmt, ast.LabeledStmt):
+        elif cls is ast.LabeledStmt:
             target = self._label_block(stmt.label)
             self._jump_to(target)
             self._stmt(stmt.stmt)
-        elif isinstance(stmt, ast.DynamicRegion):
-            self._dynamic_region(stmt)
         else:
             raise CompileError("cannot lower statement %r" % stmt,
                                stmt.line, stmt.col)
@@ -600,41 +590,31 @@ class _FunctionBuilder:
         return expr.type
 
     def _expr_value(self, expr: ast.Expr) -> Value:
-        if isinstance(expr, ast.IntLit):
+        # As in _stmt, the table calls an operator's method from this
+        # frame: no frame is added per nesting link.
+        cls = expr.__class__
+        if cls is ast.IntLit:
             return IntConst(expr.value)
-        if isinstance(expr, ast.FloatLit):
-            return FloatConst(expr.value)
-        if isinstance(expr, ast.Var):
-            return self._var_value(expr)
-        if isinstance(expr, ast.Binary):
-            return self._binary(expr)
-        if isinstance(expr, ast.Unary):
-            return self._unary(expr)
-        if isinstance(expr, (ast.Deref, ast.Index, ast.Field)):
+        lower = _EXPR_LOWERERS.get(cls)
+        if lower is not None:
+            return lower(self, expr)
+        if cls is ast.Deref or cls is ast.Index or cls is ast.Field:
             lv = self._lvalue(expr)
             if isinstance(self._typeof(expr), (ArrayType, StructType)):
                 # aggregates used as values decay to their address
                 assert isinstance(lv, _MemLV)
                 return lv.addr
             return self._load(lv)
-        if isinstance(expr, ast.AddrOf):
+        if cls is ast.AddrOf:
             lv = self._lvalue(expr.operand)
             if isinstance(lv, _TempLV):
                 raise CompileError(
                     "cannot take address of register variable",
                     expr.line, expr.col)
             return lv.addr
-        if isinstance(expr, ast.Call):
-            return self._call(expr)
-        if isinstance(expr, ast.Cast):
-            return self._cast(expr)
-        if isinstance(expr, ast.Assign):
-            return self._assign(expr)
-        if isinstance(expr, ast.IncDec):
-            return self._incdec(expr)
-        if isinstance(expr, ast.Conditional):
-            return self._conditional(expr)
-        if isinstance(expr, ast.SizeOf):
+        if cls is ast.FloatLit:
+            return FloatConst(expr.value)
+        if cls is ast.SizeOf:
             return IntConst(expr.target.size())  # type: ignore[union-attr]
         raise CompileError("cannot lower expression %r" % expr,
                            expr.line, expr.col)
@@ -953,3 +933,33 @@ class _FunctionBuilder:
             self._block.append(Jump(join.name))
         self._switch_to(join)
         return dst
+
+
+#: statement class -> the ``_FunctionBuilder`` method that lowers it
+#: (blocks, expression statements, jumps and labels are handled in
+#: ``_stmt`` itself).
+_STMT_LOWERERS = {
+    ast.VarDecl: _FunctionBuilder._var_decl,
+    ast.If: _FunctionBuilder._if,
+    ast.While: _FunctionBuilder._while,
+    ast.DoWhile: _FunctionBuilder._do_while,
+    ast.For: _FunctionBuilder._for,
+    ast.UnrolledWhile: _FunctionBuilder._unrolled_while,
+    ast.Switch: _FunctionBuilder._switch,
+    ast.Return: _FunctionBuilder._return,
+    ast.DynamicRegion: _FunctionBuilder._dynamic_region,
+}
+
+#: expression class -> the ``_FunctionBuilder`` method that lowers it
+#: for its value (literals, memory accesses and ``&`` are handled in
+#: ``_expr_value`` itself).
+_EXPR_LOWERERS = {
+    ast.Var: _FunctionBuilder._var_value,
+    ast.Binary: _FunctionBuilder._binary,
+    ast.Unary: _FunctionBuilder._unary,
+    ast.Call: _FunctionBuilder._call,
+    ast.Cast: _FunctionBuilder._cast,
+    ast.Assign: _FunctionBuilder._assign,
+    ast.IncDec: _FunctionBuilder._incdec,
+    ast.Conditional: _FunctionBuilder._conditional,
+}

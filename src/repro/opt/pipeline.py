@@ -77,13 +77,20 @@ def _ir_size(func: Function) -> int:
 
 
 def optimize(func: Function, options: OptOptions = OptOptions()) -> OptStats:
-    """Optimize an SSA-form function in place; returns pass statistics."""
+    """Optimize an SSA-form function in place; returns pass statistics.
+
+    Runs the enabled passes in rounds, in ``_PASS_ORDER``, for at most
+    ``options.max_rounds`` rounds.  A pass that returns 0 leaves the IR
+    untouched, so once every enabled pass has run, in order, with no
+    change since the last change, the IR is at its fixpoint and the
+    loop stops: a further round would change nothing.
+    """
     stats = OptStats()
-    for _ in range(options.max_rounds):
-        round_changes = 0
-        for name, toggle, stat_field, pass_fn in _PASS_ORDER:
-            if toggle is not None and not getattr(options, toggle):
-                continue
+    passes = [entry for entry in _PASS_ORDER
+              if entry[1] is None or getattr(options, entry[1])]
+    unchanged = 0
+    while stats.rounds < options.max_rounds and unchanged < len(passes):
+        for name, _, stat_field, pass_fn in passes:
             if obs_trace._current is None:
                 n = pass_fn(func)
             else:
@@ -95,12 +102,15 @@ def optimize(func: Function, options: OptOptions = OptOptions()) -> OptStats:
                     span["rewrites"] = n
                     span["instrs_before"] = before
                     span["instrs_after"] = _ir_size(func)
-            if stat_field is not None:
-                setattr(stats, stat_field, getattr(stats, stat_field) + n)
-            round_changes += n
+            if n:
+                if stat_field is not None:
+                    setattr(stats, stat_field, getattr(stats, stat_field) + n)
+                unchanged = 0
+            else:
+                unchanged += 1
+                if unchanged == len(passes):
+                    break
         stats.rounds += 1
-        if round_changes == 0:
-            break
     func.verify()
     return stats
 

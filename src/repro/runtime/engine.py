@@ -313,16 +313,17 @@ class Program:
             if runtime.queue is not None:
                 runtime.queue.on_deadline = None
         log = runtime.log
+        cycles_by_owner, instrs_by_owner, op_counts = vm.accounting()
         result = RunResult(
             value=int_result,
             float_value=float_result,
             output=vm.output,
             cycles=vm.cycles,
-            cycles_by_owner=dict(vm.cycles_by_owner),
-            instrs_by_owner=dict(vm.instrs_by_owner),
+            cycles_by_owner=cycles_by_owner,
+            instrs_by_owner=instrs_by_owner,
             entries=log.entries,
             events=log.events,
-            op_counts=dict(vm.op_counts),
+            op_counts=op_counts,
             region_entries=dict(runtime.region_entries),
             cache_stats=runtime.cache.snapshot(),
             fallback_blocks=[(fb.base, fb.words, fb.entry)
@@ -652,6 +653,13 @@ def compile_ir_module(module: Module, mode: str = "dynamic",
     opt_options = opt_options or OptOptions()
     stats: Dict[str, OptStats] = {}
     for func in module.functions.values():
+        if mode == "static":
+            # Static mode ignores the annotations: no dispatch code will
+            # read a region's constant or key values, so SSA records
+            # none and dead-code elimination keeps none alive.
+            for region in func.regions:
+                region.const_vars = []
+                region.key_vars = []
         to_ssa(func)
         stats[func.name] = optimize(func, opt_options)
     plans: List[RegionPlan] = []
