@@ -100,6 +100,12 @@ def simplify(cond: Condition, branch_arity: Dict[str, int]) -> Condition:
         obs_metrics.counter("conditions.simplify_calls").inc()
         obs_metrics.histogram("conditions.disjuncts").observe(
             len(cond.disjuncts))
+    if len(cond.disjuncts) <= 1:
+        # Absorption needs two disjuncts, and a lone disjunct covers at
+        # most one successor of each branch it names.
+        if all(branch_arity.get(block, 2) > 1
+               for conj in cond.disjuncts for block, _ in conj):
+            return cond
     disjuncts = set(cond.disjuncts)
     changed = True
     while changed:
