@@ -6,10 +6,12 @@ reproduction itself.  It reads the flight recorder's hostperf rows
 (:func:`repro.obs.history.hostperf_rows`, the measurement behind
 ``python -m repro.obs record|compare hostperf``): compile time, first
 run and best-of-``--runs`` steady-state reruns of every Table 2
-workload under both backends, after that measurement has checked each
-workload's expected value, rerun determinism and bit-identical
-simulated observables across backends.  It writes no file; the host
-trajectory lives in ``BENCH_hostperf.json`` via ``repro.obs record``.
+workload under both backends, counted after pycode's compile transient
+(the first ``PycodeBackend.COMPILE_AFTER`` reruns), after that
+measurement has checked each workload's expected value, rerun
+determinism and bit-identical simulated observables across backends.
+It writes no file; the host trajectory lives in ``BENCH_hostperf.json``
+via ``repro.obs record``.
 
 The gate: every **VM-bound** workload must run at least 5x faster
 steady-state under pycode than under rvm.  VM-bound is defined

@@ -653,13 +653,15 @@ class _RegionSplitter:
             rec = loop_recs[header_plan.loop_id]
             cursor = loop_cursors[header_plan.loop_id]
             # cursor phi: head address on entry, next-slot address on the
-            # back edge.
-            entry_name = setup_pred_name(header_plan.entry_pred)
-            latch_name = setup_pred_name(header_plan.latch)
-            twin.append(Phi(cursor, {
-                entry_name: loop_heads[header_plan.loop_id],
-                latch_name: self._latch_next_temp(header_plan),
-            }))
+            # back edge -- unless folding removed the back edge (a body
+            # that always returns), so that set-up has no latch to take.
+            cursor_args: Dict[str, Value] = {
+                setup_pred_name(header_plan.entry_pred):
+                    loop_heads[header_plan.loop_id]}
+            if name in self.setup_succs.get(header_plan.latch, ()):
+                cursor_args[setup_pred_name(header_plan.latch)] = \
+                    self._latch_next_temp(header_plan)
+            twin.append(Phi(cursor, cursor_args))
             twin.append(Call(rec, "alloc",
                              [IntConst(header_plan.record_size)],
                              intrinsic=True))

@@ -144,10 +144,6 @@ class Stitcher:
         self.headers: Dict[str, LoopPlan] = {
             loop.header: loop for loop in region.table.loops.values()
         }
-        self.loop_of_block: Dict[str, List[LoopPlan]] = {}
-        for loop in region.table.loops.values():
-            for name in loop.body:
-                self.loop_of_block.setdefault(name, []).append(loop)
 
     # -- table access -----------------------------------------------------
 

@@ -260,7 +260,8 @@ class DoWhile(Stmt):
 class For(Stmt):
     """``for (init; cond; update) body``; ``unrolled`` marks the paper's
     complete-unroll annotation (legal only inside a dynamic region, with
-    a run-time constant termination condition)."""
+    a run-time constant termination condition).  ``unrolled while (cond)
+    body`` parses as the unrolled ``for (; cond;) body``."""
 
     __slots__ = ("init", "cond", "update", "body", "unrolled")
 
@@ -273,18 +274,6 @@ class For(Stmt):
         self.update = update
         self.body = body
         self.unrolled = unrolled
-
-
-class UnrolledWhile(Stmt):
-    """``unrolled while (cond) body`` -- the while-loop form of complete
-    unrolling."""
-
-    __slots__ = ("cond", "body")
-
-    def __init__(self, cond: Expr, body: Stmt, line: int = 0, col: int = 0):
-        super().__init__(line, col)
-        self.cond = cond
-        self.body = body
 
 
 class SwitchCase:

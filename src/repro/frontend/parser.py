@@ -36,19 +36,36 @@ _TYPE_KEYWORDS = ("int", "uint", "float", "void", "struct")
 _COMPOUND_ASSIGN = {"+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>="}
 
 #: How deep a program may nest, in units of Python stack frames.  Each
-#: link from a node to a child costs at least as many units as the
-#: parser, the type checker or the IR builder spends frames on it: a
-#: statement inside a statement 2 (1 for a block directly inside a
-#: block), an operand of a binary operator 2, any other operand or a
-#: parenthesized expression 3, a call argument 4, an index 5, the left
-#: side of an assignment 4.  An operand that is nested only once the
-#: operator after it is seen (the left side of a binary, postfix, ``?:``
-#: or assignment operator) is charged then, to everything parsed so far
-#: in its expression; a right operand, like a parenthesized expression,
-#: starts a count of its own.  With the interpreter's default limit of
-#: 1,000 frames this leaves room for the caller's own frames, so a
-#: program the parser accepts never overflows the stack in a later pass.
+#: link from a node to a child is charged its cost from the table
+#: below.  An operand that is nested only once the operator after it is
+#: seen (the left side of a binary, postfix, ``?:`` or assignment
+#: operator) is charged then, to everything parsed so far in its
+#: expression; a right operand, like a parenthesized expression, starts
+#: a count of its own.  With the interpreter's default limit of 1,000
+#: frames this leaves room for the caller's own frames, so a program
+#: the parser accepts never overflows the stack in a later pass.
 _MAX_DEPTH = 900
+
+#: The cost of each nesting link, in frames: the most that the parser,
+#: ``TypeChecker._stmt``/``_expr`` or ``_FunctionBuilder._stmt``/
+#: ``_expr_value`` spends on it, followed by the passes that spend that
+#: much.  ``tests/test_frontend_edges.py`` measures every pass against
+#: this table, construct by construct.
+_STATEMENT = 2    # a statement inside a statement: parser, builder
+_BLOCK = 1        # a block directly in a block or a region: all
+_LABEL = 1        # the statement after a label: all
+_UNROLLED = 1     # ``unrolled``, on top of its loop: parser
+_EXPRESSION = 3   # ``(e)``, a ``?:`` branch, the right of ``=``: all
+_UNARY = 3        # the operand of ``-``, ``!`` or ``~``: checker
+_CAST = 2         # a cast's operand: all
+_DEREF = 2        # ``*``'s operand: all
+_ADDRESS = 3      # ``&``'s operand: checker
+_BINARY = 2       # an operand of a binary operator: checker, builder
+_CONDITIONAL = 3  # the condition of ``?:``: builder
+_ASSIGNMENT = 4   # the left side of an assignment: checker
+_POSTFIX = 3      # the operand of a postfix operator: checker, builder
+_INDEX = 2        # an index, on top of its expression: parser
+_ARGUMENT = 1     # a call argument, on top of its expression: parser, builder
 
 
 class Parser:
@@ -247,8 +264,9 @@ class Parser:
     # -- statements ----------------------------------------------------------
 
     def _parse_block(self) -> ast.Block:
+        """A block.  Its caller charges its frame: ``_BLOCK``, or the
+        ``_STATEMENT`` of the statement the block is."""
         open_tok = self._expect("op", "{")
-        self._enter(1)
         stmts: List[ast.Stmt] = []
         while True:
             tok = self._tok
@@ -257,19 +275,28 @@ class Parser:
                     break
                 if tok.text == "{":
                     # Directly, not through _parse_stmt: one frame a level.
+                    self._enter(_BLOCK)
                     stmts.append(self._parse_block())
+                    self._depth -= _BLOCK
                     continue
             elif tok.kind == "eof":
                 raise ParseError("unterminated block", open_tok.line, open_tok.col)
             stmts.append(self._parse_stmt())
         self._next()
-        self._depth -= 1
         return ast.Block(stmts, open_tok.line, open_tok.col)
 
     def _parse_stmt(self) -> ast.Stmt:
         tok = self._tok
+        if tok.kind == "ident" and self._peek(1).text == ":" \
+                and tok.text not in self._struct_names:
+            self._next()
+            self._next()
+            self._enter(_LABEL)
+            inner = self._parse_stmt()
+            self._depth -= _LABEL
+            return ast.LabeledStmt(tok.text, inner, tok.line, tok.col)
         self._high = self._depth
-        self._enter(2)
+        self._enter(_STATEMENT)
         stmt: ast.Stmt
         if tok.kind == "kw" and tok.text in self._KEYWORD_STMTS:
             stmt = self._KEYWORD_STMTS[tok.text](self)
@@ -278,12 +305,6 @@ class Parser:
         elif tok.kind == "op" and tok.text == ";":
             self._next()
             stmt = ast.Block([], tok.line, tok.col)
-        elif tok.kind == "ident" and self._peek(1).text == ":" \
-                and tok.text not in self._struct_names:
-            self._next()
-            self._next()
-            stmt = ast.LabeledStmt(tok.text, self._parse_stmt(),
-                                   tok.line, tok.col)
         elif self._at_type() and (tok.kind == "kw" or self._is_decl_lookahead()):
             # A statement beginning with a type keyword is always a
             # declaration.  A statement beginning with a struct name is a
@@ -294,7 +315,7 @@ class Parser:
             expr = self._parse_expr()
             self._expect("op", ";")
             stmt = ast.ExprStmt(expr, tok.line, tok.col)
-        self._depth -= 2
+        self._depth -= _STATEMENT
         return stmt
 
     def _is_decl_lookahead(self) -> bool:
@@ -334,7 +355,7 @@ class Parser:
             otherwise = self._parse_stmt()
         return ast.If(cond, then, otherwise, kw.line, kw.col)
 
-    def _parse_while(self) -> ast.Stmt:
+    def _parse_while(self) -> ast.While:
         kw = self._expect("kw", "while")
         self._expect("op", "(")
         cond = self._parse_expr()
@@ -352,7 +373,7 @@ class Parser:
         self._expect("op", ";")
         return ast.DoWhile(body, cond, kw.line, kw.col)
 
-    def _parse_for(self, unrolled: bool = False) -> ast.Stmt:
+    def _parse_for(self, unrolled: bool = False) -> ast.For:
         kw = self._expect("kw", "for")
         self._expect("op", "(")
         init: Optional[ast.Stmt] = None
@@ -378,21 +399,20 @@ class Parser:
 
     def _parse_unrolled(self) -> ast.Stmt:
         kw = self._expect("kw", "unrolled")
-        if self._check("kw", "for"):
-            self._enter(1)  # one frame more than a plain ``for``
-            stmt = self._parse_for(unrolled=True)
-            self._depth -= 1
-            return stmt
-        if self._check("kw", "while"):
-            self._next()
-            self._expect("op", "(")
-            cond = self._parse_expr()
-            self._expect("op", ")")
-            body = self._parse_stmt()
-            return ast.UnrolledWhile(cond, body, kw.line, kw.col)
         tok = self._tok
-        raise ParseError("'unrolled' must precede 'for' or 'while'",
-                         tok.line, tok.col)
+        if tok.kind != "kw" or tok.text not in ("for", "while"):
+            raise ParseError("'unrolled' must precede 'for' or 'while'",
+                             tok.line, tok.col)
+        self._enter(_UNROLLED)
+        if tok.text == "for":
+            loop = self._parse_for(unrolled=True)
+        else:
+            # ``unrolled while (c) s`` is ``unrolled for (; c;) s``.
+            plain = self._parse_while()
+            loop = ast.For(None, plain.cond, None, plain.body, True,
+                           kw.line, kw.col)
+        self._depth -= _UNROLLED
+        return loop
 
     def _parse_switch(self) -> ast.Stmt:
         kw = self._expect("kw", "switch")
@@ -474,7 +494,9 @@ class Parser:
         self._expect("op", "(")
         const_vars = self._parse_ident_list()
         self._expect("op", ")")
+        self._enter(_BLOCK)
         body = self._parse_block()
+        self._depth -= _BLOCK
         return ast.DynamicRegion(const_vars, key_vars, body, kw.line, kw.col)
 
     def _parse_ident_list(self) -> List[str]:
@@ -507,11 +529,11 @@ class Parser:
         conditional expression (what may follow a ``:``)."""
         outer = self._high
         self._high = self._depth
-        self._enter(3)
+        self._enter(_EXPRESSION)
         expr = self._parse_binary(1)
         tok = self._tok
         if tok.kind == "op" and tok.text == "?":
-            self._wrap(3)
+            self._wrap(_CONDITIONAL)
             self._next()
             then = self._parse_expr()
             self._expect("op", ":")
@@ -520,12 +542,12 @@ class Parser:
             tok = self._tok
         if assign and tok.kind == "op" \
                 and (tok.text == "=" or tok.text in _COMPOUND_ASSIGN):
-            self._wrap(4)
+            self._wrap(_ASSIGNMENT)
             self._next()
             rhs = self._parse_expr()
             expr = ast.Assign(expr, rhs, None if tok.text == "=" else tok.text[:-1],
                               tok.line, tok.col)
-        self._depth -= 3
+        self._depth -= _EXPRESSION
         if outer > self._high:
             self._high = outer
         return expr
@@ -539,22 +561,23 @@ class Parser:
             prec = _PRECEDENCE.get(tok.text)
             if prec is None or prec < min_prec:
                 return lhs
-            self._wrap(2)
+            self._wrap(_BINARY)
             self._next()
             outer = self._high
             self._high = self._depth
-            self._enter(2)
+            self._enter(_BINARY)
             rhs = self._parse_binary(prec + 1)
-            self._depth -= 2
+            self._depth -= _BINARY
             if outer > self._high:
                 self._high = outer
             lhs = ast.Binary(tok.text, lhs, rhs, tok.line, tok.col)
 
-    def _parse_operand(self) -> ast.Expr:
-        """The operand of a prefix operator or a cast."""
-        self._enter(3)
+    def _parse_operand(self, units: int) -> ast.Expr:
+        """The operand of a prefix operator or a cast, which costs
+        ``units`` (``_UNARY``, ``_CAST``, ``_DEREF`` or ``_ADDRESS``)."""
+        self._enter(units)
         operand = self._parse_unary()
-        self._depth -= 3
+        self._depth -= units
         return operand
 
     def _parse_unary(self) -> ast.Expr:
@@ -565,19 +588,22 @@ class Parser:
             text = tok.text
             if text == "-" or text == "!" or text == "~":
                 self._next()
-                return ast.Unary(text, self._parse_operand(), tok.line, tok.col)
+                return ast.Unary(text, self._parse_operand(_UNARY),
+                                 tok.line, tok.col)
             if text == "*":
                 self._next()
-                return ast.Deref(self._parse_operand(), False, tok.line, tok.col)
+                return ast.Deref(self._parse_operand(_DEREF), False,
+                                 tok.line, tok.col)
             if text == "&":
                 self._next()
-                return ast.AddrOf(self._parse_operand(), tok.line, tok.col)
+                return ast.AddrOf(self._parse_operand(_ADDRESS),
+                                  tok.line, tok.col)
             if text == "(":
                 self._next()
                 if self._at_type():
                     target = self._parse_type()
                     self._expect("op", ")")
-                    return ast.Cast(target, self._parse_operand(),
+                    return ast.Cast(target, self._parse_operand(_CAST),
                                     tok.line, tok.col)
                 expr = self._parse_expr()
                 self._expect("op", ")")
@@ -586,7 +612,8 @@ class Parser:
             if tok.text == "dynamic":
                 self._next()
                 self._expect("op", "*")
-                return ast.Deref(self._parse_operand(), True, tok.line, tok.col)
+                return ast.Deref(self._parse_operand(_DEREF), True,
+                                 tok.line, tok.col)
             if tok.text == "sizeof":
                 self._next()
                 self._expect("op", "(")
@@ -601,18 +628,18 @@ class Parser:
             if tok.kind == "op":
                 text = tok.text
                 if text == "[":
-                    self._wrap(3)
+                    self._wrap(_POSTFIX)
                     self._next()
                     index = self._parse_index()
                     expr = ast.Index(expr, index, False, tok.line, tok.col)
                 elif text == "." or text == "->":
-                    self._wrap(3)
+                    self._wrap(_POSTFIX)
                     self._next()
                     name = self._expect("ident").text
                     expr = ast.Field(expr, name, text == "->", False,
                                      tok.line, tok.col)
                 elif text == "++" or text == "--":
-                    self._wrap(3)
+                    self._wrap(_POSTFIX)
                     self._next()
                     expr = ast.IncDec(expr, text, tok.line, tok.col)
                 else:
@@ -620,13 +647,13 @@ class Parser:
             elif tok.kind == "kw" and tok.text == "dynamic":
                 after = self._peek(1).text
                 if after == "[":
-                    self._wrap(3)
+                    self._wrap(_POSTFIX)
                     self._next()
                     self._next()
                     index = self._parse_index()
                     expr = ast.Index(expr, index, True, tok.line, tok.col)
                 elif after == "->":
-                    self._wrap(3)
+                    self._wrap(_POSTFIX)
                     self._next()
                     self._next()
                     name = self._expect("ident").text
@@ -637,11 +664,11 @@ class Parser:
                 return expr
 
     def _parse_index(self) -> ast.Expr:
-        """An index up to its ``]``: two frames deeper than an operand."""
-        self._enter(2)
+        """An index up to its ``]``."""
+        self._enter(_INDEX)
         index = self._parse_expr()
         self._expect("op", "]")
-        self._depth -= 2
+        self._depth -= _INDEX
         return index
 
     def _parse_primary(self) -> ast.Expr:
@@ -651,11 +678,11 @@ class Parser:
                 self._next()
                 args: List[ast.Expr] = []
                 if not self._check("op", ")"):
-                    self._enter(1)  # an argument costs 4
+                    self._enter(_ARGUMENT)
                     args.append(self._parse_expr())
                     while self._accept("op", ","):
                         args.append(self._parse_expr())
-                    self._depth -= 1
+                    self._depth -= _ARGUMENT
                 self._expect("op", ")")
                 return ast.Call(tok.text, args, tok.line, tok.col)
             return ast.Var(tok.text, tok.line, tok.col)

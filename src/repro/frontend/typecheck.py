@@ -211,43 +211,12 @@ class TypeChecker:
             original.name = new_name
         info.params = renamed_params
         assert decl.body is not None
-        self._collect_labels(decl.body)
         self._stmt(decl.body)
         for goto in self._gotos:
             if goto.label not in info.labels:
                 raise TypeError_("goto to undefined label %s" % goto.label,
                                  goto.line, goto.col)
         self._info = None
-
-    def _collect_labels(self, stmt: ast.Stmt) -> None:
-        assert self._info is not None
-        if isinstance(stmt, ast.LabeledStmt):
-            if stmt.label in self._info.labels:
-                raise TypeError_("duplicate label %s" % stmt.label,
-                                 stmt.line, stmt.col)
-            self._info.labels.add(stmt.label)
-            self._collect_labels(stmt.stmt)
-        elif isinstance(stmt, ast.Block):
-            for inner in stmt.stmts:
-                self._collect_labels(inner)
-        elif isinstance(stmt, ast.If):
-            self._collect_labels(stmt.then)
-            if stmt.otherwise is not None:
-                self._collect_labels(stmt.otherwise)
-        elif isinstance(stmt, (ast.While, ast.UnrolledWhile)):
-            self._collect_labels(stmt.body)
-        elif isinstance(stmt, ast.DoWhile):
-            self._collect_labels(stmt.body)
-        elif isinstance(stmt, ast.For):
-            if stmt.init is not None:
-                self._collect_labels(stmt.init)
-            self._collect_labels(stmt.body)
-        elif isinstance(stmt, ast.Switch):
-            for case in stmt.cases:
-                for inner in case.stmts:
-                    self._collect_labels(inner)
-        elif isinstance(stmt, ast.DynamicRegion):
-            self._collect_labels(stmt.body)
 
     # -- scoping -------------------------------------------------------------
 
@@ -279,6 +248,9 @@ class TypeChecker:
     # -- statements ------------------------------------------------------------
 
     def _stmt(self, stmt: ast.Stmt) -> None:
+        # This walk and _expr's may spend on a nesting link no more
+        # frames than the parser's cost table (beside _MAX_DEPTH in
+        # parser.py) charges for it.
         assert self._info is not None
         if isinstance(stmt, ast.Block):
             saved = self._scope
@@ -330,15 +302,6 @@ class TypeChecker:
             self._stmt(stmt.body)
             self._loop_depth -= 1
             self._scope = saved
-        elif isinstance(stmt, ast.UnrolledWhile):
-            if self._region_depth == 0:
-                raise AnnotationError(
-                    "'unrolled' loop outside a dynamicRegion",
-                    stmt.line, stmt.col)
-            self._require_scalar(self._expr(stmt.cond), stmt.line, stmt.col)
-            self._loop_depth += 1
-            self._stmt(stmt.body)
-            self._loop_depth -= 1
         elif isinstance(stmt, ast.Switch):
             stype = decay(self._expr(stmt.expr))
             if not is_integer(stype):
@@ -388,6 +351,11 @@ class TypeChecker:
         elif isinstance(stmt, ast.Goto):
             self._gotos.append(stmt)
         elif isinstance(stmt, ast.LabeledStmt):
+            # Gotos are checked against the labels after this walk.
+            if stmt.label in self._info.labels:
+                raise TypeError_("duplicate label %s" % stmt.label,
+                                 stmt.line, stmt.col)
+            self._info.labels.add(stmt.label)
             self._stmt(stmt.stmt)
         elif isinstance(stmt, ast.DynamicRegion):
             self._check_region(stmt)

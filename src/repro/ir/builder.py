@@ -230,7 +230,8 @@ class _FunctionBuilder:
     def _stmt(self, stmt: ast.Stmt) -> None:
         # Blocks and labels recurse here directly, and the table calls a
         # statement's method from this frame, so each nesting link costs
-        # the frames the parser's depth limit charges for it.
+        # no more frames than the parser's cost table (beside
+        # _MAX_DEPTH in frontend/parser.py) charges for it.
         cls = stmt.__class__
         if cls is ast.Block:
             for inner in stmt.stmts:
@@ -396,30 +397,7 @@ class _FunctionBuilder:
             self._end_unrolled(loop_info, exit_block)
         self._switch_to(exit_block)
 
-    def _unrolled_while(self, stmt: ast.UnrolledWhile) -> None:
-        assert self._block is not None
-        entry_pred = self._block.name
-        header = self._new_block("uwhile")
-        body = self._new_block("body")
-        latch = self._new_block("latch")
-        exit_block = self._new_block("enduwhile")
-        self._jump_to(header)
-        self._cond(stmt.cond, body, exit_block)
-        loop_info = self._begin_unrolled(stmt, header, entry_pred, latch)
-        self._break_stack.append(exit_block.name)
-        self._continue_stack.append(latch.name)
-        self._switch_to(body)
-        self._stmt(stmt.body)
-        assert self._block is not None
-        if self._block.terminator is None:
-            self._block.append(Jump(latch.name))
-        latch.append(Jump(header.name))
-        self._break_stack.pop()
-        self._continue_stack.pop()
-        self._end_unrolled(loop_info, exit_block)
-        self._switch_to(exit_block)
-
-    def _begin_unrolled(self, stmt: ast.Stmt, header: BasicBlock,
+    def _begin_unrolled(self, stmt: ast.For, header: BasicBlock,
                         entry_pred: str, latch: BasicBlock) -> UnrolledLoopInfo:
         if self._region is None:
             raise AnnotationError("'unrolled' loop outside a dynamicRegion",
@@ -944,7 +922,6 @@ _STMT_LOWERERS = {
     ast.While: _FunctionBuilder._while,
     ast.DoWhile: _FunctionBuilder._do_while,
     ast.For: _FunctionBuilder._for,
-    ast.UnrolledWhile: _FunctionBuilder._unrolled_while,
     ast.Switch: _FunctionBuilder._switch,
     ast.Return: _FunctionBuilder._return,
     ast.DynamicRegion: _FunctionBuilder._dynamic_region,

@@ -97,15 +97,6 @@ class DynamicRegionInfo:
     const_temps: Optional[list] = None
     key_temps: Optional[list] = None
 
-    def loop_of_block(self, name: str) -> Optional[UnrolledLoopInfo]:
-        """The innermost unrolled loop containing block ``name``."""
-        best: Optional[UnrolledLoopInfo] = None
-        for loop in self.unrolled_loops:
-            if name in loop.body and (best is None or
-                                      loop.body < best.body):
-                best = loop
-        return best
-
 
 class Function:
     """A function lowered to a CFG of three-address code."""

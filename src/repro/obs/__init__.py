@@ -52,15 +52,6 @@ from .trace import (
 )
 
 
-def enable_metrics() -> None:
-    """Turn on the process-wide metrics registry."""
-    registry.enable()
-
-
-def disable_metrics() -> None:
-    registry.disable()
-
-
 def report_metrics(show: bool, path=None) -> None:
     """The ``--metrics`` / ``--metrics-out`` flags: print the registry
     snapshot to stdout and/or write it to ``path`` as JSON."""
@@ -110,8 +101,6 @@ __all__ = [
     "TimeSeriesSampler",
     "Tracer",
     "current",
-    "disable_metrics",
-    "enable_metrics",
     "format_snapshot",
     "install",
     "instant",

@@ -191,15 +191,21 @@ def hostperf_rows(quick: bool = True,
     historical row name carries the default ``rvm`` numbers (keeping
     the trajectory comparable across entries that predate the backend
     seam) and a ``<name>@pycode`` sibling row tracks the
-    closure-composition backend.  ``steady_run_s`` is the fastest of
-    ``steady_runs`` reruns of the same program.  Before any row is
-    returned, each first run must give the workload's expected value,
-    each rerun must repeat the first run's value and cycles, and the
-    two backends' first runs must agree on every simulated observable;
-    ``simulated_cycles`` is also gated, so a backend that drifts from
-    the bit-identical contract trips the flight recorder as well."""
+    closure-composition backend.  ``steady_run_s`` is the fastest of the
+    ``steady_runs`` reruns of the same program that follow
+    ``PycodeBackend.COMPILE_AFTER`` others, on either backend: pycode
+    compiles a segment on its ``COMPILE_AFTER``-th execution, so one
+    that runs once a run has compiled by then.  Before any row is
+    returned, each first run must give the workload's
+    expected value, each rerun must repeat the first run's value and
+    cycles, and the two backends' first runs must agree on every
+    simulated observable; ``simulated_cycles`` is also gated, so a
+    backend that drifts from the bit-identical contract trips the
+    flight recorder as well."""
+    from ..backends.pycode import PycodeBackend
     from ..runtime.engine import compile_program
 
+    warmup = PycodeBackend.COMPILE_AFTER
     rows: Dict[str, Dict[str, object]] = {}
     for name, builder in hostperf_workloads(quick):
         workload = builder()
@@ -218,7 +224,7 @@ def hostperf_rows(quick: bool = True,
                 raise AssertionError("%s: result %d != expected %d"
                                      % (key, first.value, workload.expected))
             steady = []
-            for _ in range(max(1, steady_runs)):
+            for _ in range(warmup + max(1, steady_runs)):
                 t0 = time.perf_counter()
                 rerun = program.run()
                 steady.append(time.perf_counter() - t0)
@@ -231,7 +237,7 @@ def hostperf_rows(quick: bool = True,
             rows[key] = {
                 "compile_s": round(compile_s, 6),
                 "first_run_s": round(first_run_s, 6),
-                "steady_run_s": round(min(steady), 6),
+                "steady_run_s": round(min(steady[warmup:]), 6),
                 "simulated_cycles": first.cycles,
             }
         if _observables(firsts[0]) != _observables(firsts[1]):

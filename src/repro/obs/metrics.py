@@ -5,8 +5,8 @@ a simulator: instruments are cheap Python objects registered by name in
 a process-wide :data:`registry`, and *every* mutating operation first
 checks one plain attribute (``registry._enabled``), so the disabled
 path costs a single attribute load and branch -- no dict lookups, no
-allocation.  The registry ships disabled; ``repro.obs.enable_metrics``
-(or ``MetricsRegistry.enable``) turns collection on.
+allocation.  The registry ships disabled; ``registry.enable()`` turns
+collection on.
 
 Instrument naming convention: dot-separated, lowercase,
 ``<component>.<thing>[.<detail>]`` -- e.g. ``stitch.instrs_emitted``,

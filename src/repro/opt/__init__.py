@@ -1,5 +1,5 @@
 """The global optimizer surrounding the dynamic-compilation analyses."""
 
-from .pipeline import OptOptions, OptStats, optimize, optimize_module
+from .pipeline import OptOptions, OptStats, optimize
 
-__all__ = ["OptOptions", "OptStats", "optimize", "optimize_module"]
+__all__ = ["OptOptions", "OptStats", "optimize"]

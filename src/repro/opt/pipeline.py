@@ -12,7 +12,6 @@ within the template subgraph).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
 
 from ..ir.cfg import Function
 from ..ir.ssa import eliminate_dead_phis
@@ -113,8 +112,3 @@ def optimize(func: Function, options: OptOptions = OptOptions()) -> OptStats:
         stats.rounds += 1
     func.verify()
     return stats
-
-
-def optimize_module(module, options: OptOptions = OptOptions()) -> List[OptStats]:
-    """Optimize every function of an SSA-form module."""
-    return [optimize(func, options) for func in module.functions.values()]

@@ -103,9 +103,10 @@ class OracleOutcome:
     # splitter: a *legitimate* rejection of an unsupported region
     # shape, not a divergence (the interpreter and static legs ignore
     # annotations entirely, so they accept programs the dynamic path
-    # may refuse).  "crash" is any other exception a run raised (a
-    # host fault, such as a backend's own bug): ``error`` names its
-    # type, and it diverges from every "ok" or "trap" leg.
+    # may refuse).  "crash" is any other exception that compiling or a
+    # run raised (a host fault, such as a compiler's or a backend's own
+    # bug): ``error`` names its type, and it diverges from every "ok"
+    # or "trap" leg.
     status: str
     value: Optional[int] = None
     output: List[Number] = field(default_factory=list)
@@ -221,6 +222,10 @@ def _vm_leg(leg: str, source: str, args: List[int], mode: str,
                 None, [])
     except CompileError as exc:
         return (OracleOutcome(leg, "compile-error",
+                              error="%s: %s" % (type(exc).__name__, exc)),
+                None, [])
+    except Exception as exc:  # a compiler fault: report it, do not die
+        return (OracleOutcome(leg, "crash",
                               error="%s: %s" % (type(exc).__name__, exc)),
                 None, [])
     result = None

@@ -20,6 +20,7 @@ from pathlib import Path
 import pytest
 
 from repro import RunConfig
+from repro.dynamic.splitter import _RegionSplitter
 from repro.fuzz import (
     _save_unshrunk, fuzz_one, main as fuzz_main, random_config,
     reproducer_config,
@@ -204,6 +205,29 @@ def test_crashing_leg_is_reported_and_saved(tmp_path: Path,
     text = saved.read_text()
     assert "dynamic+pycode crash (RuntimeError: backend fault)" in text
     assert "// implicated: pycode-backend\n" in text
+
+
+def _split_fault(self):
+    raise RuntimeError("splitter fault")
+
+
+def test_a_compiler_fault_is_a_crash_outcome(monkeypatch) -> None:
+    """An exception from ``compile_program`` other than a
+    ``CompileError`` (a bug in the compiler) is the leg's ``crash``
+    outcome, as a host fault during a run is, so a fuzz run reports and
+    shrinks the program instead of dying."""
+    monkeypatch.setattr(_RegionSplitter, "run", _split_fault)
+    source = """
+        int f(int c, int v) { dynamicRegion (c) { return c * 3 + v; } }
+        int main(int x) { return f(2, x); }
+    """
+    report = run_oracle(source, [1])
+    crashed = report.outcomes["dynamic"]
+    assert crashed.status == "crash"
+    assert crashed.error == "RuntimeError: splitter fault"
+    assert report.outcomes["static"].status == "ok"
+    assert ("interp", "dynamic") in [(d.left, d.right)
+                                     for d in report.divergences]
 
 
 def test_ablation_names_the_backend_a_divergence_needs(monkeypatch) -> None:

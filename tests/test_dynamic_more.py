@@ -55,6 +55,36 @@ def test_linked_list_unrolls_per_node():
     assert report.loop_iterations == {1: 6}
 
 
+#: The same walk written as an ``unrolled while``.
+LINKED_LIST_WHILE = LINKED_LIST.replace("""
+        Node *p;
+        unrolled for (p = lst; p != 0; p = p->next) {
+            t += p->weight * xs dynamic[ i ];
+            i = i + 1;
+        }
+""", """
+        Node *p = lst;
+        unrolled while (p != 0) {
+            t += p->weight * xs dynamic[ i ];
+            i = i + 1;
+            p = p->next;
+        }
+""")
+
+
+@pytest.mark.parametrize("backend", ["rvm", "pycode"])
+def test_pointer_chasing_with_unrolled_while(backend):
+    assert "unrolled while" in LINKED_LIST_WHILE
+    value, _ = run_all_ways(LINKED_LIST_WHILE)
+    for mode in ("static", "dynamic"):
+        program = compile_program(LINKED_LIST_WHILE, mode=mode,
+                                  backend=backend)
+        result = program.run()
+        assert result.value == value
+    (report,) = result.stitch_reports
+    assert report.loop_iterations == {1: 6}
+
+
 def test_region_calling_user_function():
     run_all_ways("""
         int helper(int a, int b) { return a * 2 + b; }

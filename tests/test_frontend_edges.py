@@ -1,10 +1,13 @@
 """Frontend edge cases: tricky syntax, diagnostics, odd-but-legal C."""
 
+import sys
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
 from repro import compile_program
+from repro.frontend import parser as parser_module
 from repro.frontend.errors import CompileError, ParseError, TypeError_
 from repro.frontend.lexer import KEYWORDS
 from repro.frontend.parser import parse
@@ -357,12 +360,86 @@ def test_too_deep_nesting_is_a_parse_error_at_the_innermost_token():
     assert 20 < info.value.col < 2020  # on a "("
 
 
-@pytest.mark.parametrize("kind", [
+#: Every construct ``nested`` builds.
+NESTED_KINDS = [
     "parens", "bare_parens", "blocks", "ifs", "if_blocks", "else_ifs",
     "loops", "labels", "switches", "sum", "sum_of_products",
     "sum_of_indexes", "and_chain", "negations", "casts", "deref_addr",
     "assignments", "ternaries", "indexes", "arrow_chain",
-    "precedence_ladder", "unrolled_loops", "calls"])
+    "precedence_ladder", "unrolled_loops", "calls"]
+
+#: Constructs charged more than any pass spends on them: at a
+#: parenthesized operand of a binary operator, the parser spends its
+#: frames on the parenthesis, the checker and the builder theirs on the
+#: operator, and each of the two links is charged its most.
+OVERCHARGED = {"parens", "precedence_ladder"}
+
+
+def frames_spent(run):
+    """The most Python frames ``run()`` stacks above its caller, and
+    what it returns."""
+    depth = top = 0
+
+    def profile(frame, event, arg):
+        nonlocal depth, top
+        if event == "call":
+            depth += 1
+            top = max(top, depth)
+        elif event == "return":
+            depth -= 1
+
+    saved = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        result = run()
+    finally:
+        sys.setprofile(saved)
+    return top, result
+
+
+def units_charged(source, monkeypatch):
+    """What the parser's nesting limit charges ``source``: the least
+    ``_MAX_DEPTH`` that accepts it."""
+    low, high = 0, 4000
+    with monkeypatch.context() as patch:
+        while high - low > 1:
+            mid = (low + high) // 2
+            patch.setattr(parser_module, "_MAX_DEPTH", mid)
+            try:
+                parse(source)
+            except ParseError:
+                low = mid
+            else:
+                high = mid
+    return high
+
+
+@pytest.mark.parametrize("kind", NESTED_KINDS)
+def test_no_pass_spends_more_frames_a_level_than_the_parser_charges(
+        kind, monkeypatch):
+    """Per level of ``kind``, the parser, the checker and the IR builder
+    each spend at most the frames that the parser's cost table charges,
+    and (but for ``OVERCHARGED``) one of them spends all of them."""
+    def per_pass(n):
+        source = nested(kind, n)
+        parsed, program = frames_spent(lambda: parse(source))
+        checked, info = frames_spent(lambda: check(program))
+        built, _ = frames_spent(lambda: build_module(info))
+        return units_charged(source, monkeypatch), {
+            "parser": parsed, "checker": checked, "builder": built}
+
+    low, high = 6, 12  # levels; a multiple of each cycle in nested()
+    charged_low, spent_low = per_pass(low)
+    charged_high, spent_high = per_pass(high)
+    charged = charged_high - charged_low
+    spent = {name: spent_high[name] - spent_low[name] for name in spent_low}
+    most = max(spent.values())
+    assert most <= charged, "charged %d units, spent %r" % (charged, spent)
+    if kind not in OVERCHARGED:
+        assert most == charged, "charged %d units, spent %r" % (charged, spent)
+
+
+@pytest.mark.parametrize("kind", NESTED_KINDS)
 def test_the_deepest_accepted_program_compiles(kind):
     """The parser, not a later pass, draws the line: at 3,000 levels it
     raises ``ParseError``, and the deepest program it accepts compiles

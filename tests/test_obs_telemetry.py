@@ -403,8 +403,11 @@ def test_compare_host_metrics_gated_only_on_request(tmp_path):
 def test_hostperf_rows_check_what_they_time(monkeypatch):
     """The one hostperf measurement (recorder and gate script alike)
     yields an rvm row and an ``@pycode`` row per workload with the four
-    trajectory metrics, and refuses to time a wrong result."""
+    trajectory metrics, counts steady reruns only after pycode's compile
+    transient, and refuses to time a wrong result."""
+    from repro.backends.pycode import PycodeBackend
     from repro.bench.workloads import calculator_workload
+    from repro.runtime.engine import Program
 
     def workload(expected=None):
         built = calculator_workload(xs=3, ys=3)
@@ -414,7 +417,14 @@ def test_hostperf_rows_check_what_they_time(monkeypatch):
 
     monkeypatch.setattr(history, "hostperf_workloads",
                         lambda quick: [("calc", workload)])
+    runs = []
+    run = Program.run
+    monkeypatch.setattr(Program, "run", lambda self, *args, **kwargs: (
+        runs.append(self), run(self, *args, **kwargs))[1])
     rows = history.hostperf_rows(steady_runs=1)
+    # Per backend: the first run, COMPILE_AFTER reruns in pycode's
+    # compile transient and the one steady rerun.
+    assert len(runs) == 2 * (1 + PycodeBackend.COMPILE_AFTER + 1)
     assert sorted(rows) == ["calc", "calc@pycode"]
     for row in rows.values():
         assert sorted(row) == ["compile_s", "first_run_s",

@@ -156,8 +156,14 @@ def test_unrolled_for():
 
 
 def test_unrolled_while():
+    """``unrolled while (c) s`` is the unrolled ``for (; c;) s``."""
     stmt = first_stmt("unrolled while (p) p = q;")
-    assert isinstance(stmt, ast.UnrolledWhile)
+    assert isinstance(stmt, ast.For)
+    assert stmt.unrolled
+    assert stmt.init is None and stmt.update is None
+    assert isinstance(stmt.cond, ast.Var) and stmt.cond.name == "p"
+    assert isinstance(stmt.body, ast.ExprStmt)
+    assert (stmt.line, stmt.col) == (1, 11)  # at ``unrolled``
 
 
 def test_unrolled_requires_loop():

@@ -7,7 +7,9 @@ What the optimizer's fixpoint stop and semi-pruned SSA rely on:
   once every enabled pass has run with no change since the last one;
 * a second ``optimize`` call on an optimized function rewrites nothing;
 * programs compile to the same words with the shipped ``to_ssa`` and
-  with ``tests/reference_ssa.py``'s minimal phi placement.
+  with ``tests/reference_ssa.py``'s minimal phi placement;
+* compiling a program, in either mode, raises nothing but
+  ``CompileError``.
 
 Programs come from the fuzzer's generator; CI's fuzz job runs these
 with ``HYPOTHESIS_PROFILE=thorough``.
@@ -18,10 +20,11 @@ from __future__ import annotations
 from unittest import mock
 
 import hypothesis.strategies as st
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 
 import reference_ssa
 from repro.errors import ReproError
+from repro.frontend.errors import CompileError
 from repro.frontend.parser import parse
 from repro.frontend.typecheck import check
 from repro.ir.builder import build_module
@@ -96,3 +99,18 @@ def test_semi_pruned_ssa_compiles_like_minimal_placement(seed):
         with mock.patch.object(engine, "to_ssa", reference_ssa.to_ssa):
             reference = _compiled(source, mode)
         assert shipped == reference, mode
+
+
+@SLOW
+@example(1114)
+@example(1226)
+@given(seeds)
+def test_compiling_raises_nothing_but_compile_errors(seed):
+    """The examples are seeds whose unrolled loop always returns, a
+    shape that set-up code must build without a latch."""
+    source = generate_program(seed).source
+    for mode in ("dynamic", "static"):
+        try:
+            engine.compile_program(source, mode=mode)
+        except CompileError:
+            pass

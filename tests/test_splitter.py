@@ -3,6 +3,7 @@ template rewriting, dispatch wiring)."""
 
 import pytest
 
+from repro import RunConfig
 from repro.dynamic.regionops import RegionEnter, RegionLookup, RegionStitch
 from repro.dynamic.splitter import split_module
 from repro.frontend.errors import AnnotationError
@@ -10,8 +11,10 @@ from repro.ir.instructions import Load, Store
 from repro.ir.ssa import to_ssa
 from repro.ir.values import HoleRef
 from repro.opt.pipeline import optimize
+from repro.testing.genprog import generate_program
+from repro.testing.oracle import run_oracle
 
-from helpers import build
+from helpers import build, run_all_ways
 
 
 def split(source):
@@ -267,3 +270,47 @@ def test_multiple_regions_get_distinct_plans():
     assert len(plans) == 2
     assert plans[0].region_id != plans[1].region_id
     assert not (plans[0].template_blocks & plans[1].template_blocks)
+
+
+#: An unrolled loop whose body always returns: folding the constant
+#: branch removes the back edge, so the loop has no latch left.
+NO_BACK_EDGE = """
+int f(int n, int x) {
+    dynamicRegion (n) {
+        int i;
+        unrolled for (i = 0; i < n; i++) {
+            x = x + i;
+            if (1 > 0) return x * n;
+        }
+        return x;
+    }
+}
+int main() { return f(3, 4) * 10 + f(3, 5); }
+"""
+
+
+def test_unrolled_loop_without_a_back_edge():
+    """Set-up code's cursor phi at the loop header takes only the
+    predecessors set-up code has: without a latch, just the entry."""
+    module, plans = split(NO_BACK_EDGE)
+    (plan,) = plans
+    (loop,) = plan.table.loops.values()
+    assert loop.latch not in module.functions["f"].blocks
+    header = module.functions["f"].blocks["su1_" + loop.header]
+    (cursor,) = [phi for phi in header.phis()
+                 if phi.dst.name.startswith("cur")]
+    assert len(cursor.args) == 1
+    assert run_all_ways(NO_BACK_EDGE) == (135, [])
+
+
+@pytest.mark.parametrize("backend", ["rvm", "pycode"])
+@pytest.mark.parametrize("seed", [1114, 1226])
+def test_generated_loops_without_a_back_edge(seed, backend):
+    """Generated programs whose unrolled loop always returns: every
+    oracle leg agrees on them, on both backends."""
+    program = generate_program(seed)
+    for arg in program.args:
+        report = run_oracle(program.source, [arg],
+                            config=RunConfig(backend=backend))
+        assert report.ok, report.divergences
+        assert report.outcomes["dynamic"].status == "ok"
