@@ -419,8 +419,12 @@ def test_hostperf_rows_check_what_they_time(monkeypatch):
                         lambda quick: [("calc", workload)])
     runs = []
     run = Program.run
-    monkeypatch.setattr(Program, "run", lambda self, *args, **kwargs: (
-        runs.append(self), run(self, *args, **kwargs))[1])
+
+    def counted_run(self, *args, **kwargs):
+        runs.append(self)
+        return run(self, *args, **kwargs)
+
+    monkeypatch.setattr(Program, "run", counted_run)
     rows = history.hostperf_rows(steady_runs=1)
     # Per backend: the first run, COMPILE_AFTER reruns in pycode's
     # compile transient and the one steady rerun.
